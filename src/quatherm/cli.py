@@ -348,7 +348,13 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_glue_negative_labels(list(argv)))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, counting.InfeasibleSizeError) as exc:
+        # invalid labels or parameters (InvalidPartition is a ValueError) and
+        # requests over the operation budget
+        print(f"quatherm: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

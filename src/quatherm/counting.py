@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quatring import HermMatrix, RingParams
+from .quatring import (
+    HermMatrix, RingParams, fmul, qadd, qconj, qmul, qnrd, qresidue, qscalar,
+)
 
 
 class InfeasibleSizeError(RuntimeError):
@@ -26,37 +28,8 @@ DEFAULT_BUDGET = 2**36
 _CHUNK = 1 << 20
 
 
-# -- coordinate-array quaternion arithmetic -----------------------------------
-# A quaternion is a 4-tuple (a, b, c, d) of int64 scalars or ndarrays, reduced
-# mod p^ell after every product.
-
-
-def _qmul(x, y, p, e2, mod):
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    a = (a1 * a2 + e2 * (b1 * b2) + p * (c1 * c2 - e2 * (d1 * d2))) % mod
-    b = (a1 * b2 + b1 * a2 + p * (c1 * d2 - d1 * c2)) % mod
-    c = (a1 * c2 - e2 * (b1 * d2) + c1 * a2 + e2 * (d1 * b2)) % mod
-    d = (a1 * d2 - b1 * c2 + c1 * b2 + d1 * a2) % mod
-    return a, b, c, d
-
-
-def _qconj(x, mod):
-    a, b, c, d = x
-    return a, (-b) % mod, (-c) % mod, (-d) % mod
-
-
-def _qadd(x, y, mod):
-    return tuple((u + v) % mod for u, v in zip(x, y))
-
-
-def _qnrd(x, p, e2, mod):
-    a, b, c, d = x
-    return (a * a - e2 * (b * b) - p * (c * c - e2 * (d * d))) % mod
-
-
 def _decode_digits(idx, count, base):
-    """Split an index array into `count` base-`base` digit arrays."""
+    """Split an index (int or array) into `count` base-`base` digits."""
     out = []
     rest = idx
     for _ in range(count):
@@ -132,7 +105,7 @@ def count_generic(b: HermMatrix, a: HermMatrix, primitive: bool = False,
             for j in range(n):
                 acc = (0, 0, 0, 0)
                 for k in range(m):
-                    acc = _qadd(acc, _qmul(acoo[i][k], u[k][j], p, e2, pl), pl)
+                    acc = qadd(acc, qmul(acoo[i][k], u[k][j], p, e2, pl), pl)
                 row.append(acc)
             w.append(row)
         # C = u* @ W  (n x n), upper triangle only
@@ -141,19 +114,22 @@ def count_generic(b: HermMatrix, a: HermMatrix, primitive: bool = False,
             for j in range(i, n):
                 acc = (0, 0, 0, 0)
                 for k in range(m):
-                    acc = _qadd(acc, _qmul(_qconj(u[k][i], pl), w[k][j], p, e2, pl), pl)
+                    acc = qadd(acc, qmul(qconj(u[k][i], pl), w[k][j], p, e2, pl), pl)
                 cvals[(i, j)] = acc
         mask = _congruence_masks(cvals, bcoo, p, ell, pl)
         if primitive:
-            mask = mask & _rank_mask(u, m, n, p, e2)
+            mask = mask & _rank_mask([[qresidue(q, p) for q in row] for row in u], p, e2)
         total += int(np.count_nonzero(mask))
     return total
 
 
-def _rank_mask(u, m, n, p, e2):
-    """Full-residue-rank mask for n <= 2 over F_{p^2}."""
+def _rank_mask(res, p, e2):
+    """Full-residue-rank mask over F_{p^2} for n <= 2 columns.
+
+    res[k][j] is the residue (see qresidue) of the entry in row k, column j.
+    """
+    m, n = len(res), len(res[0])
     e2p = e2 % p
-    res = [[(u[k][j][0] % p, u[k][j][1] % p) for j in range(n)] for k in range(m)]
     if n == 1:
         mask = None
         for k in range(m):
@@ -165,11 +141,9 @@ def _rank_mask(u, m, n, p, e2):
         mask = None
         for k1 in range(m):
             for k2 in range(k1 + 1, m):
-                x, y = res[k1][0], res[k2][1]
-                z, t = res[k2][0], res[k1][1]
-                det_s = (x[0] * y[0] + e2p * x[1] * y[1] - z[0] * t[0] - e2p * z[1] * t[1]) % p
-                det_t = (x[0] * y[1] + x[1] * y[0] - z[0] * t[1] - z[1] * t[0]) % p
-                nz = (det_s != 0) | (det_t != 0)
+                xy = fmul(res[k1][0], res[k2][1], e2p, p)
+                zt = fmul(res[k2][0], res[k1][1], e2p, p)
+                nz = (xy[0] != zt[0]) | (xy[1] != zt[1])
                 mask = nz if mask is None else (mask | nz)
         return mask
     raise NotImplementedError("vectorized rank mask implemented for n <= 2")
@@ -236,7 +210,8 @@ def count_diagonal_convolved(b_value: int, diag_scalars, params: RingParams,
 # -- pairwise path: m = 2, n = 1, arbitrary hermitian A -----------------------
 
 
-def count_column_pair(b_value: int, a: HermMatrix, primitive: bool = False) -> int:
+def count_column_pair(b_value: int, a: HermMatrix, primitive: bool = False,
+                      budget: int = DEFAULT_BUDGET) -> int:
     """Count u = (u1, u2)^T with A[u] = b mod p^ell; A is 2x2 hermitian.
 
     A[u] = alpha*Nrd(u1) + gamma*Nrd(u2) + Trd(u1* beta u2), with alpha, gamma
@@ -244,7 +219,9 @@ def count_column_pair(b_value: int, a: HermMatrix, primitive: bool = False) -> i
     precomputed as vectors and u1 is scanned in a Python loop.
     """
     pm = a.params
-    p, ell, e2, pl = pm.p, pm.ell, pm.eps2, pm.modulus
+    p, e2, pl = pm.p, pm.eps2, pm.modulus
+    if pl**8 * 16 > budget:
+        raise InfeasibleSizeError("column scan exceeds budget")
     alpha = a.entries[0][0].a
     gamma = a.entries[1][1].a
     beta = a.entries[0][1].coords()
@@ -252,28 +229,18 @@ def count_column_pair(b_value: int, a: HermMatrix, primitive: bool = False) -> i
 
     idx = np.arange(space, dtype=np.int64)
     u2 = tuple(_decode_digits(idx, 4, pl))
-    nrd2 = (gamma * _qnrd(u2, p, e2, pl)) % pl
+    nrd2 = (gamma * qnrd(u2, p, e2, pl)) % pl
     unit2 = (u2[0] % p != 0) | (u2[1] % p != 0)
 
     target = b_value % pl
     total = 0
     for i1 in range(space):
-        rest = i1
-        a1 = rest % pl
-        rest //= pl
-        b1 = rest % pl
-        rest //= pl
-        c1 = rest % pl
-        rest //= pl
-        d1 = rest % pl
-        q1 = (a1, b1, c1, d1)
-        unit1 = (a1 % p != 0) or (b1 % p != 0)
-        t = _qmul(_qconj(q1, pl), beta, p, e2, pl)
-        # scalar coordinate of t * u2, doubled
-        cross = (
-            2 * (t[0] * u2[0] + e2 * (t[1] * u2[1]) + p * (t[2] * u2[2] - e2 * (t[3] * u2[3])))
-        ) % pl
-        val = (alpha * _qnrd(q1, p, e2, pl) + nrd2 + cross) % pl
+        q1 = tuple(_decode_digits(i1, 4, pl))
+        unit1 = (q1[0] % p != 0) or (q1[1] % p != 0)
+        t = qmul(qconj(q1, pl), beta, p, e2, pl)
+        # Trd(t * u2) is twice its scalar coordinate
+        cross = 2 * qscalar(t, u2, p, e2, pl)
+        val = (alpha * qnrd(q1, p, e2, pl) + nrd2 + cross) % pl
         mask = val == target
         if primitive and not unit1:
             mask = mask & unit2
@@ -297,13 +264,11 @@ def count_matrix_pair(b: HermMatrix, a: HermMatrix, primitive: bool = False,
         raise InfeasibleSizeError(
             f"column-pair enumeration needs ~{ncols * ncols * 8:.3e} ops"
         )
-    pl1 = p ** (ell - 1)
     a00 = a.entries[0][0].coords()
     a01 = a.entries[0][1].coords()
     a10 = a.entries[1][0].coords()
     a11 = a.entries[1][1].coords()
     bdiag = (b.entries[0][0].a, b.entries[1][1].a)
-    b01 = b.entries[0][1].coords()
 
     idx = np.arange(ncols, dtype=np.int64)
     digits = _decode_digits(idx, 8, pl)
@@ -311,20 +276,16 @@ def count_matrix_pair(b: HermMatrix, a: HermMatrix, primitive: bool = False,
     c2 = tuple(digits[4:8])   # bottom entry of the column
 
     # y = A @ column  (2-vector of quaternions)
-    y1 = _qadd(_qmul(a00, c1, p, e2, pl), _qmul(a01, c2, p, e2, pl), pl)
-    y2 = _qadd(_qmul(a10, c1, p, e2, pl), _qmul(a11, c2, p, e2, pl), pl)
+    y1 = qadd(qmul(a00, c1, p, e2, pl), qmul(a01, c2, p, e2, pl), pl)
+    y2 = qadd(qmul(a10, c1, p, e2, pl), qmul(a11, c2, p, e2, pl), pl)
 
     # diagonal value  col* A col  (scalar coordinate)
-    def _scalar_of_star_dot(x1, x2, w1, w2):
-        s1 = _qmul(_qconj(x1, pl), w1, p, e2, pl)[0]
-        s2 = _qmul(_qconj(x2, pl), w2, p, e2, pl)[0]
-        return (s1 + s2) % pl
-
-    dval = _scalar_of_star_dot(c1, c2, y1, y2)
+    dval = (qscalar(qconj(c1, pl), y1, p, e2, pl)
+            + qscalar(qconj(c2, pl), y2, p, e2, pl)) % pl
     diag_ok = [(dval - bdiag[0]) % pl == 0, (dval - bdiag[1]) % pl == 0]
 
-    res = (c1[0] % p, c1[1] % p, c2[0] % p, c2[1] % p)
-    e2p = e2 % p
+    b01 = {(0, 1): b.entries[0][1].coords()}
+    top2, bottom2 = qresidue(c1, p), qresidue(c2, p)   # column 2, reduced once
 
     total = 0
     cols_first = np.nonzero(diag_ok[0])[0]
@@ -332,31 +293,15 @@ def count_matrix_pair(b: HermMatrix, a: HermMatrix, primitive: bool = False,
         j1 = int(j1)
         q1 = tuple(int(t[j1]) for t in c1)
         q2 = tuple(int(t[j1]) for t in c2)
-        k1 = _qconj(q1, pl)
-        k2 = _qconj(q2, pl)
         # cross entry (1,2) of A[u]: conj(col1) . (A col2)
-        cr = _qadd(
-            _qmul(k1, y1, p, e2, pl),
-            _qmul(k2, y2, p, e2, pl),
+        cr = qadd(
+            qmul(qconj(q1, pl), y1, p, e2, pl),
+            qmul(qconj(q2, pl), y2, p, e2, pl),
             pl,
         )
-        mask = (
-            ((cr[0] - b01[0]) % pl == 0)
-            & ((cr[1] - b01[1]) % pl == 0)
-            & ((cr[2] - b01[2]) % pl1 == 0)
-            & ((cr[3] - b01[3]) % pl1 == 0)
-            & diag_ok[1]
-        )
+        mask = _congruence_masks({(0, 1): cr}, b01, p, ell, pl) & diag_ok[1]
         if primitive:
-            r1 = (q1[0] % p, q1[1] % p, q2[0] % p, q2[1] % p)
-            det_s = (
-                r1[0] * res[2] + e2p * r1[1] * res[3]
-                - res[0] * r1[2] - e2p * res[1] * r1[3]
-            ) % p
-            det_t = (
-                r1[0] * res[3] + r1[1] * res[2]
-                - res[0] * r1[3] - res[1] * r1[2]
-            ) % p
-            mask = mask & ((det_s != 0) | (det_t != 0))
+            u_res = [[qresidue(q1, p), top2], [qresidue(q2, p), bottom2]]
+            mask = mask & _rank_mask(u_res, p, e2)
         total += int(np.count_nonzero(mask))
     return total

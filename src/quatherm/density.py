@@ -114,6 +114,15 @@ def build_gram(alpha, params: RingParams) -> HermMatrix:
 # -- counting -------------------------------------------------------------------
 
 
+def _is_diagonal(h: HermMatrix) -> bool:
+    """Whether h is diagonal with scalar diagonal entries."""
+    return all(
+        h.entries[i][j].is_scalar() if i == j else not h.entries[i][j]
+        for i in range(h.rows)
+        for j in range(h.cols)
+    )
+
+
 def count_reps(b: HermMatrix, a: HermMatrix, primitive: bool = False,
                budget: int = counting.DEFAULT_BUDGET) -> int:
     """N_ell(B, A), dispatching to the cheapest exact method available."""
@@ -121,25 +130,15 @@ def count_reps(b: HermMatrix, a: HermMatrix, primitive: bool = False,
     m, n = a.rows, b.rows
     if m < n:
         raise ValueError("need A at least as large as B")
-    pl = pm.modulus
-
-    def is_diag_scalar(h):
-        return all(
-            h.entries[i][j].is_scalar() if i == j else not h.entries[i][j]
-            for i in range(h.rows)
-            for j in range(h.cols)
-        )
-
-    if n == 1 and is_diag_scalar(a):
+    if n == 1 and _is_diagonal(a):
         return counting.count_diagonal_convolved(
             b.entries[0][0].a, [a.entries[i][i].a for i in range(m)], pm,
             primitive=primitive,
         )
     if n == 1 and m == 2:
-        if pl**8 * 16 > budget:
-            raise counting.InfeasibleSizeError("column scan exceeds budget")
-        return counting.count_column_pair(b.entries[0][0].a, a, primitive=primitive)
-    if n == 2 and m == 2 and pl**8 <= (1 << 21):
+        return counting.count_column_pair(b.entries[0][0].a, a, primitive=primitive,
+                                          budget=budget)
+    if n == 2 and m == 2 and pm.modulus**8 <= (1 << 21):
         return counting.count_matrix_pair(b, a, primitive=primitive, budget=budget)
     return counting.count_generic(b, a, primitive=primitive, budget=budget)
 
@@ -148,13 +147,8 @@ def count_reps_convolved(b: HermMatrix, a: HermMatrix, primitive: bool = False) 
     """Histogram-convolution count; requires a diagonal target and size-1 source."""
     if b.rows != 1:
         raise ValueError("convolution path needs a 1x1 source form")
-    for i in range(a.rows):
-        for j in range(a.cols):
-            e = a.entries[i][j]
-            if i == j and not e.is_scalar():
-                raise ValueError("convolution path needs a diagonal target")
-            if i != j and e:
-                raise ValueError("convolution path needs a diagonal target")
+    if not _is_diagonal(a):
+        raise ValueError("convolution path needs a diagonal target")
     return counting.count_diagonal_convolved(
         b.entries[0][0].a, [a.entries[i][i].a for i in range(a.rows)], a.params,
         primitive=primitive,

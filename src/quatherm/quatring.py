@@ -51,6 +51,59 @@ def smallest_nonresidue(p: int) -> int:
     raise ValueError(f"no nonresidue found mod {p}")
 
 
+# -- coordinate kernel ---------------------------------------------------------
+# The one definition of quaternion arithmetic.  A quaternion is a 4-tuple
+# (a, b, c, d) of Python ints or int64 ndarrays (elementwise), reduced mod
+# p^ell after every product.  QuatElem and the numpy counting kernels both
+# call these functions.
+
+
+def qmul(x, y, p, e2, mod):
+    """Coordinates of x*y, from eps^2 = e2, Pi^2 = p and Pi*eps = -eps*Pi."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    a = qscalar(x, y, p, e2, mod)
+    b = (a1 * b2 + b1 * a2 + p * (c1 * d2 - d1 * c2)) % mod
+    c = (a1 * c2 - e2 * (b1 * d2) + c1 * a2 + e2 * (d1 * b2)) % mod
+    d = (a1 * d2 - b1 * c2 + c1 * b2 + d1 * a2) % mod
+    return a, b, c, d
+
+
+def qscalar(x, y, p, e2, mod):
+    """Scalar coordinate of x*y."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 + e2 * (b1 * b2) + p * (c1 * c2 - e2 * (d1 * d2))) % mod
+
+
+def qconj(x, mod):
+    a, b, c, d = x
+    return a, (-b) % mod, (-c) % mod, (-d) % mod
+
+
+def qadd(x, y, mod):
+    return tuple((u + v) % mod for u, v in zip(x, y))
+
+
+def qnrd(x, p, e2, mod):
+    a, b, c, d = x
+    return (a * a - e2 * (b * b) - p * (c * c - e2 * (d * d))) % mod
+
+
+def qresidue(x, p):
+    """Image (a mod p, b mod p) of x in the residue field F_{p^2}."""
+    return x[0] % p, x[1] % p
+
+
+def fmul(x, y, e2, mod):
+    """Product in (Z/mod)[eps] with eps^2 = e2; pairs (s, t) mean s + t*eps.
+
+    With mod = p this is the residue field F_{p^2}.  Entries may be ints or
+    int64 ndarrays.
+    """
+    return (x[0] * y[0] + e2 * (x[1] * y[1])) % mod, (x[0] * y[1] + x[1] * y[0]) % mod
+
+
 @dataclass(frozen=True)
 class RingParams:
     """Quotient-ring data: odd prime p, level ell >= 1, and the unit eps2.
@@ -164,23 +217,9 @@ class QuatElem:
         return self + (-other)
 
     def __mul__(self, other: "QuatElem") -> "QuatElem":
-        # Write x = alpha + Pi*beta with alpha, beta in the unramified
-        # quadratic extension; then
-        #   x*y = (alpha*gamma + p*conj(beta)*delta) + Pi*(conj(alpha)*delta + beta*gamma).
         self._check(other)
         pm = self.params
-        m, e2, p = pm.modulus, pm.eps2, pm.p
-        a1, b1, c1, d1 = self.coords()
-        a2, b2, c2, d2 = other.coords()
-
-        def kmul(s1, t1, s2, t2):
-            return (s1 * s2 + e2 * t1 * t2) % m, (s1 * t2 + t1 * s2) % m
-
-        u_s, u_t = kmul(a1, b1, a2, b2)
-        v_s, v_t = kmul(c1, -d1, c2, d2)
-        w_s, w_t = kmul(a1, -b1, c2, d2)
-        x_s, x_t = kmul(c1, d1, a2, b2)
-        return QuatElem(u_s + p * v_s, u_t + p * v_t, w_s + x_s, w_t + x_t, pm)
+        return QuatElem(*qmul(self.coords(), other.coords(), pm.p, pm.eps2, pm.modulus), pm)
 
     def conj(self) -> "QuatElem":
         """Main involution a + b*eps + c*Pi + d*Pi*eps -> a - b*eps - c*Pi - d*Pi*eps."""
@@ -189,11 +228,7 @@ class QuatElem:
     def nrd(self) -> int:
         """Reduced norm a^2 - eps2*b^2 - p*(c^2 - eps2*d^2) mod p^ell."""
         pm = self.params
-        return (
-            self.a * self.a
-            - pm.eps2 * self.b * self.b
-            - pm.p * (self.c * self.c - pm.eps2 * self.d * self.d)
-        ) % pm.modulus
+        return qnrd(self.coords(), pm.p, pm.eps2, pm.modulus)
 
     def trd(self) -> int:
         """Reduced trace 2a mod p^ell."""
@@ -218,8 +253,7 @@ class QuatElem:
 
     def residue_pair(self):
         """Image in the residue field F_{p^2}: (a mod p, b mod p)."""
-        p = self.params.p
-        return (self.a % p, self.b % p)
+        return qresidue(self.coords(), self.params.p)
 
     def __repr__(self) -> str:
         return f"QuatElem{self.coords()}"
@@ -362,9 +396,6 @@ def residue_rank(u: QuatMatrix) -> int:
     p = u.params.p
     e2 = u.params.eps2 % p
 
-    def fmul(x, y):
-        return ((x[0] * y[0] + e2 * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
-
     def finv(x):
         # (a + b*eps)^-1 = (a - b*eps)/(a^2 - e2*b^2); the norm is nonzero
         # for nonzero x because e2 is a nonresidue.
@@ -385,14 +416,15 @@ def residue_rank(u: QuatMatrix) -> int:
             continue
         mat[row], mat[piv] = mat[piv], mat[row]
         inv = finv(mat[row][col])
-        mat[row] = [fmul(inv, x) for x in mat[row]]
+        mat[row] = [fmul(inv, x, e2, p) for x in mat[row]]
         for r in range(u.rows):
             if r != row and mat[r][col] != (0, 0):
                 f = mat[r][col]
-                mat[r] = [
-                    (((x[0] - fmul(f, y)[0]) % p), ((x[1] - fmul(f, y)[1]) % p))
-                    for x, y in zip(mat[r], mat[row])
-                ]
+                reduced = []
+                for x, y in zip(mat[r], mat[row]):
+                    fy = fmul(f, y, e2, p)
+                    reduced.append(((x[0] - fy[0]) % p, (x[1] - fy[1]) % p))
+                mat[r] = reduced
         rank += 1
         row += 1
     return rank
@@ -424,38 +456,6 @@ def _phi_block(x: QuatElem):
     ]
 
 
-def _det_permanent_expansion(mat, e2, p_mod):
-    """Determinant by signed permutation expansion; fine for size <= 4."""
-    n = len(mat)
-    import itertools
-
-    total = (0, 0)
-    for perm in itertools.permutations(range(n)):
-        # permutation sign via cycle decomposition
-        visited = [False] * n
-        s = 0
-        for i in range(n):
-            if visited[i]:
-                continue
-            cycle_len = 0
-            j = i
-            while not visited[j]:
-                visited[j] = True
-                j = perm[j]
-                cycle_len += 1
-            s += cycle_len - 1
-        sign = -1 if s % 2 else 1
-        prod = (1 % p_mod, 0)
-        for i in range(n):
-            x = mat[i][perm[i]]
-            prod = (
-                (prod[0] * x[0] + e2 * prod[1] * x[1]) % p_mod,
-                (prod[0] * x[1] + prod[1] * x[0]) % p_mod,
-            )
-        total = ((total[0] + sign * prod[0]) % p_mod, (total[1] + sign * prod[1]) % p_mod)
-    return total
-
-
 def _det_berkowitz(mat, e2, p_mod):
     """Division-free determinant (Berkowitz), entries in (Z/p^ell)[eps]."""
 
@@ -463,7 +463,7 @@ def _det_berkowitz(mat, e2, p_mod):
         return ((x[0] + y[0]) % p_mod, (x[1] + y[1]) % p_mod)
 
     def mul(x, y):
-        return ((x[0] * y[0] + e2 * x[1] * y[1]) % p_mod, (x[0] * y[1] + x[1] * y[0]) % p_mod)
+        return fmul(x, y, e2, p_mod)
 
     def neg(x):
         return ((-x[0]) % p_mod, (-x[1]) % p_mod)
@@ -481,10 +481,7 @@ def _det_berkowitz(mat, e2, p_mod):
         toep = [one, neg(a)]
         vec = col
         for _ in range(k):
-            dot = zero
-            for j in range(k):
-                dot = add(dot, mul(row[j], vec[j]))
-            toep.append(neg(dot))
+            toep.append(neg(_dotrow(row, vec, add, mul, zero)))
             vec = [
                 _dotrow(sub[i], vec, add, mul, zero) for i in range(k)
             ]
@@ -510,9 +507,9 @@ def _dotrow(row, vec, add, mul, zero):
 def matrix_nrd(a: QuatMatrix) -> int:
     """Reduced norm: determinant of the 2n x 2n split image, mod p^ell.
 
-    Division-free (the base ring has zero divisors).  Signed permutation
-    expansion for 2n <= 4, Berkowitz beyond.  The eps-component of the
-    determinant vanishes identically; a nonzero one indicates corruption.
+    Division-free Berkowitz (the base ring has zero divisors).  The
+    eps-component of the determinant vanishes identically; a nonzero one
+    indicates corruption.
     """
     if a.rows != a.cols:
         raise DimensionMismatch("reduced norm needs a square matrix")
@@ -526,10 +523,7 @@ def matrix_nrd(a: QuatMatrix) -> int:
             big[2 * i][2 * j + 1] = blk[0][1]
             big[2 * i + 1][2 * j] = blk[1][0]
             big[2 * i + 1][2 * j + 1] = blk[1][1]
-    if n2 <= 4:
-        det = _det_permanent_expansion(big, pm.eps2, pm.modulus)
-    else:
-        det = _det_berkowitz(big, pm.eps2, pm.modulus)
+    det = _det_berkowitz(big, pm.eps2, pm.modulus)
     if det[1] % pm.modulus != 0:
         raise ArithmeticError("eps-component of reduced norm did not vanish")
     return det[0] % pm.modulus

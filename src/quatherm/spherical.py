@@ -19,10 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import density
+from .counting import _CHUNK, _decode_digits
 from .density import build_gram, check_orbit_label, count_reps, normalization_exponent
 from .laurent import LaurentPoly, symmetric_sum
-from .quatring import HermMatrix, QuatElem, QuatMatrix, RingParams
+from .quatring import RingParams, qadd, qconj, qmul
 from .ratfunc import ONE, Q, RatFuncQ, ZERO, qpow, w_factor
 
 
@@ -272,41 +275,32 @@ def delta_oracle(alpha, p: int, ell: int, eps2: int = 0):
     if alpha[1] < 0:
         raise ValueError("shift to a nonnegative label first")
     params = RingParams(p, ell) if eps2 == 0 else RingParams(p, ell, eps2)
-    pl = params.modulus
+    e2, pl = params.eps2, params.modulus
     g = build_gram(alpha, params)
-    # antidiagonal flip j * G * j
-    flipped = HermMatrix(
-        [[g.entries[1][1], g.entries[1][0]], [g.entries[0][1], g.entries[0][0]]], params
-    )
-    counts = {}
-    tail_count = 0
-    total = 0
-    # nu = [[1, w], [0, 1]] with w in the radical: a, b in p, c, d free
-    pstep = params.p
-    sub = pl // pstep
-    for a in range(sub):
-        for b in range(sub):
-            for c in range(pl):
-                for d in range(pl):
-                    w = QuatElem(a * pstep, b * pstep, c, d, params)
-                    nu = QuatMatrix(
-                        [[QuatElem.one(params), w],
-                         [QuatElem.zero(params), QuatElem.one(params)]],
-                        params,
-                    )
-                    x = nu @ flipped @ nu.star()
-                    top = x.entries[0][0]
-                    if not top.is_scalar():
-                        raise ArithmeticError("upper-left entry not scalar")
-                    v = params.val_p(top.a)
-                    total += 1
-                    if v >= ell:
-                        tail_count += 1
-                    else:
-                        counts[v] = counts.get(v, 0) + 1
-    weights = {v: Fraction(c, total) for v, c in sorted(counts.items())}
+    # antidiagonal flip F = j * G * j
+    f00, f01 = g.entries[1][1].coords(), g.entries[1][0].coords()
+    f10, f11 = g.entries[0][1].coords(), g.entries[0][0].coords()
+    # nu = [[1, w], [0, 1]] with w in the radical (a, b in p; c, d free); the
+    # upper-left entry of nu F nu* is (F00 + w F10) + (F01 + w F11) w*.
+    sub = pl // p
+    total = sub * sub * pl * pl
+    counts = np.zeros(ell + 1, dtype=np.int64)   # index ell is the tail
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        c, d = _decode_digits(idx % (pl * pl), 2, pl)
+        a, b = _decode_digits(idx // (pl * pl), 2, sub)
+        w = (p * a, p * b, c, d)
+        r0 = qadd(f00, qmul(w, f10, p, e2, pl), pl)
+        r1 = qadd(f01, qmul(w, f11, p, e2, pl), pl)
+        top = qadd(r0, qmul(r1, qconj(w, pl), p, e2, pl), pl)
+        if any(np.any(x) for x in top[1:]):
+            raise ArithmeticError("upper-left entry not scalar")
+        # p-adic valuation of the scalar entry, capped at ell
+        v = sum((top[0] % p**k == 0).astype(np.int64) for k in range(1, ell + 1))
+        counts += np.bincount(v, minlength=ell + 1)
+    weights = {v: Fraction(int(c), total) for v, c in enumerate(counts[:ell]) if c}
     v2 = sum(alpha) // 2
-    return weights, Fraction(tail_count, total), v2
+    return weights, Fraction(int(counts[ell]), total), v2
 
 
 # -- truncated induction identity ----------------------------------------------------

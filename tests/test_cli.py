@@ -117,3 +117,36 @@ def test_density_eps2_flag(capsys):
 def test_usage_error():
     with pytest.raises(SystemExit):
         main(["spherical"])   # missing --alpha
+
+
+def run_error(capsys, *argv):
+    """Run a failing command: exit code 2 and one line on stderr, nothing on stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("quatherm: error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_invalid_label_error(capsys):
+    err = run_error(capsys, "density", "--alpha", "2,1")
+    assert "(2, 1) is not a valid orbit label" in err
+
+
+def test_odd_label_error(capsys):
+    err = run_error(capsys, "spherical", "--alpha", "1")
+    assert "(1,) is not a valid orbit label" in err
+
+
+def test_convolve_nondiagonal_error(capsys):
+    err = run_error(capsys, "density", "--method", "convolve", "--alpha", "1,1",
+                    "--beta", "0", "--ell", "1")
+    assert "diagonal target" in err
+
+
+def test_over_budget_error(capsys):
+    # the default levels 1,2: level 2 exceeds the default budget
+    err = run_error(capsys, "density", "--alpha", "2,0")
+    assert "budget" in err

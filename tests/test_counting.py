@@ -1,12 +1,14 @@
 """Cross-checks of the specialized counting kernels against direct enumeration."""
 
+import itertools
 import os
 
+import numpy as np
 import pytest
 
 from quatherm import counting
 from quatherm.density import build_gram
-from quatherm.quatring import HermMatrix, QuatElem, RingParams
+from quatherm.quatring import HermMatrix, QuatElem, QuatMatrix, RingParams, residue_rank
 
 PM1 = RingParams(3, 1)
 PM5 = RingParams(5, 1)
@@ -86,6 +88,21 @@ def test_histogram_total_mass():
     assert sum(h) == 81
     hr = counting.nrd_histogram(PM1, in_radical=True)
     assert sum(hr) == 9
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 1)])
+def test_rank_mask_matches_residue_rank(rows, cols):
+    # every rows x cols matrix over F_9, as residues of (a, b) at p = 3
+    field = list(itertools.product(range(3), repeat=2))
+    mats = list(itertools.product(field, repeat=rows * cols))
+    res = [[tuple(np.array([mat[k * cols + j][t] for mat in mats], dtype=np.int64)
+                  for t in range(2))
+            for j in range(cols)] for k in range(rows)]
+    mask = counting._rank_mask(res, 3, PM1.eps2)
+    for mat, full in zip(mats, mask):
+        u = QuatMatrix([[QuatElem(*mat[k * cols + j], 0, 0, PM1) for j in range(cols)]
+                        for k in range(rows)], PM1)
+        assert bool(full) == (residue_rank(u) == cols)
 
 
 def test_budget_error():

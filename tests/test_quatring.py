@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from quatherm.quatring import (
     in_congruence,
     is_primitive,
     matrix_nrd,
+    qmul,
+    qnrd,
     residue_rank,
     smallest_nonresidue,
 )
@@ -93,6 +96,33 @@ def test_level2_ring_laws(coords):
     assert (x + y).trd() == (x.trd() + y.trd()) % 9
 
 
+def _array_kernel_matches(xs, ys, params):
+    """qmul/qnrd on int64 coordinate arrays against QuatElem, entry by entry."""
+    p, e2, m = params.p, params.eps2, params.modulus
+    xa = tuple(np.array([x.coords()[t] for x in xs], dtype=np.int64) for t in range(4))
+    ya = tuple(np.array([y.coords()[t] for y in ys], dtype=np.int64) for t in range(4))
+    prod = qmul(xa, ya, p, e2, m)
+    nrd = qnrd(xa, p, e2, m)
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        assert tuple(int(t[k]) for t in prod) == (x * y).coords()
+        assert int(nrd[k]) == x.nrd()
+
+
+def test_array_kernel_matches_elements_exhaustive():
+    elems = list(all_elems(PM1))
+    pairs = list(itertools.product(elems, repeat=2))
+    _array_kernel_matches([x for x, _ in pairs], [y for _, y in pairs], PM1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 24)] * 8), min_size=1, max_size=16))
+def test_array_kernel_matches_elements_p5(rows):
+    pm = RingParams(5, 2)
+    xs = [QuatElem(*r[:4], pm) for r in rows]
+    ys = [QuatElem(*r[4:], pm) for r in rows]
+    _array_kernel_matches(xs, ys, pm)
+
+
 def test_pi_valuation():
     assert QuatElem.pi(PM2).pi_valuation() == 1
     assert QuatElem.scalar(3, PM2).pi_valuation() == 2
@@ -163,6 +193,11 @@ def test_matrix_nrd():
     # 3x3 goes through the division-free path
     assert matrix_nrd(QuatMatrix.identity(3, PM2)) == 1
     assert matrix_nrd(build_gram((2, 0, 0), PM2)) % 9 == 0
+
+
+def test_matrix_nrd_of_one_entry_is_nrd():
+    for x in all_elems(PM1):
+        assert matrix_nrd(QuatMatrix([[x]], PM1)) == x.nrd()
 
 
 def test_matrix_nrd_multiplicative_on_forms():

@@ -114,13 +114,14 @@ def test_delta_closed():
     assert dc.den_pairs == ((3, 2),)
 
 
-@pytest.mark.parametrize("alpha", [(0, 0), (2, 0), (1, 1)])
+@pytest.mark.parametrize("alpha", [(0, 0), (2, 0), (1, 1), (2, 2), (3, 3), (4, 2)])
 def test_delta_oracle_matches_closed(alpha):
-    w_or, tail_or, v2_or = delta_oracle(alpha, p=3, ell=2)
-    w_cl, tail_cl, v2_cl = delta_series_weights(alpha, vmax=2)
-    assert w_or == {v: c.eval_at(3) for v, c in w_cl.items()}
-    assert tail_or == tail_cl.eval_at(3)
-    assert v2_or == v2_cl
+    for ell in (2, 3):
+        w_or, tail_or, v2_or = delta_oracle(alpha, p=3, ell=ell)
+        w_cl, tail_cl, v2_cl = delta_series_weights(alpha, vmax=ell)
+        assert w_or == {v: c.eval_at(3) for v, c in w_cl.items()}
+        assert tail_or == tail_cl.eval_at(3)
+        assert v2_or == v2_cl
 
 
 def test_delta_oracle_geometric_tail_level3():
