@@ -167,15 +167,9 @@ def cmd_ideal(args) -> int:
     q_specs = [int(x) for x in args.q_spec.split(",")]
     labels = ([_parse_label(x) for x in args.alpha.split(";")]
               if args.alpha else verify.IDEAL_LABELS[n])
-    computed = [elemsym.to_elementary(spherical.psi_explicit(a, n))
-                for a in verify.GENERATOR_LABELS[n]]
-    verdicts = []
-    for q0 in q_specs:
-        basis = elemsym.buchberger([c.leading_normalized(q0) for c in computed], n)
-        for alpha in labels:
-            e = elemsym.to_elementary(spherical.psi_explicit(alpha, n))
-            member = elemsym.ideal_member(e.polynomial_part().specialize(q0), basis)
-            verdicts.append({"alpha": list(alpha), "q": q0, "member": member})
+    verdicts = [{"alpha": list(alpha), "q": q0, "member": member}
+                for q0, _, members in verify.ideal_verdicts(n, labels, q_specs)
+                for alpha, member in members]
     payload = {
         "n": n,
         "note": "membership verified at rational specializations of q",
@@ -203,23 +197,10 @@ def cmd_plancherel(args) -> int:
     if args.q:
         payload["pairing_at_q"] = format_fraction(pairing.eval_at(args.q))
     if args.symbolic_u:
-        from .bivar import BivarRat
-
-        u1, u2 = BivarRat.u(1), BivarRat.u(2)
-        one = BivarRat.const(1)
-        checks = []
-        hs = {l: plancherel.h_poly(l, u1, u2) for l in range(1, 5)}
-        for l in range(1, 5):
-            for m in range(l, 5):
-                got = plancherel.y_inner(hs[l], hs[m], u1, u2)
-                expect = (one - u1 * u2) if l == m == 1 else (
-                    one if l == m else BivarRat.const(0))
-                checks.append({"check": f"<H{l},H{m}>", "ok": bool(got == expect)})
-        wint = plancherel.y_integral({0: one}, u1, u2)
-        checks.append({
-            "check": "weight-mass",
-            "ok": bool(wint == one / ((one + u1) * (one + u2) * (one - u1 * u2))),
-        })
+        pairs = [(l, m) for l in range(1, 5) for m in range(l, 5)]
+        checks = [{"check": f"<H{key[1]},H{key[2]}>" if key[0] == "inner" else key[0],
+                   "ok": ok}
+                  for key, ok in verify.orthogonality_suite(pairs)]
         payload["symbolic_u_checks"] = checks
     return _emit(payload, args.format)
 

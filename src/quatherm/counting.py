@@ -20,10 +20,13 @@ from .quatring import (
 
 
 class InfeasibleSizeError(RuntimeError):
-    """Enumeration would exceed the configured operation budget."""
+    """A kernel would exceed its operation budget or memory limit."""
 
 
 DEFAULT_BUDGET = 2**36
+
+# Largest int64 grid nrd_histogram may build; the peak is about three times it.
+MAX_HISTOGRAM_BYTES = 512 * 2**20
 
 _CHUNK = 1 << 20
 
@@ -152,6 +155,12 @@ def _rank_mask(res, p, e2):
 # -- convolution path: n = 1, diagonal A --------------------------------------
 
 
+def _histogram_bytes(p: int, ell: int, in_radical: bool) -> int:
+    """Bytes of the int64 norm grid nrd_histogram builds at level ell."""
+    n_ab = p ** (ell - 1) if in_radical else p**ell
+    return n_ab**2 * p ** (2 * ell) * 8
+
+
 def nrd_histogram(params: RingParams, scale: int = 1, in_radical: bool = False):
     """Histogram over x of scale * Nrd(x) mod p^ell.
 
@@ -159,6 +168,17 @@ def nrd_histogram(params: RingParams, scale: int = 1, in_radical: bool = False):
     in_radical is set (coordinates a, b then lie in p).
     """
     p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
+    nbytes = _histogram_bytes(p, ell, in_radical)
+    if nbytes > MAX_HISTOGRAM_BYTES:
+        top = 0
+        while _histogram_bytes(p, top + 1, in_radical) <= MAX_HISTOGRAM_BYTES:
+            top += 1
+        feasible = (f"the highest feasible level at p={p} is {top}" if top
+                    else f"no level is feasible at p={p}")
+        raise InfeasibleSizeError(
+            f"convolution kernel nrd_histogram needs a {nbytes:.3e}-byte array at "
+            f"p={p}, level {ell} (limit {MAX_HISTOGRAM_BYTES:.3e}); {feasible}"
+        )
     if in_radical:
         ab_vals = np.arange(0, pl, dtype=np.int64)[: p ** (ell - 1)] * p
     else:

@@ -10,6 +10,7 @@ verification suite reports.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .laurent import LaurentPoly, elementary_symmetric
@@ -49,6 +50,12 @@ class ElemSymExpr:
             and self.shift == other.shift
             and self.terms == other.terms
         )
+
+    def scale(self, c: RatFuncQ) -> "ElemSymExpr":
+        """Multiply every coefficient by the nonzero scalar c."""
+        out = ElemSymExpr(self.n, shift=self.shift)
+        out.terms = {e: cc * c for e, cc in self.terms.items()}
+        return out
 
     def polynomial_part(self) -> "ElemSymExpr":
         """Drop the s_n^-shift unit; fine for membership in the localized ring."""
@@ -110,25 +117,44 @@ def to_elementary(f: LaurentPoly) -> ElemSymExpr:
         raise NotSymmetric("input is not S_n-invariant")
     n = f.n
     k = max(0, -f.min_exponent())
-    work = f.translate_all(k) if k else f.copy()
+    work = dict(f.translate_all(k).terms)
     out = {}
     guard = 0
-    while work.terms:
+    while work:
         guard += 1
         if guard > 100000:
             raise RuntimeError("elementary rewrite did not terminate")
-        lead = max(work.terms)
-        coef = work.terms[lead]
+        lead = max(work)
+        coef = work[lead]
         if any(lead[i] < lead[i + 1] for i in range(n - 1)):
             raise NotSymmetric("leading exponent is not a partition")
         sexp = tuple(lead[i] - lead[i + 1] for i in range(n - 1)) + (lead[-1],)
-        prod = LaurentPoly.constant(n, coef)
-        for idx, mult in enumerate(sexp):
-            if mult:
-                prod = prod * elementary_symmetric(n, idx + 1) ** mult
-        work = work - prod
+        for e, mult in _elementary_product(n, sexp).items():
+            d = coef * mult
+            v = work.get(e)
+            v = -d if v is None else v - d
+            if v:
+                work[e] = v
+            else:
+                work.pop(e, None)
         out[sexp] = coef
     return ElemSymExpr(n, out, shift=k)
+
+
+def _elementary_product(n: int, sexp) -> dict:
+    """e_1^sexp[0] * ... * e_n^sexp[n-1] as a dict exponent -> int."""
+    out = {(0,) * n: 1}
+    for k, mult in enumerate(sexp, start=1):
+        monos = [tuple(int(i in comb) for i in range(n))
+                 for comb in itertools.combinations(range(n), k)]
+        for _ in range(mult):
+            nxt = {}
+            for e, c in out.items():
+                for m in monos:
+                    t = tuple(a + b for a, b in zip(e, m))
+                    nxt[t] = nxt.get(t, 0) + c
+            out = nxt
+    return out
 
 
 # -- rational multivariate polynomials for Groebner bases ------------------------

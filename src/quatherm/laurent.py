@@ -5,15 +5,18 @@ The engine computes orbit sums
     sum over permutations of  x^mu * (product of binomials) / (product of binomials)
 
 by clearing every denominator factor that occurs in any orbit term, expanding,
-and dividing exactly once.  Exact-division failure means the template/exponent
-pair does not produce a polynomial and is reported, never truncated.
+and dividing exactly once.  Every binomial constant is +-q^k, so all of this
+runs in Z[x^+-1, q^+-1]; only the finished sum is converted to Q(q)
+coefficients.  Exact-division failure means the template/exponent pair does
+not produce a polynomial and is reported, never truncated.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
-from .ratfunc import ONE, RatFuncQ, ZERO
+from .ratfunc import ONE, QPoly, RatFuncQ, ZERO
 
 
 class NonExactDivision(ArithmeticError):
@@ -135,7 +138,13 @@ class LaurentPoly:
         c = _coerce_scalar(c)
         res = LaurentPoly(self.n)
         if c:
-            res.terms = {e: cc * c for e, cc in self.terms.items()}
+            # symmetric polynomials repeat each coefficient over an orbit
+            prods = {}
+            for e, cc in self.terms.items():
+                p = prods.get(cc)
+                if p is None:
+                    p = prods[cc] = cc * c
+                res.terms[e] = p
         return res
 
     def shift(self, expo) -> "LaurentPoly":
@@ -283,31 +292,123 @@ def elementary_symmetric(n: int, k: int) -> LaurentPoly:
 
 
 # -- the orbit-sum engine ---------------------------------------------------------
+#
+# Every binomial of an orbit-sum template is x_i - s*q^k x_j with s = +-1, so
+# the engine works in Z[x^+-1, q^+-1]: a polynomial is a dict from exponent
+# tuples (e_1, ..., e_n, e_q) to ints.  Each divisor is monic in x_i and its
+# other coefficient is a unit, so exact division needs no gcd.
 
 
-def _canonical_factor(i: int, j: int, c: RatFuncQ):
-    """Canonical key and sign for the binomial x_i - c x_j.
+def _unit_qpower(c) -> tuple:
+    """(s, k) with c = s * q^k and s = +-1; ValueError for any other constant."""
+    c = _coerce_scalar(c)
+    num, den = c.num.coeffs, c.den.coeffs   # den is monic
+    if num and num[-1] in (1, -1) and not any(num[:-1]) and not any(den[:-1]):
+        return int(num[-1]), len(num) - len(den)
+    raise ValueError(f"orbit-sum binomial constants must be +-q^k, got {c}")
 
-    Only the c == 1 case has an orientation ambiguity: x_j - x_i = -(x_i - x_j).
+
+def _mul_binomial(poly: dict, i: int, j: int, s: int, k: int) -> dict:
+    """poly * (x_i - s q^k x_j) in Z[x^+-1, q^+-1]."""
+    out = {}
+    get = out.get
+    for e, c in poly.items():
+        a = list(e)
+        a[i] += 1
+        a = tuple(a)
+        out[a] = get(a, 0) + c
+        b = list(e)
+        b[j] += 1
+        b[-1] += k
+        b = tuple(b)
+        out[b] = get(b, 0) - s * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _div_binomial(poly: dict, i: int, j: int, s: int, k: int) -> dict:
+    """Exact quotient poly / (x_i - s q^k x_j); raises NonExactDivision.
+
+    Synthetic division in x_i, highest layer first, as in
+    LaurentPoly.divide_exact_binomial: the divisor is monic in x_i, so each
+    step only moves s*q^k times a coefficient one x_i-degree down.
     """
-    if c == ONE and i > j:
-        return (j, i, c), -1
-    return (i, j, c), 1
+    by_deg = {}
+    for e, c in poly.items():
+        by_deg.setdefault(e[i], {})[e] = c
+    if not by_deg:
+        return {}
+    dmin = min(by_deg)
+    quo = {}
+    for d in range(max(by_deg), dmin - 1, -1):
+        layer = by_deg.pop(d, None)
+        if not layer:
+            continue
+        if d == dmin:
+            c = s * RatFuncQ.q_power(k)
+            raise NonExactDivision(f"not divisible by x_{i+1} - ({c}) x_{j+1}")
+        lower = by_deg.setdefault(d - 1, {})
+        for e, c in layer.items():
+            qe = list(e)
+            qe[i] -= 1
+            quo[tuple(qe)] = c
+            # subtracting c x^qe (x_i - s q^k x_j) cancels this term and
+            # pushes s q^k c x^qe x_j one x_i-degree down
+            qe[j] += 1
+            qe[-1] += k
+            re = tuple(qe)
+            v = lower.get(re, 0) + s * c
+            if v:
+                lower[re] = v
+            else:
+                del lower[re]
+    return quo
+
+
+def _to_laurent(n: int, poly: dict) -> LaurentPoly:
+    """Collect the q-exponent of each x-monomial into its Q(q) coefficient.
+
+    A Laurent polynomial in q is already canonical as f / q^m with f(0) != 0,
+    so no gcd is taken.
+    """
+    by_x = {}
+    for e, c in poly.items():
+        by_x.setdefault(e[:n], {})[e[n]] = c
+    one = QPoly.const(1)
+    terms = {}
+    for x, qc in by_x.items():
+        lo = min(min(qc), 0)
+        num = QPoly([qc.get(d, 0) for d in range(lo, max(qc) + 1)])
+        den = QPoly.q_power(-lo) if lo else one
+        terms[x] = RatFuncQ(num, den, _canonical=True)
+    res = LaurentPoly(n)
+    res.terms = terms
+    return res
+
+
+def _canonical_factor(i: int, j: int, s: int, k: int):
+    """Canonical key and sign for the binomial x_i - s q^k x_j.
+
+    Only the constant 1 has an orientation ambiguity: x_j - x_i = -(x_i - x_j).
+    """
+    if (s, k) == (1, 0) and i > j:
+        return (j, i, s, k), -1
+    return (i, j, s, k), 1
 
 
 def symmetric_sum(n: int, mu, num_factors, den_factors, scalar=None) -> LaurentPoly:
     """Orbit sum of x^mu * prod(num) / prod(den) over all permutations.
 
     num_factors / den_factors: iterables of (i, j, c) triples standing for the
-    binomial x_i - c*x_j (0-based indices, c coercible to Q(q)).  The result
-    must be a Laurent polynomial; NonExactDivision signals a non-polynomial
-    template.
+    binomial x_i - c*x_j (0-based indices, c = +-q^k; any other constant is
+    a ValueError).  The sum is formed over a common denominator and divided
+    exactly in Z[x^+-1, q^+-1]; NonExactDivision signals a non-polynomial
+    template.  The result is multiplied by scalar (in Q(q)) when given.
     """
     mu = tuple(mu)
     if len(mu) != n:
         raise ValueError("exponent arity mismatch")
-    num_factors = [(i, j, _coerce_scalar(c)) for (i, j, c) in num_factors]
-    den_factors = [(i, j, _coerce_scalar(c)) for (i, j, c) in den_factors]
+    num_factors = [(i, j) + _unit_qpower(c) for (i, j, c) in num_factors]
+    den_factors = [(i, j) + _unit_qpower(c) for (i, j, c) in den_factors]
 
     # cancel denominator factors that occur verbatim in the numerator
     num_pool = list(num_factors)
@@ -319,40 +420,49 @@ def symmetric_sum(n: int, mu, num_factors, den_factors, scalar=None) -> LaurentP
             kept_den.append(f)
     num_factors, den_factors = num_pool, kept_den
 
-    # catalogue of all denominator factors across the orbit
+    # the base term expands once; every orbit term is an exponent permutation
+    base = {mu + (0,): 1}
+    for f in num_factors:
+        base = _mul_binomial(base, *f)
+    signed = {1: list(base.items()), -1: [(e, -c) for e, c in base.items()]}
+
+    # catalogue the denominator factors across the orbit; orbit terms with the
+    # same factors share the completing factors of the lcm, so they are
+    # summed first
     lcm = {}
-    per_sigma = []
+    groups = {}
     for sigma in itertools.permutations(range(n)):
         fac = {}
         sign = 1
-        for (i, j, c) in den_factors:
-            key, s = _canonical_factor(sigma[i], sigma[j], c)
-            sign *= s
+        for (i, j, s, k) in den_factors:
+            key, sg = _canonical_factor(sigma[i], sigma[j], s, k)
+            sign *= sg
             fac[key] = fac.get(key, 0) + 1
-        per_sigma.append((sigma, fac, sign))
         for key, mult in fac.items():
             if lcm.get(key, 0) < mult:
                 lcm[key] = mult
-
-    # the base term expands once; every orbit term is an exponent permutation
-    base = LaurentPoly.monomial(n, mu, 1)
-    for (i, j, c) in num_factors:
-        base = base * LaurentPoly.binomial(n, i, j, c)
-
-    total = LaurentPoly.zero(n)
-    for sigma, fac, sign in per_sigma:
-        term = base.permute(sigma)
-        if sign < 0:
-            term = -term
+        perm = itemgetter(*[sigma.index(u) for u in range(n)], n)
+        acc = groups.setdefault(tuple(sorted(fac.items())), {})
+        get = acc.get
+        for e, c in signed[sign]:
+            pe = perm(e)
+            acc[pe] = get(pe, 0) + c
+    total = {}
+    get = total.get
+    for fac, acc in groups.items():
+        term = {e: c for e, c in acc.items() if c}
+        fac = dict(fac)
         for key, mult in lcm.items():
-            extra = mult - fac.get(key, 0)
-            for _ in range(extra):
-                term = term * LaurentPoly.binomial(n, key[0], key[1], key[2])
-        total = total + term
+            for _ in range(mult - fac.get(key, 0)):
+                term = _mul_binomial(term, *key)
+        for e, c in term.items():
+            total[e] = get(e, 0) + c
+    total = {e: c for e, c in total.items() if c}
 
-    for (i, j, c), mult in lcm.items():
+    for key, mult in lcm.items():
         for _ in range(mult):
-            total = total.divide_exact_binomial(i, j, c)
+            total = _div_binomial(total, *key)
+    result = _to_laurent(n, total)
     if scalar is not None:
-        total = total.scale(scalar)
-    return total
+        result = result.scale(scalar)
+    return result

@@ -24,6 +24,7 @@ import numpy as np
 from . import density
 from .counting import _CHUNK, _decode_digits
 from .density import build_gram, check_orbit_label, count_reps, normalization_exponent
+from .elemsym import ElemSymExpr, to_elementary
 from .laurent import LaurentPoly, symmetric_sum
 from .quatring import RingParams, qadd, qconj, qmul
 from .ratfunc import ONE, Q, RatFuncQ, ZERO, qpow, w_factor
@@ -130,6 +131,19 @@ def psi_explicit(alpha, n: int | None = None) -> LaurentPoly:
     if n is None:
         n = len(alpha)
     return main_term(alpha, n).scale(psi_prefactor(alpha, n))
+
+
+def psi_elementary(alpha, n: int | None = None) -> ElemSymExpr:
+    """Psi(alpha) in elementary symmetric coordinates.
+
+    The rewrite is linear, so this is the rewrite of the integer-coefficient
+    main term with every coefficient times the prefactor: the same value as
+    to_elementary(psi_explicit(alpha, n)), at a fraction of the Q(q) work.
+    """
+    alpha = check_orbit_label(alpha)
+    if n is None:
+        n = len(alpha)
+    return to_elementary(main_term(alpha, n)).scale(psi_prefactor(alpha, n))
 
 
 def hl_variant(kind: str, lam, n: int) -> LaurentPoly:

@@ -122,25 +122,34 @@ def check_symmetry_polynomiality(results, sizes=(1, 2, 3)):
                "[]", str(bad), t0=t0)
 
 
+def orthogonality_suite(pairs, vanishing=()):
+    """Weight-family identities in bivariate (u1, u2), as (key, ok) pairs.
+
+    Keys: ("inner", l, m) for <H_l, H_m> over pairs, ("vanishing", l) for the
+    integral of H_l over vanishing, then ("weight-mass",) for the weight.
+    """
+    u1, u2 = BivarRat.u(1), BivarRat.u(2)
+    one = BivarRat.const(1)
+    out = []
+    hs = {l: plancherel.h_poly(l, u1, u2) for l in range(1, 5)}
+    for l, m in pairs:
+        got = plancherel.y_inner(hs[l], hs[m], u1, u2)
+        expect = (one - u1 * u2) if l == m == 1 else (one if l == m else BivarRat.const(0))
+        out.append((("inner", l, m), bool(got == expect)))
+    for l in vanishing:
+        out.append((("vanishing", l),
+                    bool(plancherel.y_integral(hs[l], u1, u2) == BivarRat.const(0))))
+    wint = plancherel.y_integral({0: one}, u1, u2)
+    out.append((("weight-mass",),
+                bool(wint == one / ((one + u1) * (one + u2) * (one - u1 * u2)))))
+    return out
+
+
 def check_orthogonality_bivariate(results):
     """Weight-family orthogonality as exact bivariate rational identities."""
     t0 = time.monotonic()
-    u1, u2 = BivarRat.u(1), BivarRat.u(2)
-    one = BivarRat.const(1)
-    bad = []
-    hs = {l: plancherel.h_poly(l, u1, u2) for l in range(1, 5)}
-    for l in range(1, 5):
-        for m in range(1, 5):
-            got = plancherel.y_inner(hs[l], hs[m], u1, u2)
-            expect = (one - u1 * u2) if l == m == 1 else (one if l == m else BivarRat.const(0))
-            if not got == expect:
-                bad.append(("inner", l, m))
-    for l in range(1, 5):
-        if not plancherel.y_integral(hs[l], u1, u2) == BivarRat.const(0):
-            bad.append(("vanishing", l))
-    wint = plancherel.y_integral({0: one}, u1, u2)
-    if not wint == one / ((one + u1) * (one + u2) * (one - u1 * u2)):
-        bad.append(("weight-mass",))
+    pairs = [(l, m) for l in range(1, 5) for m in range(1, 5)]
+    bad = [key for key, ok in orthogonality_suite(pairs, vanishing=range(1, 5)) if not ok]
     _check(results, "plancherel.orthogonality",
            "orthogonality suite holds as bivariate rational identities, indices <= 4",
            "[]", str(bad), t0=t0)
@@ -368,22 +377,39 @@ IDEAL_LABELS = {
 GENERATOR_LABELS = {3: [(0, 0, 0), (0, -1, -1)], 4: [(0, 0, 0, 0), (-1, -1, -1, -1)]}
 
 
+def ideal_verdicts(n, labels, q_specs):
+    """Generator agreement and ideal membership at each q in q_specs.
+
+    Every label's elementary form is built once, outside the q-loop.  Returns
+    a list of (q0, generator_ok, members): generator_ok says, per generator
+    label, whether its image matches the tabulated generator up to scaling;
+    members lists (alpha, verdict) in label order.
+    """
+    forms = {}
+    for alpha in [*GENERATOR_LABELS[n], *labels]:
+        if alpha not in forms:
+            forms[alpha] = spherical.psi_elementary(alpha, n)
+    computed = [forms[a] for a in GENERATOR_LABELS[n]]
+    tabulated = elemsym.schwartz_image_generators(n)
+    out = []
+    for q0 in q_specs:
+        generator_ok = [c.leading_normalized(q0) == g.leading_normalized(q0)
+                        for c, g in zip(computed, tabulated)]
+        basis = elemsym.buchberger([c.leading_normalized(q0) for c in computed], n)
+        members = [(alpha, elemsym.ideal_member(
+                        forms[alpha].polynomial_part().specialize(q0), basis))
+                   for alpha in labels]
+        out.append((q0, generator_ok, members))
+    return out
+
+
 def check_ideal_structure(results, q_specs=(2, 3, 5)):
     for n in (3, 4):
         t0 = time.monotonic()
         bad = []
-        computed = [elemsym.to_elementary(spherical.psi_explicit(a, n))
-                    for a in GENERATOR_LABELS[n]]
-        tabulated = elemsym.schwartz_image_generators(n)
-        for q0 in q_specs:
-            for idx, (c, g) in enumerate(zip(computed, tabulated)):
-                if c.leading_normalized(q0) != g.leading_normalized(q0):
-                    bad.append(("generator", n, idx, q0))
-            basis = elemsym.buchberger([c.leading_normalized(q0) for c in computed], n)
-            for alpha in IDEAL_LABELS[n]:
-                e = elemsym.to_elementary(spherical.psi_explicit(alpha, n))
-                if not elemsym.ideal_member(e.polynomial_part().specialize(q0), basis):
-                    bad.append(("member", alpha, q0))
+        for q0, generator_ok, members in ideal_verdicts(n, IDEAL_LABELS[n], q_specs):
+            bad += [("generator", n, idx, q0) for idx, ok in enumerate(generator_ok) if not ok]
+            bad += [("member", alpha, q0) for alpha, member in members if not member]
         note = ("size-3 second generator carries the s_2 coefficient "
                 "q(1/q^2 + 1/q + 1); only this value closes the membership "
                 "suite" if n == 3 else "")

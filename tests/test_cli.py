@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -150,3 +151,31 @@ def test_over_budget_error(capsys):
     # the default levels 1,2: level 2 exceeds the default budget
     err = run_error(capsys, "density", "--alpha", "2,0")
     assert "budget" in err
+
+
+def test_convolve_memory_limit_error(capsys):
+    # level 6 at p=3 would need a ~2 TB histogram grid; refused before allocating
+    tracemalloc.start()
+    try:
+        err = run_error(capsys, "density", "--method", "convolve", "--p", "3",
+                        "--ell", "6", "--alpha", "0", "--beta", "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "nrd_histogram" in err and "highest feasible level at p=3 is 4" in err
+    assert peak < 16 * 2**20
+
+
+def test_ideal_and_symbolic_u_reuse_verify_checks(capsys):
+    code, data = run_json(capsys, "ideal", "--n", "3", "--q-spec", "2,3",
+                          "--alpha", "2,0,0;0,0,0")
+    assert code == 0
+    assert [(v["alpha"], v["q"]) for v in data["verdicts"]] == [
+        ([2, 0, 0], 2), ([0, 0, 0], 2), ([2, 0, 0], 3), ([0, 0, 0], 3)]
+    assert all(v["member"] for v in data["verdicts"])
+    code, data = run_json(capsys, "plancherel", "--alpha", "2,0", "--symbolic-u")
+    assert code == 0
+    names = [c["check"] for c in data["symbolic_u_checks"]]
+    assert names == [f"<H{l},H{m}>" for l in range(1, 5) for m in range(l, 5)] + [
+        "weight-mass"]
+    assert all(c["ok"] is True for c in data["symbolic_u_checks"])

@@ -179,3 +179,19 @@ def test_unpaired_extra_polynomials_membership():
             e = to_elementary(p1).polynomial_part().specialize(q0)
             outcomes[(a, b)] = ideal_member(e, basis)
     assert all(outcomes.values())
+
+
+def test_ideal_verdicts_build_each_form_once(monkeypatch):
+    from quatherm import spherical, verify
+
+    built = []
+    real = spherical.psi_elementary
+    monkeypatch.setattr(spherical, "psi_elementary",
+                        lambda a, n: built.append(a) or real(a, n))
+    labels = [(2, 0, 0), (0, 0, 0), (2, 0, 0)]
+    out = verify.ideal_verdicts(3, labels, (2, 3, 5))
+    assert sorted(built) == [(0, -1, -1), (0, 0, 0), (2, 0, 0)]
+    assert [q0 for q0, _, _ in out] == [2, 3, 5]
+    for _, generator_ok, members in out:
+        assert generator_ok == [True, True]
+        assert members == [(a, True) for a in labels]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from quatherm.laurent import (
     symmetric_sum,
 )
 from quatherm.ratfunc import ONE, Q, RatFuncQ, qpow
+from quatherm.spherical import main_term, psi_explicit
 
 
 def test_ring_basics():
@@ -104,3 +107,121 @@ def test_symmetrization_is_symmetric(f):
     assert sym.is_symmetric()
     got = symmetric_sum(2, (0, 0), [], [], scalar=ONE) * sym
     assert got.is_symmetric()
+
+
+def test_symmetric_sum_rejects_non_unit_constants():
+    with pytest.raises(ValueError):
+        symmetric_sum(2, (0, 0), [(0, 1, ONE + Q)], [(0, 1, ONE)])
+    with pytest.raises(ValueError):
+        symmetric_sum(2, (1, 0), [], [(0, 1, 2)])
+    with pytest.raises(ValueError):
+        symmetric_sum(2, (1, 0), [], [(0, 1, Q / 2)])
+
+
+# -- the integer engine against LaurentPoly arithmetic and sympy ---------------------
+
+
+def _orbit_sum_reference(n, mu, num, den):
+    """Orbit sum over a common denominator, by LaurentPoly products and
+    divide_exact_binomial over Q(q)."""
+    lcm, per_sigma = {}, []
+    for sigma in itertools.permutations(range(n)):
+        fac, sign = {}, 1
+        for i, j, c in den:
+            i, j = sigma[i], sigma[j]
+            if c == ONE and i > j:
+                i, j, sign = j, i, -sign
+            fac[(i, j, c)] = fac.get((i, j, c), 0) + 1
+        per_sigma.append((sigma, fac, sign))
+        for key, mult in fac.items():
+            lcm[key] = max(lcm.get(key, 0), mult)
+    base = LaurentPoly.monomial(n, mu, 1)
+    for i, j, c in num:
+        base = base * LaurentPoly.binomial(n, i, j, c)
+    total = LaurentPoly.zero(n)
+    for sigma, fac, sign in per_sigma:
+        term = base.permute(sigma).scale(sign)
+        for (i, j, c), mult in lcm.items():
+            term = term * LaurentPoly.binomial(n, i, j, c) ** (mult - fac.get((i, j, c), 0))
+        total = total + term
+    for (i, j, c), mult in lcm.items():
+        for _ in range(mult):
+            total = total.divide_exact_binomial(i, j, c)
+    return total
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NonExactDivision:
+        return "not a polynomial"
+
+
+@st.composite
+def templates(draw):
+    n = draw(st.integers(2, 3))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    unit = st.builds(lambda s, k: s * qpow(k), st.sampled_from([1, -1]), st.integers(-2, 2))
+    binomial = st.builds(lambda ij, c: ij + (c,), st.sampled_from(pairs), unit)
+    mu = tuple(draw(st.integers(-1, 2)) for _ in range(n))
+    num = draw(st.lists(binomial, max_size=3))
+    # the Vandermonde part keeps most templates polynomial
+    den = [(i, j, ONE) for i in range(n) for j in range(i + 1, n)]
+    den += draw(st.lists(binomial, max_size=1))
+    return n, mu, num, den
+
+
+@settings(max_examples=40, deadline=None)
+@given(templates())
+def test_integer_engine_matches_laurentpoly_arithmetic(template):
+    assert _outcome(symmetric_sum, *template) == _outcome(_orbit_sum_reference, *template)
+
+
+SYMPY_LABELS = [(0, 0), (2, 0), (1, 1), (3, 3), (-1, -1), (0, 0, 0), (2, 0, 0),
+                (1, 1, 0), (2, 1, 1), (0, -1, -1)]
+
+
+@pytest.mark.parametrize("alpha", SYMPY_LABELS)
+def test_psi_against_sympy_symmetrization(alpha):
+    """Psi(alpha) from the formula symmetrized and cancelled in sympy."""
+    sympy = pytest.importorskip("sympy")
+    n = len(alpha)
+    q = sympy.Symbol("q")
+    xs = sympy.symbols(f"x1:{n + 1}")
+    lam = [(a + 1) // 2 for a in alpha]
+    odd = []
+    i = 0
+    while i < n:
+        if alpha[i] % 2:
+            odd.append(i)
+            i += 2
+        else:
+            i += 1
+    main = 0
+    for sigma in itertools.permutations(range(n)):
+        y = [xs[s] for s in sigma]
+        term = sympy.Mul(*[y[t] ** lam[t] for t in range(n)])
+        for a in range(n):
+            for b in range(a + 1, n):
+                term *= (y[a] - q * y[b]) * (y[a] - y[b] / q**2) / (y[a] - y[b])
+        for l in odd:
+            term /= y[l] - q * y[l + 1]
+        main += term
+    z0 = [-n - 1 + 2 * t for t in range(1, n + 1)]
+    c_odd = sympy.Mul(*[(1 - 1 / q) * q ** (n - 2 * (l + 1) + 1) for l in odd])
+    w_n = sympy.Mul(*[1 - q ** (-2 * t) for t in range(1, n + 1)])
+    pref = (1 - q**-2) ** n * c_odd * q ** sum(a * b for a, b in zip(lam, z0)) / w_n
+
+    def to_sympy(poly):
+        out = 0
+        for e, c in poly.terms.items():
+            num = sum(sympy.Rational(v.numerator, v.denominator) * q**d
+                      for d, v in enumerate(c.num.coeffs))
+            den = sum(sympy.Rational(v.numerator, v.denominator) * q**d
+                      for d, v in enumerate(c.den.coeffs))
+            out += num / den * sympy.Mul(*[x**k for x, k in zip(xs, e)])
+        return out
+
+    got_main = main_term(alpha, n)
+    assert sympy.cancel(sympy.together(to_sympy(got_main) - main)) == 0
+    assert sympy.cancel(sympy.together(to_sympy(psi_explicit(alpha, n)) - pref * main)) == 0

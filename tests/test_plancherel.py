@@ -22,6 +22,7 @@ from quatherm.plancherel import (
 from quatherm.density import density_self_closed
 from quatherm.ratfunc import ONE, Q, RatFuncQ, qpow
 from quatherm.spherical import psi_explicit
+from quatherm.verify import orthogonality_suite
 
 U1 = BivarRat.u(1)
 U2 = BivarRat.u(2)
@@ -97,6 +98,14 @@ def test_orthogonality_bivariate(l, m):
 @pytest.mark.parametrize("l", range(1, 5))
 def test_h_against_weight_vanishes(l):
     assert y_integral(h_poly(l, U1, U2), U1, U2) == BivarRat.const(0)
+
+
+def test_orthogonality_suite_keys():
+    pairs = [(1, 1), (1, 2), (3, 3)]
+    got = orthogonality_suite(pairs, vanishing=(2,))
+    assert got == [(("inner", 1, 1), True), (("inner", 1, 2), True),
+                   (("inner", 3, 3), True), (("vanishing", 2), True),
+                   (("weight-mass",), True)]
 
 
 def test_parameter_swap_invariance():

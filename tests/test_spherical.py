@@ -1,9 +1,11 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
 
 from quatherm.density import is_orbit_label
+from quatherm.elemsym import to_elementary
 from quatherm.laurent import LaurentPoly
 from quatherm.ratfunc import ONE, Q, RatFuncQ, qpow
 from quatherm.spherical import (
@@ -16,6 +18,7 @@ from quatherm.spherical import (
     main_term,
     odd_data,
     omega_series_size2,
+    psi_elementary,
     psi_explicit,
     size2_closed,
     sz_convert,
@@ -77,6 +80,19 @@ def test_psi_symmetric_small_sizes():
                       (3, [(0, 0, 0), (2, 0, 0), (1, 1, 0), (0, -1, -1)])]:
         for alpha in labels:
             assert psi_explicit(alpha, n).is_symmetric()
+
+
+@pytest.mark.skipif(not os.environ.get("QUATHERM_SLOW_TESTS"),
+                    reason="120-permutation orbit sum; set QUATHERM_SLOW_TESTS=1")
+def test_psi_size5_symmetric():
+    assert psi_explicit((0, 0, 0, 0, 0), 5).is_symmetric()
+
+
+@pytest.mark.parametrize("alpha", [(0, 0, 0), (0, -1, -1), (2, 0, 0), (1, 1, 0),
+                                   (2, 2, 0), (2, 1, 1), (1, 1, 0, 0)])
+def test_psi_elementary_is_rewrite_of_psi(alpha):
+    n = len(alpha)
+    assert psi_elementary(alpha, n) == to_elementary(psi_explicit(alpha, n))
 
 
 def test_main_term_values():
