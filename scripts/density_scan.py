@@ -10,17 +10,9 @@ agree.  Large level-2 size-2 enumerations are skipped (budget).
 
 import argparse
 import itertools
-from fractions import Fraction
 
 from quatherm import counting
-from quatherm.density import (
-    build_gram,
-    count_reps,
-    density_self_closed,
-    is_orbit_label,
-    normalization_exponent,
-)
-from quatherm.quatring import RingParams
+from quatherm.density import density_levels, density_self_closed, is_orbit_label
 
 
 def labels_up_to(n, max_weight):
@@ -45,14 +37,12 @@ def main():
             cols = []
             agree = None
             for ell in (1, 2):
-                params = RingParams(p, ell)
                 try:
-                    a = build_gram(alpha, params)
-                    cnt = count_reps(a, a, budget=2**34)
+                    (res,), _ = density_levels(alpha, alpha, p, [ell], budget=2**34)
                 except counting.InfeasibleSizeError:
                     cols.append(f"l{ell}:skip")
                     continue
-                norm = Fraction(cnt, p ** normalization_exponent(n, n, ell))
+                norm = res.normalized
                 cols.append(f"l{ell}:{norm}")
                 agree = (norm == closed)
             print(f"{str(alpha):>12} {str(closed):>14} {' '.join(cols):>24} {agree}")

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import counting, density, elemsym, plancherel, spherical, verify
 from .quatring import RingParams
@@ -85,21 +84,17 @@ def cmd_density(args) -> int:
         }
         return _emit(payload, args.format)
 
-    entries = []
-    for ell in levels:
-        params = RingParams(p, ell) if not args.eps2 else RingParams(p, ell, args.eps2)
-        bmat = density.build_gram(beta, params)
-        amat = density.build_gram(alpha, params)
-        if args.method == "convolve":
-            cnt = density.count_reps_convolved(bmat, amat, primitive=args.primitive)
-        else:
-            cnt = density.count_reps(bmat, amat, primitive=args.primitive,
-                                     budget=_budget(args))
-        norm = Fraction(cnt, p ** density.normalization_exponent(n, m, ell))
-        entries.append({"level": ell, "count": cnt, "normalized": format_fraction(norm)})
-    stable = None
-    if len(entries) >= 2:
-        stable = entries[-1]["normalized"] == entries[-2]["normalized"]
+    if args.method == "convolve":
+        # count_reps convolves exactly these shapes; this method insists on them
+        if len(beta) != 1:
+            raise ValueError("convolution path needs a 1x1 source form")
+        grams = (density.build_gram(alpha, RingParams(p, ell, args.eps2)) for ell in levels)
+        if not all(density.is_diagonal(g) for g in grams):
+            raise ValueError("convolution path needs a diagonal target")
+    results, stable = density.density_levels(beta, alpha, p, levels, args.primitive,
+                                             args.eps2, _budget(args))
+    entries = [{"level": r.level, "count": r.count,
+                "normalized": format_fraction(r.normalized)} for r in results]
     payload = {
         "p": p,
         "alpha": list(alpha),

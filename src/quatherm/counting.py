@@ -12,6 +12,9 @@ vectorization layer, with deterministic chunked reduction.
 
 from __future__ import annotations
 
+import math
+from functools import partial
+
 import numpy as np
 
 from .quatring import (
@@ -25,10 +28,40 @@ class InfeasibleSizeError(RuntimeError):
 
 DEFAULT_BUDGET = 2**36
 
-# Largest int64 grid nrd_histogram may build; the peak is about three times it.
-MAX_HISTOGRAM_BYTES = 512 * 2**20
+# Largest estimated peak of the numpy arrays one kernel holds at once.  Each
+# cost function below counts its int64 arrays of the kernel's working length,
+# as measured with tracemalloc and rounded up.
+MAX_PEAK_BYTES = 3 * 512 * 2**20
 
 _CHUNK = 1 << 20
+
+
+def _sci(x: int) -> str:
+    """x as 1.234e+56; past the float range as 10^k."""
+    return f"{x:.3e}" if x < 1e300 else f"10^{math.log10(x):.1f}"
+
+
+def check_cost(kernel: str, cost, p: int, ell: int, budget: int = DEFAULT_BUDGET):
+    """Raise InfeasibleSizeError, before a kernel allocates anything, when its
+    cost(level) = (ops, peak bytes) at level ell exceeds the budget or
+    MAX_PEAK_BYTES.  Costs grow with the level; the error names the kernel,
+    the estimate, both limits and the highest level at p that fits."""
+    def fits(level):
+        ops, nbytes = cost(level)
+        return ops <= budget and nbytes <= MAX_PEAK_BYTES
+
+    if fits(ell):
+        return
+    ops, nbytes = cost(ell)
+    top = 0
+    while top + 1 < ell and fits(top + 1):
+        top += 1
+    feasible = (f"the highest feasible level at p={p} is {top}" if top
+                else f"no level is feasible at p={p}")
+    raise InfeasibleSizeError(
+        f"{kernel} needs ~{_sci(ops)} ops and ~{_sci(nbytes)} bytes at p={p}, level {ell} "
+        f"(budget {_sci(budget)} ops, limit {_sci(MAX_PEAK_BYTES)} bytes); {feasible}"
+    )
 
 
 def _decode_digits(idx, count, base):
@@ -69,8 +102,10 @@ def _congruence_masks(coords, b_coords, p, ell, pl):
     return mask
 
 
-def _estimate_ops(space: int, m: int, n: int) -> int:
-    return space * 4 * m * n * max(m, 1)
+def cost_generic(p: int, m: int, n: int, ell: int):
+    """(ops, peak bytes) of count_generic: p^(4*ell*m*n) matrices, chunked."""
+    space = p ** (4 * ell * m * n)
+    return space * 4 * m * n * max(m, 1), min(space, _CHUNK) * 8 * (20 * m * n + 8)
 
 
 def count_generic(b: HermMatrix, a: HermMatrix, primitive: bool = False,
@@ -84,12 +119,8 @@ def count_generic(b: HermMatrix, a: HermMatrix, primitive: bool = False,
         raise ValueError("B and A must share ring parameters")
     p, ell, e2, pl = pm.p, pm.ell, pm.eps2, pm.modulus
     m, n = a.rows, b.rows
+    check_cost("count_generic", partial(cost_generic, p, m, n), p, ell, budget)
     space = pl ** (4 * m * n)
-    if _estimate_ops(space, m, n) > budget:
-        raise InfeasibleSizeError(
-            f"direct enumeration needs ~{_estimate_ops(space, m, n):.3e} ops "
-            f"(budget {budget:.3e})"
-        )
     acoo = _entry_coords(a)
     bcoo = {(i, j): b.entries[i][j].coords() for i in range(n) for j in range(i, n)}
 
@@ -155,30 +186,22 @@ def _rank_mask(res, p, e2):
 # -- convolution path: n = 1, diagonal A --------------------------------------
 
 
-def _histogram_bytes(p: int, ell: int, in_radical: bool) -> int:
-    """Bytes of the int64 norm grid nrd_histogram builds at level ell."""
+def cost_histogram(p: int, in_radical: bool, ell: int):
+    """(ops, peak bytes) of one nrd_histogram grid, held about three times."""
     n_ab = p ** (ell - 1) if in_radical else p**ell
-    return n_ab**2 * p ** (2 * ell) * 8
+    cells = n_ab**2 * p ** (2 * ell)
+    return 4 * cells, 3 * 8 * cells
 
 
-def nrd_histogram(params: RingParams, scale: int = 1, in_radical: bool = False):
+def nrd_histogram(params: RingParams, scale: int = 1, in_radical: bool = False,
+                  budget: int = DEFAULT_BUDGET):
     """Histogram over x of scale * Nrd(x) mod p^ell.
 
     x runs over O/Pi^(2*ell), or over the maximal ideal Pi/Pi^(2*ell) when
     in_radical is set (coordinates a, b then lie in p).
     """
     p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
-    nbytes = _histogram_bytes(p, ell, in_radical)
-    if nbytes > MAX_HISTOGRAM_BYTES:
-        top = 0
-        while _histogram_bytes(p, top + 1, in_radical) <= MAX_HISTOGRAM_BYTES:
-            top += 1
-        feasible = (f"the highest feasible level at p={p} is {top}" if top
-                    else f"no level is feasible at p={p}")
-        raise InfeasibleSizeError(
-            f"convolution kernel nrd_histogram needs a {nbytes:.3e}-byte array at "
-            f"p={p}, level {ell} (limit {MAX_HISTOGRAM_BYTES:.3e}); {feasible}"
-        )
+    check_cost("nrd_histogram", partial(cost_histogram, p, in_radical), p, ell, budget)
     if in_radical:
         ab_vals = np.arange(0, pl, dtype=np.int64)[: p ** (ell - 1)] * p
     else:
@@ -206,21 +229,24 @@ def _cyclic_convolve(h1, h2, pl):
 
 
 def count_diagonal_convolved(b_value: int, diag_scalars, params: RingParams,
-                             primitive: bool = False) -> int:
+                             primitive: bool = False,
+                             budget: int = DEFAULT_BUDGET) -> int:
     """Count columns u with sum_i a_i * Nrd(u_i) = b mod p^ell by histogram
     convolution; identical value to direct enumeration for diagonal targets.
 
     The primitive count subtracts the all-entries-in-the-radical subtotal.
+    The first nrd_histogram call checks the cost of every (equal) grid.
     """
     pl = params.modulus
-    hists = [nrd_histogram(params, scale=s % pl) for s in diag_scalars]
+    hists = [nrd_histogram(params, scale=s % pl, budget=budget) for s in diag_scalars]
     acc = hists[0]
     for h in hists[1:]:
         acc = _cyclic_convolve(acc, h, pl)
     total = acc[b_value % pl]
     if not primitive:
         return total
-    rhists = [nrd_histogram(params, scale=s % pl, in_radical=True) for s in diag_scalars]
+    rhists = [nrd_histogram(params, scale=s % pl, in_radical=True, budget=budget)
+              for s in diag_scalars]
     racc = rhists[0]
     for h in rhists[1:]:
         racc = _cyclic_convolve(racc, h, pl)
@@ -228,6 +254,12 @@ def count_diagonal_convolved(b_value: int, diag_scalars, params: RingParams,
 
 
 # -- pairwise path: m = 2, n = 1, arbitrary hermitian A -----------------------
+
+
+def cost_column_pair(p: int, ell: int):
+    """(ops, peak bytes) of count_column_pair: p^(4*ell) rows squared."""
+    pl = p**ell
+    return pl**8 * 16, pl**4 * 8 * 16
 
 
 def count_column_pair(b_value: int, a: HermMatrix, primitive: bool = False,
@@ -240,8 +272,7 @@ def count_column_pair(b_value: int, a: HermMatrix, primitive: bool = False,
     """
     pm = a.params
     p, e2, pl = pm.p, pm.eps2, pm.modulus
-    if pl**8 * 16 > budget:
-        raise InfeasibleSizeError("column scan exceeds budget")
+    check_cost("count_column_pair", partial(cost_column_pair, p), p, pm.ell, budget)
     alpha = a.entries[0][0].a
     gamma = a.entries[1][1].a
     beta = a.entries[0][1].coords()
@@ -271,6 +302,12 @@ def count_column_pair(b_value: int, a: HermMatrix, primitive: bool = False,
 # -- column-pair path: m = n = 2 ----------------------------------------------
 
 
+def cost_matrix_pair(p: int, ell: int):
+    """(ops, peak bytes) of count_matrix_pair: p^(8*ell) columns squared."""
+    ncols = p ** (8 * ell)
+    return ncols * ncols * 8, ncols * 8 * 48
+
+
 def count_matrix_pair(b: HermMatrix, a: HermMatrix, primitive: bool = False,
                       budget: int = DEFAULT_BUDGET) -> int:
     """Count 2x2 matrices u column by column: precompute per-column data for
@@ -279,11 +316,8 @@ def count_matrix_pair(b: HermMatrix, a: HermMatrix, primitive: bool = False,
     if b.params != pm:
         raise ValueError("B and A must share ring parameters")
     p, ell, e2, pl = pm.p, pm.ell, pm.eps2, pm.modulus
+    check_cost("count_matrix_pair", partial(cost_matrix_pair, p), p, ell, budget)
     ncols = pl**8
-    if ncols * ncols * 8 > budget:
-        raise InfeasibleSizeError(
-            f"column-pair enumeration needs ~{ncols * ncols * 8:.3e} ops"
-        )
     a00 = a.entries[0][0].coords()
     a01 = a.entries[0][1].coords()
     a10 = a.entries[1][0].coords()

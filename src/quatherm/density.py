@@ -114,7 +114,7 @@ def build_gram(alpha, params: RingParams) -> HermMatrix:
 # -- counting -------------------------------------------------------------------
 
 
-def _is_diagonal(h: HermMatrix) -> bool:
+def is_diagonal(h: HermMatrix) -> bool:
     """Whether h is diagonal with scalar diagonal entries."""
     return all(
         h.entries[i][j].is_scalar() if i == j else not h.entries[i][j]
@@ -125,38 +125,22 @@ def _is_diagonal(h: HermMatrix) -> bool:
 
 def count_reps(b: HermMatrix, a: HermMatrix, primitive: bool = False,
                budget: int = counting.DEFAULT_BUDGET) -> int:
-    """N_ell(B, A), dispatching to the cheapest exact method available."""
-    pm = a.params
+    """N_ell(B, A).  The only place that picks a counting kernel, by shape and
+    diagonality alone; the kernel checks its own cost against the budget."""
     m, n = a.rows, b.rows
     if m < n:
         raise ValueError("need A at least as large as B")
-    if n == 1 and _is_diagonal(a):
+    if n == 1 and is_diagonal(a):
         return counting.count_diagonal_convolved(
-            b.entries[0][0].a, [a.entries[i][i].a for i in range(m)], pm,
-            primitive=primitive,
+            b.entries[0][0].a, [a.entries[i][i].a for i in range(m)], a.params,
+            primitive=primitive, budget=budget,
         )
     if n == 1 and m == 2:
         return counting.count_column_pair(b.entries[0][0].a, a, primitive=primitive,
                                           budget=budget)
-    if n == 2 and m == 2 and pm.modulus**8 <= (1 << 21):
+    if n == 2 and m == 2:
         return counting.count_matrix_pair(b, a, primitive=primitive, budget=budget)
     return counting.count_generic(b, a, primitive=primitive, budget=budget)
-
-
-def count_reps_convolved(b: HermMatrix, a: HermMatrix, primitive: bool = False) -> int:
-    """Histogram-convolution count; requires a diagonal target and size-1 source."""
-    if b.rows != 1:
-        raise ValueError("convolution path needs a 1x1 source form")
-    if not _is_diagonal(a):
-        raise ValueError("convolution path needs a diagonal target")
-    return counting.count_diagonal_convolved(
-        b.entries[0][0].a, [a.entries[i][i].a for i in range(a.rows)], a.params,
-        primitive=primitive,
-    )
-
-
-def normalization_exponent(n: int, m: int, ell: int) -> int:
-    return ell * n * (4 * m - 2 * n + 1) + n * (n - 1)
 
 
 @dataclass(frozen=True)
@@ -171,19 +155,21 @@ def density_levels(beta, alpha, p: int, levels, primitive: bool = False,
                    eps2: int = 0, budget: int = counting.DEFAULT_BUDGET):
     """Normalized counts of (pi^beta, pi^alpha) at each requested level.
 
-    Returns (results, stable) where stable is True when the last two levels
-    agree, None when only one level was computed.
+    The one place that turns counts into the densities N_ell(B, A) /
+    q^(ell*n*(4m - 2n + 1) + n(n - 1)).  eps2 = 0 picks the smallest
+    nonresidue.  Returns (results, stable) where stable is True when
+    the last two levels agree, None when only one level was computed.
     """
     beta = check_orbit_label(beta)
     alpha = check_orbit_label(alpha)
     n, m = len(beta), len(alpha)
     results = []
     for ell in levels:
-        params = RingParams(p, ell) if eps2 == 0 else RingParams(p, ell, eps2)
+        params = RingParams(p, ell, eps2)
         bmat = build_gram(beta, params)
         amat = build_gram(alpha, params)
         cnt = count_reps(bmat, amat, primitive=primitive, budget=budget)
-        norm = Fraction(cnt, p ** normalization_exponent(n, m, ell))
+        norm = Fraction(cnt, p ** (ell * n * (4 * m - 2 * n + 1) + n * (n - 1)))
         results.append(DensityResult(cnt, ell, norm, primitive))
     stable = None
     if len(results) >= 2:

@@ -18,16 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from . import density
+from . import counting, density
 from .counting import _CHUNK, _decode_digits
-from .density import build_gram, check_orbit_label, count_reps, normalization_exponent
+from .density import build_gram, check_orbit_label
 from .elemsym import ElemSymExpr, to_elementary
 from .laurent import LaurentPoly, symmetric_sum
 from .quatring import RingParams, qadd, qconj, qmul
-from .ratfunc import ONE, Q, RatFuncQ, ZERO, qpow, w_factor
+from .ratfunc import ONE, Q, QPoly, RatFuncQ, ZERO, qpow, w_factor
 
 
 # -- combinatorial ingredients ---------------------------------------------------
@@ -112,17 +113,24 @@ def main_term(alpha, n: int | None = None) -> LaurentPoly:
 
 
 def psi_prefactor(alpha, n: int | None = None) -> RatFuncQ:
+    """(1 - q^-2)^n * c_odd * q^<lam, z0> / w_n(q^-2), built reduced.
+
+    With odd pairs at l in I_odd this is (q - 1)^k * q^e / prod_{i<=n} [i]_{q^2},
+    k = |I_odd|, e = sum(n - 2l) + <lam, z0> + n(n - 1) and [i]_{q^2} =
+    1 + q^2 + ... + q^(2i-2).  The denominator is monic, and q - 1 and q are
+    coprime to each [i]_{q^2} (values i and 1 at q = 1 and q = 0): no gcd.
+    """
     alpha = check_orbit_label(alpha)
     if n is None:
         n = len(alpha)
-    lam = lambda_alpha(alpha)
     od = odd_data(alpha, n)
-    return (
-        (ONE - qpow(-2)) ** n
-        * od.c_odd
-        * qpow(_pair(lam, z_zero(n)))
-        / w_factor(n, qpow(-2))
-    )
+    e = (sum(n - 2 * l for l in od.indices) + _pair(lambda_alpha(alpha), z_zero(n))
+         + n * (n - 1))
+    num = QPoly([-1, 1]) ** len(od.indices)
+    den = QPoly.const(1)
+    for i in range(1, n + 1):
+        den = den * QPoly([1, 0] * (i - 1) + [1])
+    return RatFuncQ(num.shift(max(e, 0)), den.shift(max(-e, 0)), _canonical=True)
 
 
 def psi_explicit(alpha, n: int | None = None) -> LaurentPoly:
@@ -274,6 +282,12 @@ def delta_series_weights(alpha, vmax: int):
     return weights, mass_left, v2
 
 
+def cost_delta_oracle(p: int, ell: int):
+    """(ops, peak bytes) of delta_oracle: p^(4*ell-2) points, three products each."""
+    points = p ** (4 * ell - 2)
+    return 12 * points, min(points, _CHUNK) * 8 * 32
+
+
 def delta_oracle(alpha, p: int, ell: int, eps2: int = 0):
     """Finite-level Iwahori enumeration for size 2.
 
@@ -288,7 +302,8 @@ def delta_oracle(alpha, p: int, ell: int, eps2: int = 0):
         raise ValueError("size-2 labels only")
     if alpha[1] < 0:
         raise ValueError("shift to a nonnegative label first")
-    params = RingParams(p, ell) if eps2 == 0 else RingParams(p, ell, eps2)
+    params = RingParams(p, ell, eps2)
+    counting.check_cost("delta_oracle", partial(cost_delta_oracle, p), p, ell)
     e2, pl = params.eps2, params.modulus
     g = build_gram(alpha, params)
     # antidiagonal flip F = j * G * j
@@ -346,7 +361,7 @@ def omega_series_size2(alpha, order: int):
 
 
 def induction_rhs_coefficients(xi, order: int, p: int, ell: int = 2,
-                               eps2: int = 0):
+                               eps2: int = 0, budget: int = counting.DEFAULT_BUDGET):
     """Coefficients of t^j, j <= order, of the density expansion
 
         (w_1 w_1 / w_2)(q^-2) * sum_j  mu_pr(<p^j>, pi^xi) / mu_j * t^j,
@@ -355,29 +370,27 @@ def induction_rhs_coefficients(xi, order: int, p: int, ell: int = 2,
     the self-densities from the closed formula.  Returns exact Fractions at
     q = p alongside the raw density table.
     """
-    xi = check_orbit_label(xi)
     t2 = qpow(-2)
     front = w_factor(1, t2) * w_factor(1, t2) / w_factor(2, t2)
-    params = RingParams(p, ell) if eps2 == 0 else RingParams(p, ell, eps2)
-    amat = build_gram(xi, params)
     coeffs = []
     table = []
     for j in range(order + 1):
-        bmat = build_gram((2 * j,), params)
-        cnt = count_reps(bmat, amat, primitive=True)
-        mu_pr = Fraction(cnt, p ** normalization_exponent(1, len(xi), ell))
+        (res,), _ = density.density_levels((2 * j,), xi, p, [ell], primitive=True,
+                                           eps2=eps2, budget=budget)
+        mu_pr = res.normalized
         mu_self = density.density_self_closed((2 * j,)).eval_at(p)
         coeffs.append(front.eval_at(p) * mu_pr / mu_self)
         table.append((2 * j, mu_pr))
     return coeffs, table
 
 
-def verify_induction(xi, order: int, p: int, ell: int = 2, eps2: int = 0):
+def verify_induction(xi, order: int, p: int, ell: int = 2, eps2: int = 0,
+                     budget: int = counting.DEFAULT_BUDGET):
     """Compare both sides of the truncated induction identity at q = p.
 
     Returns (ok, lhs, rhs, table).
     """
     lhs_sym = omega_series_size2(xi, order)
     lhs = [c.eval_at(p) for c in lhs_sym]
-    rhs, table = induction_rhs_coefficients(xi, order, p, ell, eps2)
+    rhs, table = induction_rhs_coefficients(xi, order, p, ell, eps2, budget)
     return lhs == rhs, lhs, rhs, table

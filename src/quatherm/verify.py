@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import counting, density, elemsym, plancherel, spherical
 from .bivar import BivarRat
 from .laurent import LaurentPoly
-from .quatring import RingParams, smallest_nonresidue
+from .quatring import smallest_nonresidue
 from .ratfunc import ONE, Q, format_fraction, qpow
 
 
@@ -231,32 +231,20 @@ DENSITY_CASES_N1 = [(3, 2, (0,)), (3, 2, (2,)), (5, 1, (0,))]
 DENSITY_CASES_N2 = [(3, 1, (0, 0)), (3, 1, (1, 1)), (3, 1, (2, 0))]
 
 
-def _density_case(results, p, ell, alpha, budget):
-    t0 = time.monotonic()
-    n = len(alpha)
-    params = RingParams(p, ell)
-    a = density.build_gram(alpha, params)
-    cnt = density.count_reps(a, a, primitive=False, budget=budget)
-    got = Fraction(cnt, p ** density.normalization_exponent(n, n, ell))
-    expect = density.density_self_closed(alpha).eval_at(p)
-    note = ""
-    if got != expect:
-        note = ("level-1 congruence conditions are below the stabilization "
-                "threshold for this label (the first stable level needs 3^32 "
-                "points); see README, Acceptance status")
-    _check(results, f"density.oracle.p{p}.l{ell}.{'-'.join(map(str, alpha))}",
-           f"normalized count of {alpha} at p={p}, level {ell} equals the closed value",
-           _frac(expect), _frac(got), note=note, t0=t0)
-
-
-def check_density_oracle_n1(results, budget):
-    for p, ell, alpha in DENSITY_CASES_N1:
-        _density_case(results, p, ell, alpha, budget)
-
-
-def check_density_oracle_n2(results, budget):
-    for p, ell, alpha in DENSITY_CASES_N2:
-        _density_case(results, p, ell, alpha, budget)
+def check_density_oracle(results, cases, budget):
+    for p, ell, alpha in cases:
+        t0 = time.monotonic()
+        (res,), _ = density.density_levels(alpha, alpha, p, [ell], budget=budget)
+        got = res.normalized
+        expect = density.density_self_closed(alpha).eval_at(p)
+        note = ""
+        if got != expect:
+            note = ("level-1 congruence conditions are below the stabilization "
+                    "threshold for this label (the first stable level needs 3^32 "
+                    "points); see README, Acceptance status")
+        _check(results, f"density.oracle.p{p}.l{ell}.{'-'.join(map(str, alpha))}",
+               f"normalized count of {alpha} at p={p}, level {ell} equals the closed value",
+               _frac(expect), _frac(got), note=note, t0=t0)
 
 
 def check_delta_oracle(results):
@@ -278,11 +266,8 @@ def check_model_independence(results):
     e_first = smallest_nonresidue(p)
     e_second = next(e for e in range(e_first + 1, p) if
                     pow(e, (p - 1) // 2, p) == p - 1)
-    counts = []
-    for eps2 in (e_first, e_second):
-        params = RingParams(p, 1, eps2)
-        a = density.build_gram((0,), params)
-        counts.append(density.count_reps(a, a))
+    counts = [density.density_levels((0,), (0,), p, [1], eps2=eps2)[0][0].count
+              for eps2 in (e_first, e_second)]
     _check(results, "density.model-independence",
            f"counts at p=5 agree for nonresidues {e_first} and {e_second}",
            str(counts[0]), str(counts[1]), t0=t0)
@@ -291,13 +276,9 @@ def check_model_independence(results):
 def check_shift_by_counting(results):
     t0 = time.monotonic()
     p = 3
-    params = RingParams(p, 2)
-    base = density.build_gram((0,), params)
-    shifted = density.build_gram((2,), params)
-    n0 = density.count_reps(base, base)
-    n1 = density.count_reps(shifted, shifted)
-    lhs = Fraction(n1, p ** density.normalization_exponent(1, 1, 2))
-    rhs = p * Fraction(n0, p ** density.normalization_exponent(1, 1, 2))
+    (shifted,), _ = density.density_levels((2,), (2,), p, [2])
+    (base,), _ = density.density_levels((0,), (0,), p, [2])
+    lhs, rhs = shifted.normalized, p * base.normalized
     _check(results, "density.shift",
            "scaling both forms by p multiplies the density by q^(n(2n-1))",
            _frac(rhs), _frac(lhs), t0=t0)
@@ -309,12 +290,9 @@ def check_key_lemma(results, budget):
     p = 3
     bad = []
     for alpha in [(0, 0), (2, 0), (1, 1), (2, 2)]:
-        beta = density.key_beta(alpha)
-        params = RingParams(p, 2)
-        b = density.build_gram(beta, params)
-        a = density.build_gram(alpha, params)
-        cnt = density.count_reps(b, a, primitive=True, budget=budget)
-        if cnt == 0:
+        (res,), _ = density.density_levels(density.key_beta(alpha), alpha, p, [2],
+                                           primitive=True, budget=budget)
+        if res.count == 0:
             bad.append(alpha)
     _check(results, "density.key-witness",
            "the key witness density one size down is nonzero, by counting",
@@ -339,12 +317,9 @@ def check_decomposition(results, budget):
             bad.append(alpha)
     # counting side for alpha = (2, 0): mu = q^(2|beta|) mu_pr(beta, alpha) mu(gamma)
     p = 3
-    params = RingParams(p, 2)
     alpha = (2, 0)
-    bmat = density.build_gram((0,), params)
-    amat = density.build_gram(alpha, params)
-    cnt = density.count_reps(bmat, amat, primitive=True, budget=budget)
-    mu_pr = Fraction(cnt, p ** density.normalization_exponent(1, 2, 2))
+    (res,), _ = density.density_levels((0,), alpha, p, [2], primitive=True, budget=budget)
+    mu_pr = res.normalized
     lhs = density.density_self_closed(alpha).eval_at(p)
     rhs = mu_pr * density.density_self_closed((2,)).eval_at(p)
     if lhs != rhs:
@@ -363,7 +338,8 @@ INDUCTION_CASES = [(0, 0), (1, 1), (2, 0)]
 def check_induction(results, budget):
     for xi in INDUCTION_CASES:
         t0 = time.monotonic()
-        ok, lhs, rhs, _ = spherical.verify_induction(xi, order=1, p=3, ell=2)
+        ok, lhs, rhs, _ = spherical.verify_induction(xi, order=1, p=3, ell=2,
+                                                     budget=budget)
         _check(results, f"induction.{'-'.join(map(str, xi))}",
                f"induction identity series coefficients agree to order 1 for {xi}",
                str(lhs), str(rhs), t0=t0)
@@ -439,7 +415,7 @@ def run_suite(tier: str = "all", budget: int = counting.DEFAULT_BUDGET):
         check_transform_vs_psi(results)
         check_sz_convert(results)
     if tier in ("counting", "all"):
-        check_density_oracle_n1(results, budget)
+        check_density_oracle(results, DENSITY_CASES_N1, budget)
         check_delta_oracle(results)
         check_model_independence(results)
         check_shift_by_counting(results)
@@ -449,5 +425,5 @@ def run_suite(tier: str = "all", budget: int = counting.DEFAULT_BUDGET):
         check_ideal_structure(results)
         check_induction(results, budget)
         check_key_lemma(results, budget)
-        check_density_oracle_n2(results, budget)
+        check_density_oracle(results, DENSITY_CASES_N2, budget)
     return results

@@ -23,9 +23,9 @@ from quatherm.bivar import BivarRat
 from quatherm.density import (
     build_gram,
     count_reps,
+    density_levels,
     density_self_closed,
     is_orbit_label,
-    normalization_exponent,
 )
 from quatherm.laurent import LaurentPoly
 from quatherm.quatring import RingParams, smallest_nonresidue
@@ -50,11 +50,8 @@ DENSITY_TUPLES = [
 @pytest.mark.parametrize("p,ell,alpha", DENSITY_TUPLES,
                          ids=lambda v: str(v).replace(" ", ""))
 def test_criterion_1_density_oracle(p, ell, alpha):
-    n = len(alpha)
-    params = RingParams(p, ell)
-    a = build_gram(alpha, params)
-    cnt = count_reps(a, a)
-    got = Fraction(cnt, p ** normalization_exponent(n, n, ell))
+    (res,), _ = density_levels(alpha, alpha, p, [ell])
+    got = res.normalized
     expect = density_self_closed(alpha).eval_at(p)
     ok = report(1, f"count vs closed density, p={p} level={ell} alpha={alpha}",
                 got == expect, f"count-normalized {got}, closed {expect}")

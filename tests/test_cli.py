@@ -153,6 +153,12 @@ def test_over_budget_error(capsys):
     assert "budget" in err
 
 
+def test_over_budget_error_past_float_range(capsys):
+    # 3^1600 matrices: the estimate no longer fits a float
+    err = run_error(capsys, "density", "--ell", "1", "--alpha", ",".join(["0"] * 20))
+    assert "count_generic needs ~10^767.9 ops" in err
+
+
 def test_convolve_memory_limit_error(capsys):
     # level 6 at p=3 would need a ~2 TB histogram grid; refused before allocating
     tracemalloc.start()

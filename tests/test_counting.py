@@ -110,3 +110,17 @@ def test_budget_error():
     a = build_gram((0, 0, 0), pm)
     with pytest.raises(counting.InfeasibleSizeError):
         counting.count_generic(a, a, budget=10**6)
+
+
+def test_cost_guard_message():
+    # the shared guard names the kernel, the estimate, both limits and the
+    # deepest level that fits at p
+    a = build_gram((0, 0), RingParams(3, 2))
+    with pytest.raises(counting.InfeasibleSizeError) as exc:
+        counting.count_matrix_pair(a, a)
+    msg = str(exc.value)
+    assert msg.startswith("count_matrix_pair needs ~1.482e+16 ops and ")
+    assert "at p=3, level 2 (budget 6.872e+10 ops, limit 1.611e+09 bytes)" in msg
+    assert msg.endswith("; the highest feasible level at p=3 is 1")
+    with pytest.raises(counting.InfeasibleSizeError, match="no level is feasible at p=3$"):
+        counting.count_generic(a, a, budget=10**6)

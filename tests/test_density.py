@@ -1,15 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quatherm import counting
+from quatherm.cli import main
 from quatherm.density import (
     DensityResult,
     InvalidPartition,
     apply_shift,
     build_gram,
     count_reps,
-    count_reps_convolved,
     density_ht_closed,
     density_levels,
     density_self_closed,
@@ -18,7 +20,6 @@ from quatherm.density import (
     density_zero_ht,
     is_orbit_label,
     key_beta,
-    normalization_exponent,
     shift_factor,
     tail_dominates,
 )
@@ -61,15 +62,78 @@ def test_count_small_values():
     assert count_reps(zero, build_gram((1, 1), PM1), primitive=True) == 6480
 
 
-def test_convolution_matches_direct():
+def test_convolution_matches_direct(capsys):
     b = build_gram((0,), PM1)
     a = build_gram((0, 0), PM1)
-    assert count_reps_convolved(b, a) == counting.count_generic(b, a)
+    assert count_reps(b, a) == counting.count_generic(b, a)
     b2 = build_gram((0,), PM2)
     a2 = build_gram((0,), PM2)
-    assert count_reps_convolved(b2, a2) == 972
-    with pytest.raises(ValueError):
-        count_reps_convolved(b, build_gram((1, 1), PM1))
+    assert count_reps(b2, a2) == 972
+    # --method convolve refuses the shapes count_reps would not convolve
+    for beta, alpha, message in [("0", "1,1", "diagonal target"),
+                                 ("0,0", "0,0", "1x1 source form")]:
+        assert main(["density", "--method", "convolve", "--ell", "1",
+                     "--beta", beta, "--alpha", alpha]) == 2
+        assert message in capsys.readouterr().err
+
+
+KERNELS = ("count_diagonal_convolved", "count_column_pair", "count_matrix_pair",
+           "count_generic")
+
+
+@pytest.mark.parametrize(("beta", "alpha", "p", "kernel"), [
+    ((0,), (0, 0), 3, "count_diagonal_convolved"),
+    ((0,), (1, 1), 3, "count_column_pair"),
+    ((0, 0), (2, 0), 3, "count_matrix_pair"),
+    ((0, 0), (0, 0), 5, "count_matrix_pair"),
+    ((0,), (1, 1, 0), 3, "count_generic"),
+    ((0,), (0, 0, 0), 3, "count_diagonal_convolved"),
+])
+def test_dispatch_pins_kernel(monkeypatch, beta, alpha, p, kernel):
+    """count_reps picks the kernel by shape and diagonality alone, at level 1."""
+    ran = []
+    for name in KERNELS:
+        monkeypatch.setattr(counting, name,
+                            lambda *args, _name=name, **kwargs: ran.append(_name) or 0)
+    pm = RingParams(p, 1)
+    count_reps(build_gram(beta, pm), build_gram(alpha, pm))
+    assert ran == [kernel]
+
+
+def test_matrix_pair_threshold_never_binds():
+    # 2x2 inputs with p^(8*ell) > 2^21 (the smallest are p^ell = 7 and 9) fit
+    # the default budget neither as matrix-pair scans nor as direct enumeration,
+    # so dispatching every 2x2 input to count_matrix_pair changes no run
+    for p, ell in [(7, 1), (3, 2)]:
+        assert counting.cost_matrix_pair(p, ell)[0] > counting.DEFAULT_BUDGET
+        assert counting.cost_generic(p, 2, 2, ell)[0] > counting.DEFAULT_BUDGET
+
+
+@st.composite
+def _hermitian_level1(draw):
+    """A random hermitian m x m form at p=3, level 1, m in {1, 2, 3}."""
+    m = draw(st.integers(1, 3))
+    diagonal = draw(st.booleans())
+    coord = st.integers(0, 2)
+    entries = [[QuatElem.zero(PM1)] * m for _ in range(m)]
+    for i in range(m):
+        entries[i][i] = QuatElem.scalar(draw(coord), PM1)
+        for j in range(i + 1, m):
+            if not diagonal:
+                q = QuatElem(*(draw(coord) for _ in range(4)), PM1)
+                entries[i][j], entries[j][i] = q, q.conj()
+    return HermMatrix(entries, PM1)
+
+
+@settings(max_examples=24, deadline=None)
+@given(_hermitian_level1(), st.integers(0, 2), st.booleans())
+@example(build_gram((0, 0), PM1), 1, True)        # convolution
+@example(build_gram((1, 1), PM1), 0, True)        # column pair
+@example(build_gram((1, 1, 0), PM1), 1, False)    # direct enumeration
+def test_count_reps_matches_generic(a, b_value, primitive):
+    b = HermMatrix([[QuatElem.scalar(b_value, PM1)]], PM1)
+    assert count_reps(b, a, primitive=primitive) == \
+        counting.count_generic(b, a, primitive=primitive)
 
 
 def test_convolution_reaches_deep_levels():
@@ -85,12 +149,9 @@ def test_convolution_reaches_deep_levels():
     a2 = build_gram((0, 0), PM2)
     direct2 = counting.count_column_pair(b2.entries[0][0].a, a2)
     assert count_reps(b2, a2) == direct2
-    vals = []
-    for ell in (3, 4):
-        pm = RingParams(3, ell)
-        cnt = count_reps(build_gram((4,), pm), build_gram((0, 0), pm))
-        vals.append(Fraction(cnt, 3 ** normalization_exponent(1, 2, ell)))
-    assert vals[0] == vals[1] == Fraction(8072, 6561)
+    results, stable = density_levels((4,), (0, 0), 3, [3, 4])
+    assert stable is True
+    assert results[-1].normalized == Fraction(8072, 6561)
 
 
 def test_budget_guard():
@@ -128,11 +189,8 @@ def test_closed_formula_values():
 
 def test_closed_formula_matches_counts_n1():
     for alpha, ell in [((0,), 1), ((2,), 2), ((4,), 3)]:
-        pm = RingParams(3, ell)
-        a = build_gram(alpha, pm)
-        cnt = count_reps(a, a)
-        got = Fraction(cnt, 3 ** normalization_exponent(1, 1, ell))
-        assert got == density_self_closed(alpha).eval_at(3)
+        (res,), _ = density_levels(alpha, alpha, 3, [ell])
+        assert res.normalized == density_self_closed(alpha).eval_at(3)
 
 
 def test_shift():
@@ -140,10 +198,9 @@ def test_shift():
     assert apply_shift(density_self_closed((0, 0)), 1, 2) == density_self_closed((2, 2))
     assert apply_shift(density_self_closed((2, 0)), 1, 2) == density_self_closed((4, 2))
     # by counting: mu(<p>, <p>) = q * mu(<1>, <1>)
-    n_shift = count_reps(build_gram((2,), PM2), build_gram((2,), PM2))
-    n_base = count_reps(build_gram((0,), PM2), build_gram((0,), PM2))
-    assert Fraction(n_shift, 3 ** normalization_exponent(1, 1, 2)) == 3 * Fraction(
-        n_base, 3 ** normalization_exponent(1, 1, 2))
+    (shifted,), _ = density_levels((2,), (2,), 3, [2])
+    (base,), _ = density_levels((0,), (0,), 3, [2])
+    assert shifted.normalized == 3 * base.normalized
 
 
 def test_decomposition_closed():

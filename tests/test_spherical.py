@@ -1,13 +1,15 @@
 import itertools
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from quatherm.counting import InfeasibleSizeError
 from quatherm.density import is_orbit_label
 from quatherm.elemsym import to_elementary
 from quatherm.laurent import LaurentPoly
-from quatherm.ratfunc import ONE, Q, RatFuncQ, qpow
+from quatherm.ratfunc import ONE, Q, RatFuncQ, qpow, w_factor
 from quatherm.spherical import (
     delta_closed,
     delta_oracle,
@@ -20,6 +22,7 @@ from quatherm.spherical import (
     omega_series_size2,
     psi_elementary,
     psi_explicit,
+    psi_prefactor,
     size2_closed,
     sz_convert,
     verify_induction,
@@ -148,6 +151,19 @@ def test_delta_oracle_geometric_tail_level3():
     assert tail_or == Fraction(1, 9)
 
 
+def test_delta_oracle_refuses_before_allocating():
+    # 3^26 points at level 7; level 5 is the deepest within the default budget
+    tracemalloc.start()
+    try:
+        with pytest.raises(InfeasibleSizeError,
+                           match="delta_oracle .*highest feasible level at p=3 is 5"):
+            delta_oracle((0, 0), p=3, ell=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_sz_convert():
     assert sz_convert((0, 0), "s_to_z") == (-1, 1)
     assert sz_convert((0, 0, 0), "s_to_z") == (-2, 0, 2)
@@ -167,9 +183,33 @@ def test_induction_diagonal_targets(xi):
     assert ok, (lhs, rhs)
 
 
+def test_induction_respects_budget():
+    with pytest.raises(InfeasibleSizeError, match="budget 1.000e\\+03"):
+        verify_induction((0, 0), order=1, p=3, ell=2, budget=1000)
+
+
 @pytest.mark.parametrize("xi", [(0, 0), (2, 0)])
 def test_induction_second_order(xi):
     # the t^2 coefficient needs the weight-4 density; the convolution path
     # reaches level 3 where every input is stable
     ok, lhs, rhs, _ = verify_induction(xi, order=2, p=3, ell=3)
     assert ok, (lhs, rhs)
+
+
+def _psi_prefactor_by_products(alpha, n):
+    """The prefactor as the product of its Q(q) factors, reduced after each."""
+    od = odd_data(alpha, n)
+    return ((ONE - qpow(-2)) ** n * od.c_odd
+            * qpow(sum(a * b for a, b in zip(lambda_alpha(alpha), z_zero(n))))
+            / w_factor(n, qpow(-2)))
+
+
+def test_psi_prefactor_matches_product_form():
+    from quatherm.verify import IDEAL_LABELS, SYMMETRY_LABELS
+
+    labels = [a for table in (SYMMETRY_LABELS, IDEAL_LABELS)
+              for size in table.values() for a in size]
+    for alpha in labels:
+        got = psi_prefactor(alpha)
+        want = _psi_prefactor_by_products(alpha, len(alpha))
+        assert (got.num, got.den) == (want.num, want.den), alpha
