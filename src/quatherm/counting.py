@@ -13,7 +13,7 @@ vectorization layer, with deterministic chunked reduction.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -29,8 +29,8 @@ class InfeasibleSizeError(RuntimeError):
 DEFAULT_BUDGET = 2**36
 
 # Largest estimated peak of the numpy arrays one kernel holds at once.  Each
-# cost function below counts its int64 arrays of the kernel's working length,
-# as measured with tracemalloc and rounded up.
+# cost function below models its kernel's arrays as measured with
+# tracemalloc, rounded up.
 MAX_PEAK_BYTES = 3 * 512 * 2**20
 
 _CHUNK = 1 << 20
@@ -186,11 +186,29 @@ def _rank_mask(res, p, e2):
 # -- convolution path: n = 1, diagonal A --------------------------------------
 
 
-def cost_histogram(p: int, in_radical: bool, ell: int):
-    """(ops, peak bytes) of one nrd_histogram grid, held about three times."""
-    n_ab = p ** (ell - 1) if in_radical else p**ell
-    cells = n_ab**2 * p ** (2 * ell)
-    return 4 * cells, 3 * 8 * cells
+# Budget ops charged per multiply-add of Python-int bins in np.convolve on
+# object arrays: ~80 ns (p=3, levels 6-8) against ~1.4 ns per element of an
+# int64 add, multiply, remainder or compare on 2^20-element arrays (mean of
+# the four), on a 2-core VM with Python 3.11 and numpy 2.4.
+OBJECT_MULADD_OPS = 64
+
+
+def cost_convolutions(p: int, factors: int, totals: int, ell: int):
+    """(ops, peak bytes) of `totals` reductions of `factors` histograms of
+    length p^ell by cyclic convolution, p^(2*ell) multiply-adds per step.  The
+    peak, 4 KiB plus 32 * (8 + factors) bytes per bin, bounds tracemalloc at
+    p=3, levels 2-6, up to 32 factors; int64 squares stay below p^(2*ell)."""
+    pl = p**ell
+    return (totals * (factors - 1) * pl * pl * OBJECT_MULADD_OPS,
+            4096 + 32 * (8 + factors) * pl)
+
+
+def _cyclic_convolve(h1, h2):
+    """Exact cyclic convolution of two equal-length histograms of Python ints."""
+    pl = len(h1)
+    full = np.convolve(np.asarray(h1, dtype=object), np.asarray(h2, dtype=object))
+    full[: pl - 1] += full[pl:]
+    return full[:pl]
 
 
 def nrd_histogram(params: RingParams, scale: int = 1, in_radical: bool = False,
@@ -198,34 +216,17 @@ def nrd_histogram(params: RingParams, scale: int = 1, in_radical: bool = False,
     """Histogram over x of scale * Nrd(x) mod p^ell.
 
     x runs over O/Pi^(2*ell), or over the maximal ideal Pi/Pi^(2*ell) when
-    in_radical is set (coordinates a, b then lie in p).
+    in_radical is set (coordinates a, b then lie in p).  Nrd(a + b*eps + c*Pi
+    + d*Pi*eps) = a^2 - eps^2*b^2 - p*c^2 + p*eps^2*d^2, so the histogram is
+    the cyclic convolution of four 1-D histograms of scaled squares.
     """
     p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
-    check_cost("nrd_histogram", partial(cost_histogram, p, in_radical), p, ell, budget)
-    if in_radical:
-        ab_vals = np.arange(0, pl, dtype=np.int64)[: p ** (ell - 1)] * p
-    else:
-        ab_vals = np.arange(pl, dtype=np.int64)
-    cd_vals = np.arange(pl, dtype=np.int64)
-    a = ab_vals[:, None, None, None]
-    b = ab_vals[None, :, None, None]
-    c = cd_vals[None, None, :, None]
-    d = cd_vals[None, None, None, :]
-    nrd = (a * a - e2 * (b * b) - p * (c * c - e2 * (d * d))) % pl
-    vals = (nrd * scale) % pl
-    hist = np.bincount(vals.ravel(), minlength=pl)
-    return [int(x) for x in hist]
-
-
-def _cyclic_convolve(h1, h2, pl):
-    out = [0] * pl
-    for v1, c1 in enumerate(h1):
-        if not c1:
-            continue
-        for v2, c2 in enumerate(h2):
-            if c2:
-                out[(v1 + v2) % pl] += c1 * c2
-    return out
+    check_cost("nrd_histogram", partial(cost_convolutions, p, 4, 1), p, ell, budget)
+    t = np.arange(pl, dtype=np.int64)
+    ab = t[: p ** (ell - 1)] * p if in_radical else t
+    squares = [np.bincount(v * v % pl * (scale * k % pl) % pl, minlength=pl).astype(object)
+               for k, v in ((1, ab), (-e2, ab), (-p, t), (p * e2, t))]
+    return reduce(_cyclic_convolve, squares).tolist()
 
 
 def count_diagonal_convolved(b_value: int, diag_scalars, params: RingParams,
@@ -234,23 +235,20 @@ def count_diagonal_convolved(b_value: int, diag_scalars, params: RingParams,
     """Count columns u with sum_i a_i * Nrd(u_i) = b mod p^ell by histogram
     convolution; identical value to direct enumeration for diagonal targets.
 
-    The primitive count subtracts the all-entries-in-the-radical subtotal.
-    The first nrd_histogram call checks the cost of every (equal) grid.
+    The primitive count subtracts the all-entries-in-the-radical subtotal,
+    reduced the same way.  One cost check covers every convolution.
     """
-    pl = params.modulus
-    hists = [nrd_histogram(params, scale=s % pl, budget=budget) for s in diag_scalars]
-    acc = hists[0]
-    for h in hists[1:]:
-        acc = _cyclic_convolve(acc, h, pl)
-    total = acc[b_value % pl]
-    if not primitive:
-        return total
-    rhists = [nrd_histogram(params, scale=s % pl, in_radical=True, budget=budget)
-              for s in diag_scalars]
-    racc = rhists[0]
-    for h in rhists[1:]:
-        racc = _cyclic_convolve(racc, h, pl)
-    return total - racc[b_value % pl]
+    p, ell, pl = params.p, params.ell, params.modulus
+    check_cost("count_diagonal_convolved",
+               partial(cost_convolutions, p, 4 * len(diag_scalars), 2 if primitive else 1),
+               p, ell, budget)
+
+    def bin_at_b(in_radical):
+        hists = [nrd_histogram(params, s, in_radical, budget) for s in diag_scalars]
+        return reduce(_cyclic_convolve, hists)[b_value % pl]
+
+    total = bin_at_b(False)
+    return total - bin_at_b(True) if primitive else total
 
 
 # -- pairwise path: m = 2, n = 1, arbitrary hermitian A -----------------------

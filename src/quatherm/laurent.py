@@ -84,11 +84,6 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.n == other.n and self.terms == other.terms
 
-    def copy(self) -> "LaurentPoly":
-        out = LaurentPoly(self.n)
-        out.terms = dict(self.terms)
-        return out
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.n != other.n:
             raise ValueError("arity mismatch")
@@ -201,20 +196,6 @@ class LaurentPoly:
 
     def coefficient(self, expo) -> RatFuncQ:
         return self.terms.get(tuple(expo), ZERO)
-
-    def specialize_q(self, q0):
-        """Map to a dict exponent -> Fraction by evaluating coefficients at q = q0."""
-        return {e: c.eval_at(q0) for e, c in self.terms.items()}
-
-    def substitute(self, values: list) -> RatFuncQ:
-        """Evaluate at x_i = values[i], each a RatFuncQ (exponents may be negative)."""
-        acc = ZERO
-        for e, c in self.terms.items():
-            term = c
-            for xi, ei in zip(values, e):
-                term = term * xi**ei
-            acc = acc + term
-        return acc
 
     # -- exact division --------------------------------------------------------
 

@@ -267,9 +267,6 @@ class RatFuncQ:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def is_one(self) -> bool:
-        return self.num.coeffs == (Fraction(1),) and self.den.coeffs == (Fraction(1),)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RatFuncQ.const(other)

@@ -159,16 +159,26 @@ def test_over_budget_error_past_float_range(capsys):
     assert "count_generic needs ~10^767.9 ops" in err
 
 
+def test_convolve_deep_level(capsys):
+    # level 6 at p=3, from four 1-D square histograms; 4/3 is the closed
+    # density w_1(-1/q) at q=3
+    code, data = run_json(capsys, "density", "--method", "convolve", "--p", "3",
+                          "--ell", "6", "--alpha", "0", "--beta", "0")
+    assert code == 0
+    assert data["count"] == 516560652 and data["normalized"] == "4/3"
+
+
 def test_convolve_memory_limit_error(capsys):
-    # level 6 at p=3 would need a ~2 TB histogram grid; refused before allocating
+    # level 9 at p=3 is the first past the convolution cost limit; refused
+    # before allocating
     tracemalloc.start()
     try:
         err = run_error(capsys, "density", "--method", "convolve", "--p", "3",
-                        "--ell", "6", "--alpha", "0", "--beta", "0")
+                        "--ell", "9", "--alpha", "0", "--beta", "0")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "nrd_histogram" in err and "highest feasible level at p=3 is 4" in err
+    assert "count_diagonal_convolved" in err and "highest feasible level at p=3 is 8" in err
     assert peak < 16 * 2**20
 
 

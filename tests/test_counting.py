@@ -90,6 +90,36 @@ def test_histogram_total_mass():
     assert sum(hr) == 9
 
 
+def _grid_histogram(params, scale, in_radical):
+    """Brute-force reference: scale * Nrd over the whole p^(4*ell) coordinate grid."""
+    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
+    ab = np.arange(p ** (ell - 1), dtype=np.int64) * p if in_radical else np.arange(pl)
+    cd = np.arange(pl, dtype=np.int64)
+    a, b = ab[:, None, None, None], ab[None, :, None, None]
+    c, d = cd[None, None, :, None], cd[None, None, None, :]
+    nrd = (a * a - e2 * (b * b) - p * (c * c - e2 * (d * d))) % pl
+    return np.bincount((nrd * scale % pl).ravel(), minlength=pl).tolist()
+
+
+@pytest.mark.parametrize(("p", "ell"), [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)])
+@pytest.mark.parametrize("scale", ["1", "p", "2"])
+@pytest.mark.parametrize("in_radical", [False, True])
+def test_histogram_matches_grid(p, ell, scale, in_radical):
+    pm = RingParams(p, ell)
+    s = p if scale == "p" else int(scale)
+    assert counting.nrd_histogram(pm, s, in_radical) == _grid_histogram(pm, s, in_radical)
+
+
+def test_convolution_exact_past_int64():
+    # 3^48 columns of three entries at p=3, level 4; 3^42 of them in the radical
+    pm = RingParams(3, 4)
+    total = sum(counting.count_diagonal_convolved(b, [1, 1, 1], pm) for b in range(81))
+    assert total == 3**48 > 2**63
+    primitive = sum(counting.count_diagonal_convolved(b, [1, 1, 1], pm, primitive=True)
+                    for b in range(81))
+    assert primitive == 3**48 - 3**42
+
+
 @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 1)])
 def test_rank_mask_matches_residue_rank(rows, cols):
     # every rows x cols matrix over F_9, as residues of (a, b) at p = 3

@@ -195,3 +195,28 @@ def test_ideal_verdicts_build_each_form_once(monkeypatch):
     for _, generator_ok, members in out:
         assert generator_ok == [True, True]
         assert members == [(a, True) for a in labels]
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("q0", [2, 3, 5])
+@pytest.mark.parametrize("n", [3, 4])
+def test_image_ideal_basis_against_sympy(n, q0, order):
+    """The reduced basis equals sympy's reduced Groebner basis over QQ."""
+    sympy = pytest.importorskip("sympy")
+    s = sympy.symbols(f"s1:{n + 1}")
+
+    def to_sympy(poly):
+        return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*[x**k for x, k in zip(s, e)])
+                           for e, c in poly.items()])
+
+    def as_set(dicts):
+        return {frozenset(d.items()) for d in dicts}
+
+    gens = [to_sympy(g.specialize(q0)) for g in schwartz_image_generators(n)]
+    expected = sympy.groebner(gens, *s, order=order, domain="QQ")
+    expected = [{e: Fraction(int(c.p), int(c.q)) for e, c in g.as_dict().items()}
+                for g in expected.polys]
+    got = image_ideal_basis(n, q0, order).polys
+    assert len(got) == len(expected)
+    assert as_set(got) == as_set(expected)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -125,3 +126,29 @@ def test_poly_gcd_divides(ca, cb):
     for f in (a, b):
         _, r = f.divmod(g)
         assert not r
+
+
+def test_canonical_form_against_sympy_cancel():
+    """Canonical forms equal sympy.cancel, normalised to a monic denominator."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def coeffs(expr):
+        cs = sympy.Poly(expr, q, domain="QQ").all_coeffs()[::-1]
+        return [Fraction(int(c.p), int(c.q)) for c in cs]
+
+    atoms = [
+        (Q + ONE, q + 1),
+        (ONE - qpow(-2), 1 - q**-2),
+        ((Q**2 - ONE) / (Q**3 + 2 * Q), (q**2 - 1) / (q**3 + 2 * q)),
+        (Fraction(3, 4) * Q**2 - Fraction(1, 2), sympy.Rational(3, 4) * q**2 - q**0 / 2),
+        (w_factor(2, qpow(-1)), (1 - q**-1) * (1 - q**-2)),
+    ]
+    cases = []
+    for (a, ea), (b, eb) in itertools.product(atoms, repeat=2):
+        cases += [(a + b, ea + eb), (a * b, ea * eb), (a / b, ea / eb)]
+    for got, expr in cases:
+        num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+        lead = sympy.Poly(den, q, domain="QQ").LC()
+        assert list(got.num.coeffs) == coeffs(num / lead)
+        assert list(got.den.coeffs) == coeffs(den / lead)
