@@ -8,25 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import counting, density, elemsym, plancherel, spherical, verify
-from .quatring import RingParams
 from .ratfunc import format_fraction
 
 
 def _parse_label(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
-
-
-def _budget(args) -> int:
-    env = os.environ.get("QUATHERM_BUDGET")
-    if args.budget is not None:
-        return args.budget
-    if env:
-        return int(env)
-    return counting.DEFAULT_BUDGET
 
 
 def _emit(payload, fmt: str) -> int:
@@ -84,15 +73,11 @@ def cmd_density(args) -> int:
         }
         return _emit(payload, args.format)
 
-    if args.method == "convolve":
-        # count_reps convolves exactly these shapes; this method insists on them
-        if len(beta) != 1:
-            raise ValueError("convolution path needs a 1x1 source form")
-        grams = (density.build_gram(alpha, RingParams(p, ell, args.eps2)) for ell in levels)
-        if not all(density.is_diagonal(g) for g in grams):
-            raise ValueError("convolution path needs a diagonal target")
+    if args.method == "convolve" and len(beta) != 1:
+        # count_reps convolves every 1x1 source (Gram targets are block-diagonal)
+        raise ValueError("convolution path needs a 1x1 source form")
     results, stable = density.density_levels(beta, alpha, p, levels, args.primitive,
-                                             args.eps2, _budget(args))
+                                             args.eps2, args.budget)
     entries = [{"level": r.level, "count": r.count,
                 "normalized": format_fraction(r.normalized)} for r in results]
     payload = {
@@ -208,7 +193,7 @@ def cmd_verify(args) -> int:
         print("the verification checks pin their primes (3 and 5); --p must be 3",
               file=sys.stderr)
         return 2
-    results = verify.run_suite(args.suite, budget=_budget(args))
+    results = verify.run_suite(args.suite, budget=args.budget)
     records = []
     for r in results:
         rec = {
@@ -264,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--method", choices=("enumerate", "convolve", "closed"),
                    default="enumerate")
     d.add_argument("--eps2", type=int, default=0)
-    d.add_argument("--budget", type=int, default=None)
+    d.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
     d.set_defaults(func=cmd_density)
 
     s = sub.add_parser("spherical", help="explicit spherical values")
@@ -291,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the verification suite")
     v.add_argument("--suite", choices=verify.TIERS + ("all",), default="symbolic")
     v.add_argument("--p", type=int, default=3)
-    v.add_argument("--budget", type=int, default=None)
+    v.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
     v.add_argument("--timings", action="store_true")
     v.set_defaults(func=cmd_verify)
     return ap

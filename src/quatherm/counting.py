@@ -13,12 +13,12 @@ vectorization layer, with deterministic chunked reduction.
 from __future__ import annotations
 
 import math
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 import numpy as np
 
 from .quatring import (
-    HermMatrix, RingParams, fmul, qadd, qconj, qmul, qnrd, qresidue, qscalar,
+    HermMatrix, RingParams, fmul, qadd, qconj, qmul, qresidue, qscalar,
 )
 
 
@@ -183,7 +183,7 @@ def _rank_mask(res, p, e2):
     raise NotImplementedError("vectorized rank mask implemented for n <= 2")
 
 
-# -- convolution path: n = 1, diagonal A --------------------------------------
+# -- convolution path: n = 1, block-diagonal A --------------------------------
 
 
 # Budget ops charged per multiply-add of Python-int bins in np.convolve on
@@ -194,12 +194,12 @@ OBJECT_MULADD_OPS = 64
 
 
 def cost_convolutions(p: int, factors: int, totals: int, ell: int):
-    """(ops, peak bytes) of `totals` reductions of `factors` histograms of
-    length p^ell by cyclic convolution, p^(2*ell) multiply-adds per step.  The
-    peak, 4 KiB plus 32 * (8 + factors) bytes per bin, bounds tracemalloc at
-    p=3, levels 2-6, up to 32 factors; int64 squares stay below p^(2*ell)."""
+    """(ops, peak bytes) of `totals` reductions of `factors` length-p^ell
+    histograms: p^(2*ell) multiply-adds per cyclic convolution, p^ell writes
+    per histogram.  The peak, 4 KiB + 32 * (8 + factors) bytes per bin, bounds
+    tracemalloc at p=3, levels 2-6, up to 32 factors; int64 squares < p^(2*ell)."""
     pl = p**ell
-    return (totals * (factors - 1) * pl * pl * OBJECT_MULADD_OPS,
+    return (totals * ((factors - 1) * pl + factors) * pl * OBJECT_MULADD_OPS,
             4096 + 32 * (8 + factors) * pl)
 
 
@@ -232,69 +232,75 @@ def nrd_histogram(params: RingParams, scale: int = 1, in_radical: bool = False,
 def count_diagonal_convolved(b_value: int, diag_scalars, params: RingParams,
                              primitive: bool = False,
                              budget: int = DEFAULT_BUDGET) -> int:
-    """Count columns u with sum_i a_i * Nrd(u_i) = b mod p^ell by histogram
-    convolution; identical value to direct enumeration for diagonal targets.
-
-    The primitive count subtracts the all-entries-in-the-radical subtotal,
-    reduced the same way.  One cost check covers every convolution.
+    """Count columns u with A[u] = b mod p^ell for a block-diagonal A by
+    histogram convolution.  diag_scalars lists the blocks: an int a contributes
+    the histogram of a * Nrd, a zero-diagonal 2x2 HermMatrix that of
+    count_column_pair.  Each distinct histogram is built once and only bin b of
+    the last convolution is read; the primitive count subtracts the subtotal
+    with every entry in the radical.  One cost check covers every convolution.
     """
     p, ell, pl = params.p, params.ell, params.modulus
+    factors = sum(1 if isinstance(blk, HermMatrix) else 4 for blk in diag_scalars)
     check_cost("count_diagonal_convolved",
-               partial(cost_convolutions, p, 4 * len(diag_scalars), 2 if primitive else 1),
-               p, ell, budget)
+               partial(cost_convolutions, p, factors, 2 if primitive else 1), p, ell, budget)
+
+    @cache
+    def histogram(blk, in_radical):
+        if not isinstance(blk, HermMatrix):
+            return nrd_histogram(params, blk, in_radical, budget)
+        # the count depends on b only through v_p(b): ell + 1 counts fill the bins
+        hist = np.empty(pl, dtype=object)
+        for v in range(ell + 1):
+            count = count_column_pair(p**v, blk, budget=budget)
+            if in_radical:
+                count -= count_column_pair(p**v, blk, True, budget)
+            hist[:: p**v] = count
+        return hist
 
     def bin_at_b(in_radical):
-        hists = [nrd_histogram(params, s, in_radical, budget) for s in diag_scalars]
-        return reduce(_cyclic_convolve, hists)[b_value % pl]
+        *rest, last = (histogram(blk, in_radical) for blk in diag_scalars)
+        if not rest:
+            return int(last[b_value % pl])
+        head = np.asarray(reduce(_cyclic_convolve, rest), dtype=object)
+        return int(head.dot(np.asarray(last, dtype=object)[(b_value - np.arange(pl)) % pl]))
 
     total = bin_at_b(False)
     return total - bin_at_b(True) if primitive else total
 
 
-# -- pairwise path: m = 2, n = 1, arbitrary hermitian A -----------------------
-
-
-def cost_column_pair(p: int, ell: int):
-    """(ops, peak bytes) of count_column_pair: p^(4*ell) rows squared."""
-    pl = p**ell
-    return pl**8 * 16, pl**4 * 8 * 16
+# -- alternating block: n = 1, A = [[0, beta], [beta*, 0]] ---------------------
 
 
 def count_column_pair(b_value: int, a: HermMatrix, primitive: bool = False,
                       budget: int = DEFAULT_BUDGET) -> int:
-    """Count u = (u1, u2)^T with A[u] = b mod p^ell; A is 2x2 hermitian.
+    """Count u = (x, y)^T with A[u] = Trd(x* beta y) = b mod p^ell in closed
+    form, for A = [[0, beta], [beta*, 0]].  O(ell) steps: the budget never binds.
 
-    A[u] = alpha*Nrd(u1) + gamma*Nrd(u2) + Trd(u1* beta u2), with alpha, gamma
-    the scalar diagonal entries and beta the (1,2) entry.  The u2 space is
-    precomputed as vectors and u1 is scanned in a Python loop.
+    If x has Pi-valuation j (x = 0 counts as j = 2*ell), x* beta O = Pi^k O
+    with k = j + v_Pi(beta).  As Trd(Pi O) = pZ_p, y -> Trd(x* beta y) maps
+    O/Pi^(2*ell) onto p^c Z/p^ell, c = min(ceil(k/2), ell), with equal fibres
+    p^(3*ell + c).  The primitive count subtracts the same sum over x, y in
+    Pi O, where k gains one and the y space is p^(4*ell - 2).
     """
     pm = a.params
-    p, e2, pl = pm.p, pm.eps2, pm.modulus
-    check_cost("count_column_pair", partial(cost_column_pair, p), p, pm.ell, budget)
-    alpha = a.entries[0][0].a
-    gamma = a.entries[1][1].a
-    beta = a.entries[0][1].coords()
-    space = pl**4
+    p, ell = pm.p, pm.ell
+    if a.rows != 2 or a.entries[0][0] or a.entries[1][1]:
+        raise ValueError("count_column_pair needs a zero-diagonal 2x2 form")
+    v_beta = a.entries[0][1].pi_valuation()
+    v_beta = 2 * ell if v_beta is None else v_beta
+    v_b = pm.val_p(b_value)
 
-    idx = np.arange(space, dtype=np.int64)
-    u2 = tuple(_decode_digits(idx, 4, pl))
-    nrd2 = (gamma * qnrd(u2, p, e2, pl)) % pl
-    unit2 = (u2[0] % p != 0) | (u2[1] % p != 0)
+    def fibre_sum(shift):
+        total = 0
+        for j in range(shift, 2 * ell + 1):
+            xs = 1 if j == 2 * ell else p ** (4 * ell - 2 * j) - p ** (4 * ell - 2 * j - 2)
+            c = min((j + v_beta + shift + 1) // 2, ell)
+            if v_b >= c:
+                total += xs * p ** (3 * ell - 2 * shift + c)
+        return total
 
-    target = b_value % pl
-    total = 0
-    for i1 in range(space):
-        q1 = tuple(_decode_digits(i1, 4, pl))
-        unit1 = (q1[0] % p != 0) or (q1[1] % p != 0)
-        t = qmul(qconj(q1, pl), beta, p, e2, pl)
-        # Trd(t * u2) is twice its scalar coordinate
-        cross = 2 * qscalar(t, u2, p, e2, pl)
-        val = (alpha * qnrd(q1, p, e2, pl) + nrd2 + cross) % pl
-        mask = val == target
-        if primitive and not unit1:
-            mask = mask & unit2
-        total += int(np.count_nonzero(mask))
-    return total
+    total = fibre_sum(0)
+    return total - fibre_sum(1) if primitive else total
 
 
 # -- column-pair path: m = n = 2 ----------------------------------------------

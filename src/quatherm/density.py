@@ -114,30 +114,33 @@ def build_gram(alpha, params: RingParams) -> HermMatrix:
 # -- counting -------------------------------------------------------------------
 
 
-def is_diagonal(h: HermMatrix) -> bool:
-    """Whether h is diagonal with scalar diagonal entries."""
-    return all(
-        h.entries[i][j].is_scalar() if i == j else not h.entries[i][j]
-        for i in range(h.rows)
-        for j in range(h.cols)
-    )
+def gram_blocks(h: HermMatrix):
+    """The diagonal blocks of h, or None when h is not block-diagonal: scalar
+    entries as ints, and 2x2 HermMatrix blocks with zero diagonal (p^e * H)."""
+    rows, blocks, i = h.entries, [], 0
+    while i < h.rows:
+        size = 2 if i + 1 < h.rows and rows[i][i + 1] else 1
+        block = [row[i:i + size] for row in rows[i:i + size]]
+        outside = [x for row in rows[i:i + size] for x in row[:i] + row[i + size:]]
+        if any(outside) or size == 2 and (block[0][0] or block[1][1]):
+            return None
+        blocks.append(HermMatrix(block, h.params) if size == 2 else block[0][0].a)
+        i += size
+    return blocks
 
 
 def count_reps(b: HermMatrix, a: HermMatrix, primitive: bool = False,
                budget: int = counting.DEFAULT_BUDGET) -> int:
-    """N_ell(B, A).  The only place that picks a counting kernel, by shape and
-    diagonality alone; the kernel checks its own cost against the budget."""
+    """N_ell(B, A).  The only place that picks a counting kernel, by shape
+    alone: a 1x1 source in a block-diagonal target is convolved, 2x2 in 2x2
+    is scanned, all else is enumerated; each kernel checks its own cost."""
     m, n = a.rows, b.rows
     if m < n:
         raise ValueError("need A at least as large as B")
-    if n == 1 and is_diagonal(a):
-        return counting.count_diagonal_convolved(
-            b.entries[0][0].a, [a.entries[i][i].a for i in range(m)], a.params,
-            primitive=primitive, budget=budget,
-        )
-    if n == 1 and m == 2:
-        return counting.count_column_pair(b.entries[0][0].a, a, primitive=primitive,
-                                          budget=budget)
+    blocks = gram_blocks(a) if n == 1 else None
+    if blocks is not None:
+        return counting.count_diagonal_convolved(b.entries[0][0].a, blocks, a.params,
+                                                 primitive=primitive, budget=budget)
     if n == 2 and m == 2:
         return counting.count_matrix_pair(b, a, primitive=primitive, budget=budget)
     return counting.count_generic(b, a, primitive=primitive, budget=budget)

@@ -310,6 +310,9 @@ class QuatMatrix:
             and self.entries == other.entries
         )
 
+    def __hash__(self):
+        return hash((self.entries, self.params))
+
     def __matmul__(self, other: "QuatMatrix") -> "QuatMatrix":
         if self.params != other.params:
             raise ParamMismatch("matrices over different quotient rings")

@@ -142,9 +142,25 @@ def test_odd_label_error(capsys):
 
 
 def test_convolve_nondiagonal_error(capsys):
-    err = run_error(capsys, "density", "--method", "convolve", "--alpha", "1,1",
-                    "--beta", "0", "--ell", "1")
-    assert "diagonal target" in err
+    # the alternating target H is one convolution block, so --method convolve
+    # runs and prints what enumerate prints
+    outputs = [run_cli(capsys, "density", "--method", method, "--alpha", "1,1",
+                       "--beta", "0", "--ell", "1") for method in ("convolve", "enumerate")]
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+
+
+def test_budget_flag_reaches_kernel(capsys):
+    err = run_error(capsys, "density", "--ell", "1", "--alpha", "2,0", "--budget", "1000")
+    assert "(budget 1.000e+03 ops" in err
+
+
+def test_alternating_deep_level(capsys):
+    # level 6 at p=3 (3^48 columns); 80/27 is the closed primitive density
+    # q(1 - q^-4) of the zero form at q=3
+    code, data = run_json(capsys, "density", "--ell", "6", "--beta", "2", "--alpha", "1,1",
+                          "--primitive")
+    assert code == 0
+    assert data["count"] == 324204412241518101360 and data["normalized"] == "80/27"
 
 
 def test_over_budget_error(capsys):

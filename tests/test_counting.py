@@ -2,12 +2,15 @@
 
 import itertools
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatherm import counting
-from quatherm.density import build_gram
+from quatherm.density import build_gram, density_zero_ht
 from quatherm.quatring import HermMatrix, QuatElem, QuatMatrix, RingParams, residue_rank
 
 PM1 = RingParams(3, 1)
@@ -56,13 +59,80 @@ def test_matrix_pair_vs_generic(alpha, primitive):
         counting.count_generic(a, a, primitive=primitive)
 
 
-@pytest.mark.parametrize("beta,alpha", [((0,), (0, 0)), ((2,), (2, 0)), ((0,), (1, 1))])
+@pytest.mark.parametrize("beta,alpha", [((2,), (1, 1)), ((0,), (3, 3)), ((0,), (1, 1))])
 @pytest.mark.parametrize("primitive", [False, True])
 def test_column_pair_vs_generic(beta, alpha, primitive):
     b = build_gram(beta, PM1)
     a = build_gram(alpha, PM1)
     got = counting.count_column_pair(b.entries[0][0].a, a, primitive=primitive)
     assert got == counting.count_generic(b, a, primitive=primitive)
+
+
+def _scalar(value, params):
+    return HermMatrix([[QuatElem.scalar(value, params)]], params)
+
+
+@pytest.mark.parametrize("params", [PM1, PM5], ids=["p3", "p5"])
+def test_column_pair_every_b_vs_generic(params):
+    a = build_gram((1, 1), params)
+    for b_value in range(params.p):
+        b = _scalar(b_value, params)
+        for primitive in (False, True):
+            assert counting.count_column_pair(b_value, a, primitive) == \
+                counting.count_generic(b, a, primitive=primitive)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.tuples(*[st.integers(0, 2)] * 4), st.integers(0, 2), st.booleans())
+def test_column_pair_random_beta_vs_generic(beta, b_value, primitive):
+    z, q = QuatElem.zero(PM1), QuatElem(*beta, PM1)
+    a = HermMatrix([[z, q], [q.conj(), z]], PM1)
+    assert counting.count_column_pair(b_value, a, primitive) == \
+        counting.count_generic(_scalar(b_value, PM1), a, primitive=primitive)
+
+
+def test_column_pair_rejects_nonzero_diagonal():
+    with pytest.raises(ValueError, match="zero-diagonal"):
+        counting.count_column_pair(0, build_gram((0, 0), PM1))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_column_pair_zero_form_density(p):
+    # primitive representations of 0 by H normalize to q(1 - q^-4) at every level
+    closed = density_zero_ht(1).eval_at(p)
+    for ell in range(1, 7):
+        a = build_gram((1, 1), RingParams(p, ell))
+        assert Fraction(counting.count_column_pair(0, a, True), p ** (7 * ell)) == closed
+
+
+# Frozen counts at p = 3, level 2, (alpha, b) -> (plain, primitive), taken from
+# a direct scan over all p^(8*ell) pairs (x, y); the opt-in test below checks
+# them against count_generic (QUATHERM_SLOW_TESTS=1).
+COLUMN_PAIR_FROZEN = {
+    ((1, 1), 0): (14703201, 14171760),
+    ((1, 1), 1): (0, 0),
+    ((1, 1), 3): (14171760, 14171760),
+    ((3, 3), 0): (43046721, 42515280),
+    ((3, 3), 1): (0, 0),
+    ((3, 3), 3): (0, 0),
+}
+
+
+@pytest.mark.parametrize(("alpha", "b_value"), sorted(COLUMN_PAIR_FROZEN))
+def test_column_pair_frozen_level2(alpha, b_value):
+    a = build_gram(alpha, RingParams(3, 2))
+    assert tuple(counting.count_column_pair(b_value, a, primitive)
+                 for primitive in (False, True)) == COLUMN_PAIR_FROZEN[(alpha, b_value)]
+
+
+@pytest.mark.skipif(not os.environ.get("QUATHERM_SLOW_TESTS"),
+                    reason="3^16-point direct enumeration; set QUATHERM_SLOW_TESTS=1")
+@pytest.mark.parametrize(("alpha", "b_value"), sorted(COLUMN_PAIR_FROZEN))
+def test_column_pair_level2_vs_generic(alpha, b_value):
+    pm = RingParams(3, 2)
+    a = build_gram(alpha, pm)
+    assert tuple(counting.count_generic(_scalar(b_value, pm), a, primitive=primitive)
+                 for primitive in (False, True)) == COLUMN_PAIR_FROZEN[(alpha, b_value)]
 
 
 @pytest.mark.parametrize("beta,alpha", [((0,), (0, 0)), ((0,), (2, 2)), ((2,), (2, 0))])
@@ -81,6 +151,17 @@ def test_kernels_at_p5():
     direct = counting.count_generic(a, a)
     conv = counting.count_diagonal_convolved(1, [1], PM5)
     assert direct == conv
+
+
+def test_convolution_builds_each_histogram_once(monkeypatch):
+    calls = []
+    build = counting.nrd_histogram
+    monkeypatch.setattr(counting, "nrd_histogram",
+                        lambda *args, **kwargs: calls.append(args[1]) or build(*args, **kwargs))
+    pm = RingParams(3, 2)
+    assert counting.count_diagonal_convolved(0, [1, 1, 1, 3], pm) == \
+        counting.count_diagonal_convolved(0, [3, 1, 1, 1], pm)
+    assert calls == [1, 3, 3, 1]
 
 
 def test_histogram_total_mass():

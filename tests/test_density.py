@@ -18,6 +18,7 @@ from quatherm.density import (
     density_unit_closed,
     density_unit_vector,
     density_zero_ht,
+    gram_blocks,
     is_orbit_label,
     key_beta,
     shift_factor,
@@ -69,35 +70,55 @@ def test_convolution_matches_direct(capsys):
     b2 = build_gram((0,), PM2)
     a2 = build_gram((0,), PM2)
     assert count_reps(b2, a2) == 972
-    # --method convolve refuses the shapes count_reps would not convolve
-    for beta, alpha, message in [("0", "1,1", "diagonal target"),
-                                 ("0,0", "0,0", "1x1 source form")]:
-        assert main(["density", "--method", "convolve", "--ell", "1",
-                     "--beta", beta, "--alpha", alpha]) == 2
-        assert message in capsys.readouterr().err
+    # --method convolve refuses only a source larger than 1x1; with a 1x1
+    # source every Gram target is block-diagonal, so it matches enumerate
+    assert main(["density", "--method", "convolve", "--ell", "1",
+                 "--beta", "0,0", "--alpha", "0,0"]) == 2
+    assert "1x1 source form" in capsys.readouterr().err
+    outputs = []
+    for method in ("convolve", "enumerate"):
+        assert main(["density", "--method", method, "--ell", "1,2",
+                     "--beta", "0", "--alpha", "1,1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 KERNELS = ("count_diagonal_convolved", "count_column_pair", "count_matrix_pair",
            "count_generic")
 
 
+# a 2x2 target with a nonzero diagonal and a nonzero off-diagonal entry
+NON_BLOCK = HermMatrix([[QuatElem.scalar(1, PM1), QuatElem(0, 0, 1, 0, PM1)],
+                        [QuatElem(0, 0, 2, 0, PM1), QuatElem.scalar(1, PM1)]], PM1)
+
+
 @pytest.mark.parametrize(("beta", "alpha", "p", "kernel"), [
     ((0,), (0, 0), 3, "count_diagonal_convolved"),
-    ((0,), (1, 1), 3, "count_column_pair"),
+    ((0,), (1, 1), 3, "count_diagonal_convolved"),
     ((0, 0), (2, 0), 3, "count_matrix_pair"),
     ((0, 0), (0, 0), 5, "count_matrix_pair"),
-    ((0,), (1, 1, 0), 3, "count_generic"),
+    ((0,), (1, 1, 0), 3, "count_diagonal_convolved"),
     ((0,), (0, 0, 0), 3, "count_diagonal_convolved"),
+    ((0,), NON_BLOCK, 3, "count_generic"),
 ])
 def test_dispatch_pins_kernel(monkeypatch, beta, alpha, p, kernel):
-    """count_reps picks the kernel by shape and diagonality alone, at level 1."""
+    """count_reps picks the kernel by shape alone, at level 1."""
     ran = []
     for name in KERNELS:
         monkeypatch.setattr(counting, name,
                             lambda *args, _name=name, **kwargs: ran.append(_name) or 0)
     pm = RingParams(p, 1)
-    count_reps(build_gram(beta, pm), build_gram(alpha, pm))
+    a = alpha if isinstance(alpha, HermMatrix) else build_gram(alpha, pm)
+    count_reps(build_gram(beta, pm), a)
     assert ran == [kernel]
+
+
+def test_gram_blocks():
+    pm = RingParams(3, 2)
+    blocks = gram_blocks(build_gram((2, 1, 1), pm))
+    assert blocks[0] == 3 and blocks[1] == build_gram((1, 1), pm)
+    assert gram_blocks(build_gram((0, 0), pm)) == [1, 1]
+    assert gram_blocks(NON_BLOCK) is None
 
 
 def test_matrix_pair_threshold_never_binds():
@@ -111,25 +132,34 @@ def test_matrix_pair_threshold_never_binds():
 
 @st.composite
 def _hermitian_level1(draw):
-    """A random hermitian m x m form at p=3, level 1, m in {1, 2, 3}."""
+    """A random hermitian m x m form at p=3, level 1, m in {1, 2, 3}: diagonal,
+    general, or block-diagonal with random zero-diagonal 2x2 blocks."""
     m = draw(st.integers(1, 3))
-    diagonal = draw(st.booleans())
+    shape = draw(st.sampled_from(("diagonal", "general", "blocks")))
     coord = st.integers(0, 2)
     entries = [[QuatElem.zero(PM1)] * m for _ in range(m)]
-    for i in range(m):
+    i = 0
+    while i < m:
+        if shape == "blocks" and i + 1 < m and draw(st.booleans()):
+            q = QuatElem(*(draw(coord) for _ in range(4)), PM1)
+            entries[i][i + 1], entries[i + 1][i] = q, q.conj()
+            i += 2
+            continue
         entries[i][i] = QuatElem.scalar(draw(coord), PM1)
         for j in range(i + 1, m):
-            if not diagonal:
+            if shape == "general":
                 q = QuatElem(*(draw(coord) for _ in range(4)), PM1)
                 entries[i][j], entries[j][i] = q, q.conj()
+        i += 1
     return HermMatrix(entries, PM1)
 
 
 @settings(max_examples=24, deadline=None)
 @given(_hermitian_level1(), st.integers(0, 2), st.booleans())
 @example(build_gram((0, 0), PM1), 1, True)        # convolution
-@example(build_gram((1, 1), PM1), 0, True)        # column pair
-@example(build_gram((1, 1, 0), PM1), 1, False)    # direct enumeration
+@example(build_gram((1, 1), PM1), 0, True)        # alternating block
+@example(build_gram((1, 1, 0), PM1), 1, False)    # mixed blocks
+@example(NON_BLOCK, 1, True)                      # direct enumeration
 def test_count_reps_matches_generic(a, b_value, primitive):
     b = HermMatrix([[QuatElem.scalar(b_value, PM1)]], PM1)
     assert count_reps(b, a, primitive=primitive) == \
@@ -140,18 +170,30 @@ def test_convolution_reaches_deep_levels():
     """Histogram convolution handles levels where direct enumeration cannot.
 
     The represented entry p^2 vanishes mod p^2, so this pair only stabilizes
-    from level 3 on (3^24 resp. 3^32 direct points); the kernel itself is
-    cross-checked against the direct scan at level 2.
+    from level 3 on (3^24 resp. 3^32 direct points); at level 2 the count is
+    the value of a direct p^(8*ell) scan.
     """
-    from quatherm import counting
-
     b2 = build_gram((4,), PM2)
     a2 = build_gram((0, 0), PM2)
-    direct2 = counting.count_column_pair(b2.entries[0][0].a, a2)
-    assert count_reps(b2, a2) == direct2
+    assert count_reps(b2, a2) == 5885217
     results, stable = density_levels((4,), (0, 0), 3, [3, 4])
     assert stable is True
     assert results[-1].normalized == Fraction(8072, 6561)
+
+
+@pytest.mark.parametrize("alpha", [(1, 1, 0), (2, 1, 1), (4, 1, 1)])
+@pytest.mark.parametrize("beta", [(0,), (2,)])
+@pytest.mark.parametrize("primitive", [False, True])
+def test_mixed_labels_match_generic(alpha, beta, primitive):
+    b, a = build_gram(beta, PM1), build_gram(alpha, PM1)
+    assert count_reps(b, a, primitive=primitive) == \
+        counting.count_generic(b, a, primitive=primitive)
+
+
+def test_mixed_label_deep_levels():
+    results, stable = density_levels((0,), (1, 1, 0), 3, range(2, 7))
+    assert stable is True
+    assert [r.normalized for r in results] == [Fraction(4, 3)] * 5
 
 
 def test_budget_guard():
