@@ -5,7 +5,7 @@ Usage: python scripts/density_scan.py [--p 3] [--max-weight 6]
 
 Prints, for each size-1 and size-2 orbit label up to the weight bound, the
 closed density, the feasible finite-level normalized counts, and whether they
-agree.  Large level-2 size-2 enumerations are skipped (budget).
+agree.  Levels past the operation budget are printed as skip.
 """
 
 import argparse

@@ -189,10 +189,6 @@ def cmd_plancherel(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.p != 3:
-        print("the verification checks pin their primes (3 and 5); --p must be 3",
-              file=sys.stderr)
-        return 2
     results = verify.run_suite(args.suite, budget=args.budget)
     records = []
     for r in results:
@@ -275,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the verification suite")
     v.add_argument("--suite", choices=verify.TIERS + ("all",), default="symbolic")
-    v.add_argument("--p", type=int, default=3)
     v.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
     v.add_argument("--timings", action="store_true")
     v.set_defaults(func=cmd_verify)

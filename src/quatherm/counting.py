@@ -18,7 +18,8 @@ from functools import cache, partial, reduce
 import numpy as np
 
 from .quatring import (
-    HermMatrix, RingParams, fmul, qadd, qconj, qmul, qresidue, qscalar,
+    HermMatrix, QuatElem, QuatMatrix, RingParams, fmul, herm_apply, qadd, qconj, qmul, qnrd,
+    qresidue, qscalar,
 )
 
 
@@ -303,63 +304,194 @@ def count_column_pair(b_value: int, a: HermMatrix, primitive: bool = False,
     return total - fibre_sum(1) if primitive else total
 
 
-# -- column-pair path: m = n = 2 ----------------------------------------------
+# -- size-2 Gram pairs: m = n = 2, A diagonal or p^e * H ----------------------
 
 
-def cost_matrix_pair(p: int, ell: int):
-    """(ops, peak bytes) of count_matrix_pair: p^(8*ell) columns squared."""
-    ncols = p ** (8 * ell)
-    return ncols * ncols * 8, ncols * 8 * 48
+# Budget ops per row-histogram key or bin (16-31 ns measured at p=3 levels 2-3,
+# p=5 level 2, p=7 level 1) and per 6 x 8 linear system (~4.8 us in batches of
+# 2^14 at p=3 and 5, level 2), against ~1.7 ns per int64 element op on 2^20
+# arrays (add, multiply, remainder, compare), on a 2-core VM, numpy 2.4.
+ROW_KEY_OPS = 16
+LINEAR_SYSTEM_OPS = 4096
+
+
+def cost_matrix_pair(p: int, alternating: bool, primitive: bool, ell: int):
+    """(ops, peak bytes) of count_matrix_pair: p^(4*ell) + p^(4*ell-2) rows
+    at each of <= 2*ell levels, for 1 (p^2 + 3 if primitive) reads of one bin.
+    Diagonal: 1 (3) histograms of p^(6*ell-2) int64 bins up to p^(8*ell), from
+    phi(p^ell) keys per row; the peak, 8 bytes per held bin and 56 per key,
+    bounds tracemalloc at p=3 levels 1-3, p=5 levels 1-2, p=7 level 1.  The
+    largest int64 value, a bin times its divisor before the exact division,
+    is p^(12*ell) < 2^63 for p^ell < 38; the byte limit stops at p^ell = 31.
+    Alternating: one system per row, int64 entries below p^(2*ell) * 4p^2."""
+    pl = p**ell
+    rows, reads = pl**4 + pl**4 // p**2, p * p + 3 if primitive else 1
+    if alternating:
+        return reads * 2 * ell * rows * LINEAR_SYSTEM_OPS, 2**25 + 128 * rows
+    bins, keys, builds = pl**4 * (pl // p) ** 2, (pl - pl // p) * rows, 3 if primitive else 1
+    return (ell * (builds * (keys + bins) + reads * keys) * ROW_KEY_OPS,
+            2**20 + 8 * (builds + 1) * bins + 56 * keys)
+
+
+def _quat_grid(params: RingParams, in_radical: bool = False):
+    """4 x N coordinates of all of O/Pi^(2*ell), or of Pi O (a, b in p)."""
+    p, pl = params.p, params.modulus
+    grid = np.array(_decode_digits(np.arange(pl**4, dtype=np.int64), 4, pl))
+    return grid[:, (grid[0] % p == 0) & (grid[1] % p == 0)] if in_radical else grid
+
+
+def _g2_key(d1, d2, q, params: RingParams):
+    """Index in G_2 = Herm_2 mod the level-ell congruence set (p^(6*ell-2)
+    classes) of the class with diagonal (d1, d2) and upper entry q."""
+    pl, pl1 = params.modulus, params.modulus // params.p
+    a, b, c, d = q
+    return d1 % pl + pl * (d2 % pl + pl * (a % pl + pl * (b % pl + pl * (
+        c % pl1 + pl1 * (d % pl1)))))
+
+
+def _row_keys(params: RingParams, s: int, off, in_radical: bool):
+    """h(X) = #{rows r = (x, y) : off + s r*r = X}, y in Pi O if in_radical,
+    as groups (keys, weight, divisor) summing weight * #{keys = X} / divisor.
+    r*r = [[Nrd x, x* y], [y* x, Nrd y]].  Rows are not enumerated: a unit x
+    of norm t (p^(3*ell-1)(p+1) of them per t) and z = x* y give the key
+    (t, Nrd(z)/t, z); x in Pi O and a unit y of norm t, with w = x* y, give
+    (Nrd(w)/t, t, w); rows in Pi O give those of -p*s, p^4 rows per key."""
+    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
+    t = np.array([t for t in range(pl) if t % p], dtype=np.int64)[:, None]
+    t_inv = np.array([pow(int(u), -1, pl) for u in t[:, 0]], dtype=np.int64)[:, None]
+    o1, o2, oq = off
+    grid, radical = _quat_grid(params), _quat_grid(params, True)
+    for k in range(ell + 1):
+        top, sk = in_radical and k == 0, s * (-p) ** k % pl
+        if sk == 0:
+            yield np.array([_g2_key(o1, o2, oq, params)]), p ** (8 * ell - 4 * k - 2 * top), 1
+            return
+        z = radical if top else grid
+        keys = [_g2_key(o1 + sk * t, o2 + sk * qnrd(z, p, e2, pl) * t_inv,
+                        qadd(oq, sk * z, pl), params).ravel()]
+        if not top:
+            keys.append(_g2_key(o1 + sk * qnrd(radical, p, e2, pl) * t_inv, o2 + sk * t,
+                                qadd(oq, sk * radical, pl), params).ravel())
+        yield np.concatenate(keys), p ** (3 * ell - 1) * (p + 1), p ** (4 * k)
+
+
+def _row_histogram(params: RingParams, s: int, in_radical: bool):
+    """The int64 bins of the row histogram of s (see _row_keys)."""
+    hist = np.zeros(params.modulus**4 * (params.modulus // params.p) ** 2, dtype=np.int64)
+    for keys, weight, divisor in _row_keys(params, s, (0, 0, (0, 0, 0, 0)), in_radical):
+        counts = np.bincount(keys, minlength=hist.size)
+        counts *= weight
+        counts //= divisor
+        hist += counts
+    return hist
+
+
+def _solution_exponents(m, params: RingParams):
+    """log_p #{y : M y = c mod p^ell} for a batch m = [M | c], or -1 if none.
+    Each pivot has the least valuation v_k left, so it divides the rest of its
+    row and column: row k has p^v_k solutions if v(c_k) >= v_k, else none."""
+    p, ell, pl = params.p, params.ell, params.modulus
+    n, rows, cols = m.shape[0], m.shape[1], m.shape[2] - 1
+    vals = np.array([params.val_p(t) for t in range(pl)])
+    unit_inv = np.array([0] + [pow(t // p ** int(vals[t]), -1, pl) for t in range(1, pl)])
+    at, expo, ok = np.arange(n), ell * (cols - rows), np.ones(n, dtype=bool)
+    for k in range(rows):
+        flat = vals[m[:, k:, k:cols]].reshape(n, -1).argmin(axis=1)
+        i, j = k + flat // (cols - k), k + flat % (cols - k)
+        m[at, k], m[at, i] = m[at, i], m[at, k]
+        m[at, :, k], m[at, :, j] = m[at, :, j], m[at, :, k]
+        piv = m[:, k, k]
+        v = vals[piv]
+        ok &= vals[m[:, k, cols]] >= v
+        expo = expo + v
+        factor = m[:, k + 1:, k] // p ** v[:, None] * unit_inv[piv][:, None] % pl
+        m[:, k + 1:] = (m[:, k + 1:] - factor[:, :, None] * m[:, None, k]) % pl
+    return np.where(ok, expo, -1)
+
+
+def _alternating_pair_count(a: HermMatrix, target, in_radical: bool) -> int:
+    """#{u : A[u] = B} for A = [[0, beta], [beta*, 0]], the second column of
+    u in Pi O if in_radical (y2 = Pi y2', p^2 lifts).  A[u] = r1* beta r2 +
+    r2* beta* r1 is linear in r2: one 6 x 8 system over Z/p^ell per first row
+    r1, its mod p^(ell-1) rows times p.  g r1 (g a unit) moves r2 by
+    beta^-1 g*^-1 beta, so |O^x| times the rows (1, y) and (x, 1), x in Pi O,
+    cover r1 with a unit entry; r1 in Pi O repeats with Pi* beta, p^4 to 1."""
+    pm = a.params
+    p, ell, e2, pl = pm.p, pm.ell, pm.eps2, pm.modulus
+    pi, (d1, d2, bq) = QuatElem.pi(pm), target
+    b1 = a.entries[0][1]
+    b2 = b1 * pi if in_radical else b1
+    grid, radical = _quat_grid(pm), _quat_grid(pm, True)
+    total = 0
+    for k in range(2 * ell + 1):
+        if not b1:
+            total += (_g2_key(*target, pm) == 0) * p ** (16 * ell - 4 * k)
+            break
+        x2 = radical if in_radical and k == 0 else grid
+        x1 = np.zeros_like(x2)
+        x1[0] = 1                           # first rows (1, y)
+        if x2 is grid:                      # and (x, 1), x in Pi O
+            x1, x2 = np.hstack((x1, radical)), np.hstack((x2, x1[:, :radical.shape[1]]))
+        found = 0
+        for start in range(0, x1.shape[1], 1 << 14):
+            r1, r2 = (qconj(x[:, start:start + (1 << 14)], pl) for x in (x1, x2))
+            first, second = qmul(r1, b1.coords(), p, e2, pl), qmul(r2, b2.coords(), p, e2, pl)
+            cross = qmul(r1, b2.coords(), p, e2, pl)
+            back = qmul(b1.conj().coords(), qconj(r2, pl), p, e2, pl)
+            m = np.zeros((len(r1[0]), 6, 9), dtype=np.int64)
+            for t, e in enumerate(np.eye(4, dtype=np.int64)):
+                m[:, 0, t] = 2 * qscalar(first, e, p, e2, pl)
+                m[:, 1, 4 + t] = 2 * qscalar(second, e, p, e2, pl)
+                m[:, 2:, t] = np.stack(qmul(qconj(e, pl), back, p, e2, pl), axis=1)
+                m[:, 2:, 4 + t] = np.stack(qmul(cross, e, p, e2, pl), axis=1)
+            m[:, 4:] *= p
+            m[:, :, 8] = (d1, d2, bq[0], bq[1], p * bq[2], p * bq[3])
+            m %= pl
+            expo = _solution_exponents(m, pm)
+            found += sum(int(c) * p**e for e, c in enumerate(np.bincount(expo[expo >= 0])))
+        total += p ** (4 * ell - 2) * (p * p - 1) * found // p ** (4 * k)
+        b1, b2 = pi.conj() * b1, pi.conj() * b2
+    return total // p**2 if in_radical else total
 
 
 def count_matrix_pair(b: HermMatrix, a: HermMatrix, primitive: bool = False,
                       budget: int = DEFAULT_BUDGET) -> int:
-    """Count 2x2 matrices u column by column: precompute per-column data for
-    all p^(8*ell) columns, then scan column 1 against vectorized column 2."""
+    """Count 2x2 u with A[u] = B, A diagonal or [[0, beta], [beta*, 0]] (as
+    every size-2 Gram representative is).  diag(s1, s2)[u] = s1 r1*r1 +
+    s2 r2*r2 over the rows r_k, so the count is bin B of the convolution of
+    two row histograms over G_2, read in Python ints (int64 partial sums of
+    at most 2^63 // p^(8*ell) bins).  Rank <= 1 means u v_L = 0 for one of
+    the p^2 + 1 residue lines L; with g_L = I or [[0, 1], [1, lambda]],
+    N_pr(B) = N(B) - sum_L N_rad(g_L* B g_L) + p^2 N_Pi(B), where N_rad
+    puts the second column in Pi O and N_Pi (u in Pi O) is p^-8 N(Pi* A Pi)."""
     pm = a.params
     if b.params != pm:
         raise ValueError("B and A must share ring parameters")
-    p, ell, e2, pl = pm.p, pm.ell, pm.eps2, pm.modulus
-    check_cost("count_matrix_pair", partial(cost_matrix_pair, p), p, ell, budget)
-    ncols = pl**8
-    a00 = a.entries[0][0].coords()
-    a01 = a.entries[0][1].coords()
-    a10 = a.entries[1][0].coords()
-    a11 = a.entries[1][1].coords()
-    bdiag = (b.entries[0][0].a, b.entries[1][1].a)
+    if a.rows != 2 or b.rows != 2 or a.entries[0][1] and (a.entries[0][0] or a.entries[1][1]):
+        raise ValueError("count_matrix_pair needs a diagonal or zero-diagonal 2x2 form")
+    p, ell = pm.p, pm.ell
+    check_cost("count_matrix_pair", partial(cost_matrix_pair, p, bool(a.entries[0][1]), primitive),
+               p, ell, budget)
+    step = max(1, 2**63 // p ** (8 * ell))
+    histogram = cache(partial(_row_histogram, pm))
 
-    idx = np.arange(ncols, dtype=np.int64)
-    digits = _decode_digits(idx, 8, pl)
-    c1 = tuple(digits[0:4])   # top entry of the column
-    c2 = tuple(digits[4:8])   # bottom entry of the column
+    def count(form, rhs, in_radical=False):
+        target = (rhs.entries[0][0].a, rhs.entries[1][1].a, rhs.entries[0][1].coords())
+        if form.entries[0][1]:
+            return _alternating_pair_count(form, target, in_radical)
+        hist, total = histogram(form.entries[0][0].a, in_radical), 0
+        for keys, weight, divisor in _row_keys(pm, -form.entries[1][1].a, target, in_radical):
+            found = sum(int(hist[keys[i:i + step]].sum()) for i in range(0, len(keys), step))
+            total += found * weight // divisor
+        return total
 
-    # y = A @ column  (2-vector of quaternions)
-    y1 = qadd(qmul(a00, c1, p, e2, pl), qmul(a01, c2, p, e2, pl), pl)
-    y2 = qadd(qmul(a10, c1, p, e2, pl), qmul(a11, c2, p, e2, pl), pl)
-
-    # diagonal value  col* A col  (scalar coordinate)
-    dval = (qscalar(qconj(c1, pl), y1, p, e2, pl)
-            + qscalar(qconj(c2, pl), y2, p, e2, pl)) % pl
-    diag_ok = [(dval - bdiag[0]) % pl == 0, (dval - bdiag[1]) % pl == 0]
-
-    b01 = {(0, 1): b.entries[0][1].coords()}
-    top2, bottom2 = qresidue(c1, p), qresidue(c2, p)   # column 2, reduced once
-
-    total = 0
-    cols_first = np.nonzero(diag_ok[0])[0]
-    for j1 in cols_first:
-        j1 = int(j1)
-        q1 = tuple(int(t[j1]) for t in c1)
-        q2 = tuple(int(t[j1]) for t in c2)
-        # cross entry (1,2) of A[u]: conj(col1) . (A col2)
-        cr = qadd(
-            qmul(qconj(q1, pl), y1, p, e2, pl),
-            qmul(qconj(q2, pl), y2, p, e2, pl),
-            pl,
-        )
-        mask = _congruence_masks({(0, 1): cr}, b01, p, ell, pl) & diag_ok[1]
-        if primitive:
-            u_res = [[qresidue(q1, p), top2], [qresidue(q2, p), bottom2]]
-            mask = mask & _rank_mask(u_res, p, e2)
-        total += int(np.count_nonzero(mask))
-    return total
+    total = count(a, b)
+    if not primitive:
+        return total
+    one, zero, pi = QuatElem.one(pm), QuatElem.zero(pm), QuatElem.pi(pm)
+    lines = [QuatMatrix.identity(2, pm)] + [
+        QuatMatrix([[zero, one], [one, QuatElem(l0, l1, 0, 0, pm)]], pm)
+        for l0 in range(p) for l1 in range(p)]
+    a_pi = HermMatrix([[pi.conj() * x * pi for x in row] for row in a.entries], pm)
+    return (total - sum(count(a, herm_apply(b, g), True) for g in lines)
+            + p * p * (count(a_pi, b) // p**8))

@@ -132,16 +132,17 @@ def gram_blocks(h: HermMatrix):
 def count_reps(b: HermMatrix, a: HermMatrix, primitive: bool = False,
                budget: int = counting.DEFAULT_BUDGET) -> int:
     """N_ell(B, A).  The only place that picks a counting kernel, by shape
-    alone: a 1x1 source in a block-diagonal target is convolved, 2x2 in 2x2
-    is scanned, all else is enumerated; each kernel checks its own cost."""
+    alone: a 1x1 source in a block-diagonal target is convolved, a 2x2 source
+    in a 2x2 Gram-block target (diagonal or p^e * H) goes to the size-2
+    count, all else is enumerated; each kernel checks its own cost."""
     m, n = a.rows, b.rows
     if m < n:
         raise ValueError("need A at least as large as B")
-    blocks = gram_blocks(a) if n == 1 else None
-    if blocks is not None:
+    blocks = gram_blocks(a) if n == 1 or n == m == 2 else None
+    if blocks is not None and n == 1:
         return counting.count_diagonal_convolved(b.entries[0][0].a, blocks, a.params,
                                                  primitive=primitive, budget=budget)
-    if n == 2 and m == 2:
+    if blocks is not None:
         return counting.count_matrix_pair(b, a, primitive=primitive, budget=budget)
     return counting.count_generic(b, a, primitive=primitive, budget=budget)
 

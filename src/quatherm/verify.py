@@ -229,6 +229,8 @@ def check_sz_convert(results):
 
 DENSITY_CASES_N1 = [(3, 2, (0,)), (3, 2, (2,)), (5, 1, (0,))]
 DENSITY_CASES_N2 = [(3, 1, (0, 0)), (3, 1, (1, 1)), (3, 1, (2, 0))]
+# level 2 is the first where (2,0) and (1,1) are stable at p=3
+DENSITY_CASES_N2_STABLE = [(3, 2, (0, 0)), (3, 2, (2, 0)), (3, 2, (1, 1))]
 
 
 def check_density_oracle(results, cases, budget):
@@ -240,8 +242,8 @@ def check_density_oracle(results, cases, budget):
         note = ""
         if got != expect:
             note = ("level-1 congruence conditions are below the stabilization "
-                    "threshold for this label (the first stable level needs 3^32 "
-                    "points); see README, Acceptance status")
+                    "threshold for this label (the first stable level, 2, is "
+                    "checked by density.oracle.p3.l2.*); see README, Acceptance status")
         _check(results, f"density.oracle.p{p}.l{ell}.{'-'.join(map(str, alpha))}",
                f"normalized count of {alpha} at p={p}, level {ell} equals the closed value",
                _frac(expect), _frac(got), note=note, t0=t0)
@@ -426,4 +428,5 @@ def run_suite(tier: str = "all", budget: int = counting.DEFAULT_BUDGET):
         check_induction(results, budget)
         check_key_lemma(results, budget)
         check_density_oracle(results, DENSITY_CASES_N2, budget)
+        check_density_oracle(results, DENSITY_CASES_N2_STABLE, budget)
     return results

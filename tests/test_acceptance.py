@@ -8,9 +8,11 @@ size-2 labels (2,0) and (1,1) with p=3, level 1.  At level 1 the congruence
 conditions for these labels are weaker than the stabilization threshold (for
 the alternating block form they are vacuous: every matrix counts), so the
 normalized count is provably 4 resp. 81 while the stabilized density is 16/3
-resp. 80; the first stable level needs 3^32 enumeration points, beyond any
-budget.  Both values were confirmed by two independent kernels.  The
-criterion is implemented as stated and left red rather than weakened.
+resp. 80.  Both values were confirmed by two independent kernels.  The
+first stable level is 2, where the size-2 count gives 32/27, 16/3 and 80
+(test_criterion_1_first_stable_level, and density.oracle.p3.l2.* in
+`verify --suite deep`).  The criterion is implemented as stated and left red
+rather than weakened.
 """
 
 import itertools
@@ -59,6 +61,16 @@ def test_criterion_1_density_oracle(p, ell, alpha):
         f"normalized count {got} != closed density {expect} at p={p}, level {ell}; "
         f"level-1 congruence is below the stabilization threshold for {alpha} "
         "(see the module docstring and README, Acceptance status)")
+
+
+@pytest.mark.parametrize("alpha", [(0, 0), (2, 0), (1, 1)], ids=str)
+def test_criterion_1_first_stable_level(alpha):
+    results, stable = density_levels(alpha, alpha, 3, [1, 2])
+    got = results[-1].normalized
+    expect = density_self_closed(alpha).eval_at(3)
+    assert report(1, f"count vs closed density at the first stable level, p=3 level=2 "
+                     f"alpha={alpha}", got == expect, f"count-normalized {got}, closed {expect}")
+    assert stable is (alpha == (0, 0))
 
 
 def test_criterion_1_expected_values_pinned():

@@ -164,9 +164,23 @@ def test_alternating_deep_level(capsys):
 
 
 def test_over_budget_error(capsys):
-    # the default levels 1,2: level 2 exceeds the default budget
-    err = run_error(capsys, "density", "--alpha", "2,0")
-    assert "budget" in err
+    # level 4 is the first the size-2 count refuses at p=3
+    err = run_error(capsys, "density", "--ell", "4", "--alpha", "2,0")
+    assert "count_matrix_pair needs" in err and "budget" in err
+    assert err.rstrip().endswith("the highest feasible level at p=3 is 3")
+
+
+def test_density_size2_default_levels(capsys):
+    # the default levels 1,2: level 2 is the first where (2,0) is stable, 16/3
+    code, data = run_json(capsys, "density", "--alpha", "2,0")
+    assert code == 0
+    assert [(e["level"], e["normalized"]) for e in data["levels"]] == [(1, "4"), (2, "16/3")]
+    assert data["normalized"] == "16/3" and data["stable"] is False
+
+
+def test_verify_has_no_prime_option():
+    with pytest.raises(SystemExit):
+        main(["verify", "--p", "3"])
 
 
 def test_over_budget_error_past_float_range(capsys):

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatherm import counting
-from quatherm.density import build_gram, density_zero_ht
-from quatherm.quatring import HermMatrix, QuatElem, QuatMatrix, RingParams, residue_rank
+from quatherm.density import build_gram, density_self_closed, density_zero_ht
+from quatherm.quatring import (
+    HermMatrix, QuatElem, QuatMatrix, RingParams, qconj, qmul, qnrd, residue_rank,
+)
 
 PM1 = RingParams(3, 1)
 PM5 = RingParams(5, 1)
@@ -25,7 +27,8 @@ def _zero(params, n=1):
 # Frozen oracles for the 2x2 kernel at p = 3, level 1.  Each value has an
 # independent derivation and every line was cross-checked once against the
 # chunked direct enumeration over all 3^16 matrices (83 s/run, rerun with
-# QUATHERM_SLOW_TESTS=1):
+# QUATHERM_SLOW_TESTS=1); the matrix-pair scan that count_matrix_pair used
+# to be gave the same values:
 #   (0,0) total 629856      = 32/27 * 3^12, the stabilized closed density
 #   (0,0) primitive 629856  = total: congruent matrices are full-rank here
 #   (2,0) total 2125764     = 9 * 36 * 81 * 81 entrywise product count
@@ -57,6 +60,157 @@ def test_matrix_pair_vs_generic(alpha, primitive):
     a = build_gram(alpha, PM1)
     assert counting.count_matrix_pair(a, a, primitive=primitive) == \
         counting.count_generic(a, a, primitive=primitive)
+
+
+def _form(spec, params):
+    """A 2x2 target: an orbit label, ("diag", s1, s2) or ("alt", beta coordinates)."""
+    if spec[0] == "diag":
+        return HermMatrix.from_matrix(QuatMatrix.diagonal(spec[1:], params))
+    if spec[0] == "alt":
+        z, q = QuatElem.zero(params), QuatElem(*spec[1], params)
+        return HermMatrix([[z, q], [q.conj(), z]], params)
+    return build_gram(spec, params)
+
+
+def _source(diag, upper, params):
+    q = QuatElem(*upper, params)
+    return HermMatrix([[QuatElem.scalar(diag[0], params), q],
+                       [q.conj(), QuatElem.scalar(diag[1], params)]], params)
+
+
+# (target, source diagonal, source upper entry) -> (plain, primitive) at p = 3,
+# level 1, for random hermitian sources (seeded draws), frozen from the
+# matrix-pair scan over all 3^8 x 3^8 column pairs before it was replaced.
+MATRIX_PAIR_SCAN_FROZEN = {
+    ((0, 0), (0, 1), (0, 1, 2, 2)): (629856, 629856),
+    ((0, 0), (0, 0), (0, 2, 1, 1)): (629856, 629856),
+    ((0, 0), (2, 0), (2, 2, 2, 0)): (629856, 629856),
+    ((0, 0), (0, 0), (2, 0, 0, 2)): (629856, 629856),
+    ((0, 0), (0, 2), (0, 2, 2, 0)): (629856, 629856),
+    ((0, 0), (2, 0), (2, 2, 1, 0)): (629856, 629856),
+    ((0, 0), (0, 2), (0, 2, 0, 0)): (629856, 629856),
+    ((0, 0), (2, 2), (0, 2, 0, 1)): (157464, 0),
+    ((2, 0), (2, 2), (0, 1, 0, 2)): (2125764, 1889568),
+    ((2, 0), (0, 0), (2, 1, 2, 0)): (0, 0),
+    ((2, 0), (2, 1), (1, 2, 1, 2)): (2125764, 1889568),
+    ((2, 0), (0, 0), (2, 2, 1, 2)): (0, 0),
+    ((2, 0), (2, 0), (0, 2, 0, 0)): (0, 0),
+    ((2, 0), (2, 0), (1, 1, 0, 0)): (0, 0),
+    ((2, 0), (0, 1), (1, 2, 1, 0)): (0, 0),
+    ((2, 0), (0, 2), (0, 2, 0, 0)): (0, 0),
+    ((1, 1), (0, 2), (2, 0, 2, 2)): (0, 0),
+    ((1, 1), (1, 2), (2, 0, 1, 2)): (0, 0),
+    ((1, 1), (1, 0), (2, 1, 1, 0)): (0, 0),
+    ((1, 1), (2, 1), (2, 1, 1, 1)): (0, 0),
+    ((1, 1), (0, 0), (0, 0, 0, 2)): (43046721, 37791360),
+    ((1, 1), (2, 2), (1, 2, 0, 1)): (0, 0),
+    ((1, 1), (1, 0), (1, 2, 1, 2)): (0, 0),
+    ((1, 1), (1, 1), (2, 0, 1, 0)): (0, 0),
+    (("diag", 1, 2), (1, 0), (1, 2, 0, 0)): (629856, 629856),
+    (("diag", 1, 2), (2, 0), (1, 2, 0, 2)): (629856, 629856),
+    (("diag", 1, 2), (0, 0), (0, 1, 1, 0)): (629856, 629856),
+    (("alt", (1, 1, 0, 0)), (0, 0), (2, 1, 0, 2)): (629856, 629856),
+    (("alt", (1, 1, 0, 0)), (0, 0), (2, 2, 2, 0)): (629856, 629856),
+    (("alt", (1, 1, 0, 0)), (2, 2), (1, 0, 0, 0)): (157464, 0),
+    (("alt", (0, 1, 1, 2)), (2, 0), (1, 1, 0, 2)): (629856, 629856),
+    (("alt", (0, 1, 1, 2)), (0, 2), (1, 2, 2, 0)): (629856, 629856),
+    (("alt", (0, 1, 1, 2)), (0, 2), (2, 2, 0, 1)): (629856, 629856),
+}
+
+
+@pytest.mark.parametrize(("target", "diag", "upper"), list(MATRIX_PAIR_SCAN_FROZEN))
+def test_matrix_pair_random_sources(target, diag, upper):
+    a, b = _form(target, PM1), _source(diag, upper, PM1)
+    assert tuple(counting.count_matrix_pair(b, a, primitive) for primitive in (False, True)) \
+        == MATRIX_PAIR_SCAN_FROZEN[(target, diag, upper)]
+
+
+@pytest.mark.skipif(not os.environ.get("QUATHERM_SLOW_TESTS"),
+                    reason="minutes-long direct enumeration; set QUATHERM_SLOW_TESTS=1")
+@pytest.mark.parametrize(("target", "diag", "upper"), [
+    ((0, 0), (2, 2), (0, 2, 0, 1)), ((2, 0), (2, 1), (1, 2, 1, 2)),
+    (("alt", (1, 1, 0, 0)), (2, 2), (1, 0, 0, 0))])
+def test_matrix_pair_random_sources_vs_generic(target, diag, upper):
+    a, b = _form(target, PM1), _source(diag, upper, PM1)
+    for primitive in (False, True):
+        assert counting.count_matrix_pair(b, a, primitive) == \
+            counting.count_generic(b, a, primitive=primitive)
+
+
+# count_matrix_pair at p = 3, level 2, (alpha, primitive) -> count.  All but
+# the (1,1) primitive value were computed independently by a separate
+# pure-Python implementation of the same method; (0,0), (2,0), (2,2) and
+# (1,1) normalize to the closed densities 32/27, 16/3, 864 and 80, and (4,0)
+# to 12, which is not yet stable.  As for (0,0), (2,0) and (2,2), whose
+# entries are nonzero at this level, the (1,1) primitive count repeats the
+# plain count.
+MATRIX_PAIR_LEVEL2 = {
+    ((0, 0), False): 37192366944,
+    ((0, 0), True): 37192366944,
+    ((2, 0), False): 167365651248,
+    ((2, 0), True): 167365651248,
+    ((2, 2), False): 27113235502176,
+    ((2, 2), True): 27113235502176,
+    ((4, 0), False): 376572715308,
+    ((4, 0), True): 334731302496,
+    ((1, 1), False): 2510484768720,
+    ((1, 1), True): 2510484768720,
+}
+
+
+@pytest.mark.parametrize(("alpha", "primitive"), sorted(MATRIX_PAIR_LEVEL2))
+def test_matrix_pair_level2(alpha, primitive):
+    a = build_gram(alpha, RingParams(3, 2))
+    assert counting.count_matrix_pair(a, a, primitive) == MATRIX_PAIR_LEVEL2[(alpha, primitive)]
+
+
+@pytest.mark.skipif(not os.environ.get("QUATHERM_SLOW_TESTS"),
+                    reason="level 3 takes up to 20 s and 1.1 GiB; set QUATHERM_SLOW_TESTS=1")
+@pytest.mark.parametrize(("alpha", "count"), [
+    ((0, 0), 2196172075676256), ((2, 0), 9882774340543152), ((1, 1), 148241615108147280)])
+def test_matrix_pair_level3_stable(alpha, count):
+    # the stability witness: level 3 repeats the level-2 normalized counts
+    a = build_gram(alpha, RingParams(3, 3))
+    got = counting.count_matrix_pair(a, a)
+    assert got == count
+    assert Fraction(got, 3**32) == density_self_closed(alpha).eval_at(3)
+
+
+def test_matrix_pair_exact_past_int64():
+    # (2,2) at p=5, level 2 normalizes to the closed 18000
+    a = build_gram((2, 2), RingParams(5, 2))
+    count = counting.count_matrix_pair(a, a)
+    assert count == 42915344238281250000 > 2**63
+    assert Fraction(count, 5**22) == density_self_closed((2, 2)).eval_at(5)
+
+
+def test_matrix_pair_rejects_non_block_form():
+    one, pi = QuatElem.scalar(1, PM1), QuatElem.pi(PM1)
+    a = HermMatrix([[one, pi], [pi.conj(), one]], PM1)
+    with pytest.raises(ValueError, match="diagonal or zero-diagonal"):
+        counting.count_matrix_pair(a, a)
+
+
+def _direct_row_histogram(params, s, in_radical):
+    """Reference: every row (x, y) of O/Pi^(2*ell), y in Pi O when in_radical,
+    keyed by s * (Nrd x, Nrd y, x* y) in G_2."""
+    p, e2, pl = params.p, params.eps2, params.modulus
+    axes = [np.arange(pl)] * 4 + [np.arange(0, pl, p if in_radical else 1)] * 2 + \
+        [np.arange(pl)] * 2
+    coords = [c.ravel() for c in np.meshgrid(*axes, indexing="ij")]
+    x, y = tuple(coords[:4]), tuple(coords[4:])
+    keys = counting._g2_key(s * qnrd(x, p, e2, pl), s * qnrd(y, p, e2, pl),
+                            tuple(s * v for v in qmul(qconj(x, pl), y, p, e2, pl)), params)
+    return np.bincount(keys, minlength=pl**4 * (pl // p) ** 2)
+
+
+@pytest.mark.parametrize("params", [PM1, PM5], ids=["p3", "p5"])
+@pytest.mark.parametrize("scale", ["1", "p"])
+@pytest.mark.parametrize("in_radical", [False, True])
+def test_row_histogram_matches_rows(params, scale, in_radical):
+    s = params.p if scale == "p" else 1
+    assert np.array_equal(counting._row_histogram(params, s, in_radical),
+                          _direct_row_histogram(params, s, in_radical))
 
 
 @pytest.mark.parametrize("beta,alpha", [((2,), (1, 1)), ((0,), (3, 3)), ((0,), (1, 1))])
@@ -225,13 +379,13 @@ def test_budget_error():
 
 def test_cost_guard_message():
     # the shared guard names the kernel, the estimate, both limits and the
-    # deepest level that fits at p
-    a = build_gram((0, 0), RingParams(3, 2))
+    # deepest level that fits at p; level 4 is the first the size-2 count refuses
+    a = build_gram((0, 0), RingParams(3, 4))
     with pytest.raises(counting.InfeasibleSizeError) as exc:
         counting.count_matrix_pair(a, a)
     msg = str(exc.value)
-    assert msg.startswith("count_matrix_pair needs ~1.482e+16 ops and ")
-    assert "at p=3, level 2 (budget 6.872e+10 ops, limit 1.611e+09 bytes)" in msg
-    assert msg.endswith("; the highest feasible level at p=3 is 1")
+    assert msg.startswith("count_matrix_pair needs ~2.339e+12 ops and ")
+    assert "at p=3, level 4 (budget 6.872e+10 ops, limit 1.611e+09 bytes)" in msg
+    assert msg.endswith("; the highest feasible level at p=3 is 3")
     with pytest.raises(counting.InfeasibleSizeError, match="no level is feasible at p=3$"):
         counting.count_generic(a, a, budget=10**6)

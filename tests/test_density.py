@@ -100,6 +100,7 @@ NON_BLOCK = HermMatrix([[QuatElem.scalar(1, PM1), QuatElem(0, 0, 1, 0, PM1)],
     ((0,), (1, 1, 0), 3, "count_diagonal_convolved"),
     ((0,), (0, 0, 0), 3, "count_diagonal_convolved"),
     ((0,), NON_BLOCK, 3, "count_generic"),
+    ((0, 0), NON_BLOCK, 3, "count_generic"),
 ])
 def test_dispatch_pins_kernel(monkeypatch, beta, alpha, p, kernel):
     """count_reps picks the kernel by shape alone, at level 1."""
@@ -119,15 +120,6 @@ def test_gram_blocks():
     assert blocks[0] == 3 and blocks[1] == build_gram((1, 1), pm)
     assert gram_blocks(build_gram((0, 0), pm)) == [1, 1]
     assert gram_blocks(NON_BLOCK) is None
-
-
-def test_matrix_pair_threshold_never_binds():
-    # 2x2 inputs with p^(8*ell) > 2^21 (the smallest are p^ell = 7 and 9) fit
-    # the default budget neither as matrix-pair scans nor as direct enumeration,
-    # so dispatching every 2x2 input to count_matrix_pair changes no run
-    for p, ell in [(7, 1), (3, 2)]:
-        assert counting.cost_matrix_pair(p, ell)[0] > counting.DEFAULT_BUDGET
-        assert counting.cost_generic(p, 2, 2, ell)[0] > counting.DEFAULT_BUDGET
 
 
 @st.composite

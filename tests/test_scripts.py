@@ -18,7 +18,7 @@ def test_density_scan(monkeypatch, capsys):
     lines = out.splitlines()
     assert lines[0].split()[0] == "label"
     assert "l1:4/3 l2:4/3 True" in lines[1]            # (0,)
-    assert "l1:32/27 l2:skip True" in lines[2]         # (0, 0)
+    assert "l1:32/27 l2:32/27 True" in lines[2]        # (0, 0)
     assert len(lines) == 3
 
 
