@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .laurent import LaurentPoly, elementary_symmetric
-from .ratfunc import ONE, Q, RatFuncQ, qpow
+from .ratfunc import IntLaurent, RatFuncQ
 
 
 class NotSymmetric(ValueError):
@@ -22,7 +22,8 @@ class NotSymmetric(ValueError):
 
 
 class ElemSymExpr:
-    """Polynomial in s_1..s_n with RatFuncQ coefficients, times s_n^(-shift).
+    """Polynomial in s_1..s_n with RatFuncQ (or IntLaurent) coefficients,
+    times s_n^(-shift).
 
     terms: dict mapping exponent tuples of (s_1, ..., s_n) to coefficients.
     """
@@ -35,7 +36,7 @@ class ElemSymExpr:
         self.terms = {}
         if terms:
             for e, c in terms.items():
-                if not isinstance(c, RatFuncQ):
+                if not isinstance(c, (RatFuncQ, IntLaurent)):
                     c = RatFuncQ.const(c)
                 if c:
                     self.terms[tuple(e)] = c
@@ -50,12 +51,6 @@ class ElemSymExpr:
             and self.shift == other.shift
             and self.terms == other.terms
         )
-
-    def scale(self, c: RatFuncQ) -> "ElemSymExpr":
-        """Multiply every coefficient by the nonzero scalar c."""
-        out = ElemSymExpr(self.n, shift=self.shift)
-        out.terms = {e: cc * c for e, cc in self.terms.items()}
-        return out
 
     def polynomial_part(self) -> "ElemSymExpr":
         """Drop the s_n^-shift unit; fine for membership in the localized ring."""
@@ -111,7 +106,9 @@ def to_elementary(f: LaurentPoly) -> ElemSymExpr:
     Negative exponents are first cleared by an explicit s_n^-k factor; the
     remaining polynomial is reduced by subtracting, for the lex-leading
     exponent lam, the product e_1^(lam_1-lam_2) ... e_n^(lam_n) which shares
-    that leading monomial.
+    that leading monomial.  The loop only subtracts integer multiples of
+    coefficients, so it runs unchanged over RatFuncQ or IntLaurent
+    coefficients and keeps their type.
     """
     if not f.is_symmetric():
         raise NotSymmetric("input is not S_n-invariant")
@@ -324,36 +321,22 @@ def schwartz_image_generators(n: int):
     on s_2 (not its square): only with this value does the membership suite
     close, and it matches the shape of the size-4 cross term.
     """
-    c = Q**2 * (qpow(-2) + qpow(-1) + ONE) ** 2
+    # every coefficient lies in Z[q^+-1]; Q(q) is reached without a gcd
+    one, q = IntLaurent([1]), IntLaurent([1], 1)
+    t = IntLaurent([1, 1, 1], -2)        # q^-2 + q^-1 + 1
+    u = IntLaurent([1, 0, 1], -2)        # q^-2 + 1
+    v = IntLaurent([1, 1], -1)           # q^-1 + 1
+    c = q * q * t * t
     if n == 3:
-        g1 = ElemSymExpr(3, {(1, 1, 0): ONE, (0, 0, 1): -c})
-        g2 = ElemSymExpr(
-            3, {(2, 0, 0): ONE, (0, 1, 0): -Q * (qpow(-2) + qpow(-1) + ONE)}
-        )
-        return g1, g2
-    if n == 4:
-        d = Q**3 * (qpow(-2) + ONE) * (qpow(-1) + ONE) ** 4
-        g1 = ElemSymExpr(
-            4,
-            {
-                (1, 1, 1, 0): ONE,
-                (2, 0, 0, 1): -c,
-                (0, 0, 2, 0): -c,
-                (0, 1, 0, 1): d,
-            },
-        )
-        e1 = Q * (qpow(-2) + qpow(-1) + ONE)
-        e2 = Q**3 * (qpow(-2) + ONE) ** 2 * (qpow(-2) + qpow(-1) + ONE)
-        g2 = ElemSymExpr(
-            4,
-            {
-                (0, 2, 0, 0): ONE,
-                (1, 0, 1, 0): -e1,
-                (0, 0, 0, 1): e2,
-            },
-        )
-        return g1, g2
-    raise ValueError("generators tabulated for sizes 3 and 4 only")
+        gens = ({(1, 1, 0): one, (0, 0, 1): -c},
+                {(2, 0, 0): one, (0, 1, 0): -(q * t)})
+    elif n == 4:
+        d = q * q * q * u * v * v * v * v
+        gens = ({(1, 1, 1, 0): one, (2, 0, 0, 1): -c, (0, 0, 2, 0): -c, (0, 1, 0, 1): d},
+                {(0, 2, 0, 0): one, (1, 0, 1, 0): -(q * t), (0, 0, 0, 1): q * q * q * u * u * t})
+    else:
+        raise ValueError("generators tabulated for sizes 3 and 4 only")
+    return tuple(ElemSymExpr(n, {e: x.to_ratfunc() for e, x in g.items()}) for g in gens)
 
 
 def image_ideal_basis(n: int, q0, order: str = "grevlex") -> GroebnerBasis:

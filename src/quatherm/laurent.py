@@ -1,14 +1,17 @@
-"""Multivariate Laurent polynomials over Q(q) and the symmetrization engine.
+"""Multivariate Laurent polynomials over Q(q) or Z[q^+-1] and the
+symmetrization engine.
 
 The engine computes orbit sums
 
     sum over permutations of  x^mu * (product of binomials) / (product of binomials)
 
-by clearing every denominator factor that occurs in any orbit term, expanding,
-and dividing exactly once.  Every binomial constant is +-q^k, so all of this
-runs in Z[x^+-1, q^+-1]; only the finished sum is converted to Q(q)
-coefficients.  Exact-division failure means the template/exponent pair does
-not produce a polynomial and is reported, never truncated.
+by clearing every denominator factor that occurs in any orbit term, expanding
+one polynomial, collecting it by sorted exponent, permuting only the collected
+terms, and dividing exactly once.  Every binomial constant is +-q^k, so all of
+this runs in Z[x^+-1, q^+-1], and the result has IntLaurent coefficients;
+`symmetric_sum` converts them to Q(q).  Exact-division failure means the
+template/exponent pair does not produce a polynomial and is reported, never
+truncated.
 """
 
 from __future__ import annotations
@@ -16,21 +19,35 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .ratfunc import ONE, QPoly, RatFuncQ, ZERO
+from .ratfunc import ONE, IntLaurent, RatFuncQ, ZERO
 
 
 class NonExactDivision(ArithmeticError):
     """Orbit sum is not divisible by the cleared denominator."""
 
 
-def _coerce_scalar(c) -> RatFuncQ:
-    if isinstance(c, RatFuncQ):
+def _coerce_scalar(c):
+    if isinstance(c, (RatFuncQ, IntLaurent)):
         return c
     return RatFuncQ.const(c)
 
 
+def map_distinct(terms: dict, fn) -> dict:
+    """{key: fn(c)} for the nonzero results, calling fn once per distinct
+    coefficient: a symmetric polynomial repeats each one over an orbit."""
+    images = {}
+    out = {}
+    for e, c in terms.items():
+        img = images.get(c)
+        if img is None:
+            img = images[c] = fn(c)
+        if img:
+            out[e] = img
+    return out
+
+
 class LaurentPoly:
-    """Laurent polynomial in n variables with RatFuncQ coefficients.
+    """Laurent polynomial in n variables with RatFuncQ (or IntLaurent) coefficients.
 
     terms: dict mapping exponent tuples (ints, possibly negative) to nonzero
     coefficients.
@@ -132,14 +149,7 @@ class LaurentPoly:
     def scale(self, c) -> "LaurentPoly":
         c = _coerce_scalar(c)
         res = LaurentPoly(self.n)
-        if c:
-            # symmetric polynomials repeat each coefficient over an orbit
-            prods = {}
-            for e, cc in self.terms.items():
-                p = prods.get(cc)
-                if p is None:
-                    p = prods[cc] = cc * c
-                res.terms[e] = p
+        res.terms = map_distinct(self.terms, lambda cc: cc * c)
         return res
 
     def shift(self, expo) -> "LaurentPoly":
@@ -345,24 +355,13 @@ def _div_binomial(poly: dict, i: int, j: int, s: int, k: int) -> dict:
     return quo
 
 
-def _to_laurent(n: int, poly: dict) -> LaurentPoly:
-    """Collect the q-exponent of each x-monomial into its Q(q) coefficient.
-
-    A Laurent polynomial in q is already canonical as f / q^m with f(0) != 0,
-    so no gcd is taken.
-    """
+def _collect_q(n: int, poly: dict) -> LaurentPoly:
+    """Collect the q-exponents of each x-monomial into one IntLaurent coefficient."""
     by_x = {}
     for e, c in poly.items():
         by_x.setdefault(e[:n], {})[e[n]] = c
-    one = QPoly.const(1)
-    terms = {}
-    for x, qc in by_x.items():
-        lo = min(min(qc), 0)
-        num = QPoly([qc.get(d, 0) for d in range(lo, max(qc) + 1)])
-        den = QPoly.q_power(-lo) if lo else one
-        terms[x] = RatFuncQ(num, den, _canonical=True)
     res = LaurentPoly(n)
-    res.terms = terms
+    res.terms = {x: IntLaurent.from_terms(qc) for x, qc in by_x.items()}
     return res
 
 
@@ -376,14 +375,42 @@ def _canonical_factor(i: int, j: int, s: int, k: int):
     return (i, j, s, k), 1
 
 
-def symmetric_sum(n: int, mu, num_factors, den_factors, scalar=None) -> LaurentPoly:
-    """Orbit sum of x^mu * prod(num) / prod(den) over all permutations.
+def _permutation_sign(sigma) -> int:
+    sign = 1
+    for a in range(len(sigma)):
+        for b in range(a + 1, len(sigma)):
+            if sigma[a] > sigma[b]:
+                sign = -sign
+    return sign
+
+
+def _sorted_with_sign(x: tuple, alternating: bool):
+    """(x sorted decreasingly, sign of the sorting permutation), or None when
+    alternating and x repeats an entry (its alternating orbit sum is zero)."""
+    srt = tuple(sorted(x, reverse=True))
+    if not alternating:
+        return srt, 1
+    if len(set(x)) < len(x):
+        return None
+    return srt, _permutation_sign(sorted(range(len(x)), key=x.__getitem__, reverse=True))
+
+
+def orbit_sum(n: int, mu, num_factors, den_factors) -> LaurentPoly:
+    """Orbit sum of x^mu * prod(num) / prod(den) over all permutations, with
+    IntLaurent coefficients in Z[q^+-1].
 
     num_factors / den_factors: iterables of (i, j, c) triples standing for the
     binomial x_i - c*x_j (0-based indices, c = +-q^k; any other constant is
-    a ValueError).  The sum is formed over a common denominator and divided
-    exactly in Z[x^+-1, q^+-1]; NonExactDivision signals a non-polynomial
-    template.  The result is multiplied by scalar (in Q(q)) when given.
+    a ValueError).  NonExactDivision signals a non-polynomial template.
+
+    Let L be the lcm of the denominators over the orbit.  L is S_n-stable:
+    sigma(L) = sgn(sigma)^m * L, where m is the multiplicity of each x_a - x_b
+    in L.  So L times the sum is the sum of sgn(sigma)^m * sigma(B) for the
+    one polynomial B = x^mu * prod(num) * L / prod(den).  B is expanded once
+    and its terms are collected by their sorted x-exponent (for odd m an
+    exponent with a repeated entry drops out and the others take the sign of
+    their sorting permutation); only the collected terms are permuted, and
+    the sum is divided by L exactly.
     """
     mu = tuple(mu)
     if len(mu) != n:
@@ -401,49 +428,67 @@ def symmetric_sum(n: int, mu, num_factors, den_factors, scalar=None) -> LaurentP
             kept_den.append(f)
     num_factors, den_factors = num_pool, kept_den
 
-    # the base term expands once; every orbit term is an exponent permutation
-    base = {mu + (0,): 1}
-    for f in num_factors:
-        base = _mul_binomial(base, *f)
-    signed = {1: list(base.items()), -1: [(e, -c) for e, c in base.items()]}
-
-    # catalogue the denominator factors across the orbit; orbit terms with the
-    # same factors share the completing factors of the lcm, so they are
-    # summed first
+    perms = list(itertools.permutations(range(n)))
     lcm = {}
-    groups = {}
-    for sigma in itertools.permutations(range(n)):
+    for sigma in perms:
         fac = {}
-        sign = 1
         for (i, j, s, k) in den_factors:
-            key, sg = _canonical_factor(sigma[i], sigma[j], s, k)
-            sign *= sg
+            key, _ = _canonical_factor(sigma[i], sigma[j], s, k)
             fac[key] = fac.get(key, 0) + 1
         for key, mult in fac.items():
             if lcm.get(key, 0) < mult:
                 lcm[key] = mult
-        perm = itemgetter(*[sigma.index(u) for u in range(n)], n)
-        acc = groups.setdefault(tuple(sorted(fac.items())), {})
-        get = acc.get
-        for e, c in signed[sign]:
-            pe = perm(e)
-            acc[pe] = get(pe, 0) + c
+
+    # B = x^mu * num * L / den, with the sign of den's canonical orientation
+    completing = dict(lcm)
+    den_sign = 1
+    for (i, j, s, k) in den_factors:
+        key, sg = _canonical_factor(i, j, s, k)
+        den_sign *= sg
+        completing[key] -= 1
+    base = {mu + (0,): den_sign}
+    for f in num_factors:
+        base = _mul_binomial(base, *f)
+    for key, mult in completing.items():
+        for _ in range(mult):
+            base = _mul_binomial(base, *key)
+
+    # S_n acts transitively on the pairs, so every x_a - x_b has the
+    # multiplicity of x_1 - x_2
+    alternating = lcm.get((0, 1, 1, 0), 0) % 2 == 1
+    collected = {}
+    sorted_x = {}
+    for e, c in base.items():
+        x = e[:n]
+        if x not in sorted_x:
+            sorted_x[x] = _sorted_with_sign(x, alternating)
+        hit = sorted_x[x]
+        if hit is not None:
+            key = hit[0] + e[n:]
+            collected[key] = collected.get(key, 0) + hit[1] * c
+    collected = [(e, c) for e, c in collected.items() if c]
+
     total = {}
     get = total.get
-    for fac, acc in groups.items():
-        term = {e: c for e, c in acc.items() if c}
-        fac = dict(fac)
-        for key, mult in lcm.items():
-            for _ in range(mult - fac.get(key, 0)):
-                term = _mul_binomial(term, *key)
-        for e, c in term.items():
-            total[e] = get(e, 0) + c
+    for sigma in perms:
+        perm = itemgetter(*[sigma.index(u) for u in range(n)], n)
+        sign = _permutation_sign(sigma) if alternating else 1
+        for e, c in collected:
+            pe = perm(e)
+            total[pe] = get(pe, 0) + sign * c
     total = {e: c for e, c in total.items() if c}
 
     for key, mult in lcm.items():
         for _ in range(mult):
             total = _div_binomial(total, *key)
-    result = _to_laurent(n, total)
+    return _collect_q(n, total)
+
+
+def symmetric_sum(n: int, mu, num_factors, den_factors, scalar=None) -> LaurentPoly:
+    """The orbit sum of `orbit_sum` with RatFuncQ coefficients, times scalar
+    (in Q(q)) when given."""
+    result = orbit_sum(n, mu, num_factors, den_factors)
+    result.terms = map_distinct(result.terms, IntLaurent.to_ratfunc)
     if scalar is not None:
         result = result.scale(scalar)
     return result

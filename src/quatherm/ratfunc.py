@@ -1,12 +1,14 @@
 """Exact coefficient arithmetic: Q, polynomials in q over Q, and the field Q(q).
 
 Everything downstream (densities, spherical polynomials, residue integrals)
-carries its scalars in one of three exact types:
+carries its scalars in one of four exact types:
 
   * ``fractions.Fraction``    -- arbitrary-precision rationals,
   * :class:`QPoly`            -- univariate polynomials in q over Q,
   * :class:`RatFuncQ`         -- the fraction field Q(q), always reduced,
-                                 denominator monic.
+                                 denominator monic,
+  * :class:`IntLaurent`       -- the ring Z[q, q^-1], in which the orbit sums
+                                 of the spherical polynomials are computed.
 
 Negative powers of q are ordinary elements of Q(q): q**-2 is stored as the
 fraction 1/q^2, which keeps gcd reduction classical.
@@ -15,6 +17,7 @@ fraction 1/q^2, which keeps gcd reduction classical.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 class DivisionByZero(ArithmeticError):
@@ -392,6 +395,163 @@ def w_factor(m: int, t: RatFuncQ) -> RatFuncQ:
         tp = tp * t
         out = out * (ONE - tp)
     return out
+
+
+# -- integer Laurent polynomials in q and cyclotomic reduction ------------------------
+
+
+class IntLaurent:
+    """Element of Z[q, q^-1]: the sum of coeffs[i] * q^(lo + i).
+
+    coeffs is a tuple of ints whose first and last entries are nonzero (empty,
+    with lo = 0, for zero), so equal values have equal fields and hashes.
+    """
+
+    __slots__ = ("lo", "coeffs")
+
+    def __init__(self, coeffs=(), lo: int = 0):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        start = 0
+        while start < len(cs) and not cs[start]:
+            start += 1
+        self.coeffs = tuple(cs[start:])
+        self.lo = lo + start if self.coeffs else 0
+
+    @staticmethod
+    def from_terms(terms: dict) -> "IntLaurent":
+        """From a dict q-exponent -> int."""
+        terms = {d: c for d, c in terms.items() if c}
+        if not terms:
+            return IntLaurent()
+        lo = min(terms)
+        return IntLaurent([terms.get(d, 0) for d in range(lo, max(terms) + 1)], lo)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, IntLaurent) and self.lo == other.lo
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.lo, self.coeffs))
+
+    def _combine(self, other: "IntLaurent", sign: int) -> "IntLaurent":
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other if sign == 1 else -other
+        lo = min(self.lo, other.lo)
+        out = [0] * (max(self.lo + len(self.coeffs), other.lo + len(other.coeffs)) - lo)
+        for i, c in enumerate(self.coeffs, self.lo - lo):
+            out[i] = c
+        for i, c in enumerate(other.coeffs, other.lo - lo):
+            out[i] += sign * c
+        return IntLaurent(out, lo)
+
+    def __add__(self, other: "IntLaurent") -> "IntLaurent":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "IntLaurent") -> "IntLaurent":
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "IntLaurent":
+        res = IntLaurent()
+        res.lo, res.coeffs = self.lo, tuple(-c for c in self.coeffs)
+        return res
+
+    def __mul__(self, other) -> "IntLaurent":
+        if isinstance(other, int):
+            if not other:
+                return IntLaurent()
+            res = IntLaurent()
+            res.lo, res.coeffs = self.lo, tuple(other * c for c in self.coeffs)
+            return res
+        if not self.coeffs or not other.coeffs:
+            return IntLaurent()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return IntLaurent(out, self.lo + other.lo)
+
+    __rmul__ = __mul__
+
+    def to_ratfunc(self, den: QPoly | None = None) -> RatFuncQ:
+        """self / den in Q(q), for a monic den (default 1) coprime to self and
+        to q.  The numerator has a nonzero constant term after q^lo is split
+        off, so the result is canonical without a gcd."""
+        if den is None:
+            den = QPoly.const(1)
+        if self.lo >= 0:
+            return RatFuncQ(QPoly((0,) * self.lo + self.coeffs), den, _canonical=True)
+        return RatFuncQ(QPoly(self.coeffs), den.shift(-self.lo), _canonical=True)
+
+    def __str__(self) -> str:
+        return str(self.to_ratfunc())
+
+    __repr__ = __str__
+
+
+def _divmod_monic(a, b):
+    """Quotient and remainder of integer coefficient lists (constant term
+    first) by the monic b; both are tuples, the remainder len(b) - 1 long."""
+    a = list(a)
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), tuple(a)
+    quo = [0] * (len(a) - db)
+    for s in range(len(a) - 1 - db, -1, -1):
+        f = a[s + db]
+        if f:
+            quo[s] = f
+            for i, c in enumerate(b, s):
+                a[i] -= f * c
+    return tuple(quo), tuple(a[:db])
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d: int) -> tuple:
+    """Integer coefficients, constant term first, of the cyclotomic polynomial
+    Phi_d: q^d - 1 divided by every Phi_e with e a proper divisor of d."""
+    poly = (-1,) + (0,) * (d - 1) + (1,)
+    for e in range(1, d):
+        if d % e == 0:
+            poly, _ = _divmod_monic(poly, cyclotomic(e))
+    return poly
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_product(orders: tuple) -> QPoly:
+    out = IntLaurent([1])
+    for d in orders:
+        out = out * IntLaurent(cyclotomic(d))
+    return QPoly(out.coeffs)
+
+
+def over_cyclotomics(c: IntLaurent, orders, cofactor: IntLaurent) -> RatFuncQ:
+    """c * cofactor / prod(Phi_d for d in orders) as a canonical RatFuncQ, no gcd.
+
+    Each Phi_d is monic and irreducible, and cofactor must be coprime to every
+    one of them (a power of q times a power of q - 1 is, for d >= 3).  So the
+    common factor of numerator and denominator is the product of the Phi_d
+    that divide c, found by exact trial division in Z[q]; a repeated order is
+    tried once per repetition.  Phi_d(0) = +-1, so each quotient keeps a
+    nonzero constant term and q^lo stays coprime to the result.
+    """
+    if not c:
+        return ZERO
+    num = c.coeffs
+    den = []
+    for d in orders:
+        quo, rem = _divmod_monic(num, cyclotomic(d))
+        if any(rem):
+            den.append(d)
+        else:
+            num = quo
+    return (IntLaurent(num, c.lo) * cofactor).to_ratfunc(_cyclotomic_product(tuple(den)))
 
 
 def format_fraction(x: Fraction) -> str:

@@ -26,9 +26,10 @@ from . import counting, density
 from .counting import _CHUNK, _decode_digits
 from .density import build_gram, check_orbit_label
 from .elemsym import ElemSymExpr, to_elementary
-from .laurent import LaurentPoly, symmetric_sum
+from .laurent import LaurentPoly, map_distinct, orbit_sum, symmetric_sum
 from .quatring import RingParams, qadd, qconj, qmul
-from .ratfunc import ONE, Q, QPoly, RatFuncQ, ZERO, qpow, w_factor
+from .ratfunc import (ONE, Q, IntLaurent, QPoly, RatFuncQ, ZERO, over_cyclotomics, qpow,
+                      w_factor)
 
 
 # -- combinatorial ingredients ---------------------------------------------------
@@ -46,12 +47,8 @@ class OddData:
     c_odd: RatFuncQ
 
 
-def odd_data(alpha, n: int | None = None) -> OddData:
-    """Pair equal odd entries left to right; the scalar carries
-    (1 - 1/q)^k * q^(sum of n - 2l + 1 over first members l)."""
-    alpha = check_orbit_label(alpha)
-    if n is None:
-        n = len(alpha)
+def _odd_indices(alpha, n: int) -> tuple:
+    """1-based first members of the odd pairs, paired left to right."""
     if n != len(alpha):
         raise ValueError("arity mismatch")
     idx = []
@@ -64,12 +61,20 @@ def odd_data(alpha, n: int | None = None) -> OddData:
             i += 2
         else:
             i += 1
+    return tuple(idx)
+
+
+def odd_data(alpha, n: int | None = None) -> OddData:
+    """Pair equal odd entries left to right; the scalar carries
+    (1 - 1/q)^k * q^(sum of n - 2l + 1 over first members l)."""
+    alpha = check_orbit_label(alpha)
+    if n is None:
+        n = len(alpha)
+    idx = _odd_indices(alpha, n)
     if not idx:
         return OddData((), ONE)
-    k = len(idx)
     expo = sum(n - 2 * l + 1 for l in idx)
-    c = (ONE - qpow(-1)) ** k * qpow(expo)
-    return OddData(tuple(idx), c)
+    return OddData(idx, (ONE - qpow(-1)) ** len(idx) * qpow(expo))
 
 
 def z_zero(n: int) -> tuple:
@@ -93,13 +98,8 @@ def _pair(lam, z) -> int:
 # -- the explicit formula ----------------------------------------------------------
 
 
-def main_term(alpha, n: int | None = None) -> LaurentPoly:
-    """The symmetrized sum alone, without the scalar prefactor."""
-    alpha = check_orbit_label(alpha)
-    if n is None:
-        n = len(alpha)
-    lam = lambda_alpha(alpha)
-    od = odd_data(alpha, n)
+def _integral_main_term(alpha, n: int) -> LaurentPoly:
+    """The symmetrized sum with IntLaurent coefficients in Z[q^+-1]."""
     num = []
     den = []
     for i in range(n):
@@ -107,9 +107,26 @@ def main_term(alpha, n: int | None = None) -> LaurentPoly:
             num.append((i, j, Q))
             num.append((i, j, qpow(-2)))
             den.append((i, j, ONE))
-    for l in od.indices:
+    for l in _odd_indices(alpha, n):
         den.append((l - 1, l, Q))
-    return symmetric_sum(n, lam, num, den)
+    return orbit_sum(n, lambda_alpha(alpha), num, den)
+
+
+def main_term(alpha, n: int | None = None) -> LaurentPoly:
+    """The symmetrized sum alone, without the scalar prefactor."""
+    alpha = check_orbit_label(alpha)
+    if n is None:
+        n = len(alpha)
+    result = _integral_main_term(alpha, n)
+    result.terms = map_distinct(result.terms, IntLaurent.to_ratfunc)
+    return result
+
+
+def _prefactor_exponents(alpha, n: int):
+    """(k, e) with psi_prefactor = (q - 1)^k * q^e / prod_{i<=n} [i]_{q^2}."""
+    idx = _odd_indices(alpha, n)
+    e = sum(n - 2 * l for l in idx) + _pair(lambda_alpha(alpha), z_zero(n)) + n * (n - 1)
+    return len(idx), e
 
 
 def psi_prefactor(alpha, n: int | None = None) -> RatFuncQ:
@@ -123,14 +140,27 @@ def psi_prefactor(alpha, n: int | None = None) -> RatFuncQ:
     alpha = check_orbit_label(alpha)
     if n is None:
         n = len(alpha)
-    od = odd_data(alpha, n)
-    e = (sum(n - 2 * l for l in od.indices) + _pair(lambda_alpha(alpha), z_zero(n))
-         + n * (n - 1))
-    num = QPoly([-1, 1]) ** len(od.indices)
+    k, e = _prefactor_exponents(alpha, n)
+    num = QPoly([-1, 1]) ** k
     den = QPoly.const(1)
     for i in range(1, n + 1):
         den = den * QPoly([1, 0] * (i - 1) + [1])
     return RatFuncQ(num.shift(max(e, 0)), den.shift(max(-e, 0)), _canonical=True)
+
+
+def _times_prefactor(terms: dict, alpha, n: int) -> dict:
+    """Each IntLaurent coefficient times psi_prefactor, as canonical RatFuncQs.
+
+    The denominator prod_{i<=n} [i]_{q^2} is prod_{i<=n} prod_{d | 2i, d >= 3}
+    Phi_d(q), and the cofactor (q - 1)^k q^e is coprime to every such Phi_d,
+    so exact division by the cyclotomic factors reduces each product.
+    """
+    k, e = _prefactor_exponents(alpha, n)
+    orders = [d for i in range(1, n + 1) for d in range(3, 2 * i + 1) if 2 * i % d == 0]
+    cofactor = IntLaurent([1], e)
+    for _ in range(k):
+        cofactor = cofactor * IntLaurent([-1, 1])
+    return map_distinct(terms, lambda c: over_cyclotomics(c, orders, cofactor))
 
 
 def psi_explicit(alpha, n: int | None = None) -> LaurentPoly:
@@ -138,20 +168,25 @@ def psi_explicit(alpha, n: int | None = None) -> LaurentPoly:
     alpha = check_orbit_label(alpha)
     if n is None:
         n = len(alpha)
-    return main_term(alpha, n).scale(psi_prefactor(alpha, n))
+    result = _integral_main_term(alpha, n)
+    result.terms = _times_prefactor(result.terms, alpha, n)
+    return result
 
 
 def psi_elementary(alpha, n: int | None = None) -> ElemSymExpr:
     """Psi(alpha) in elementary symmetric coordinates.
 
-    The rewrite is linear, so this is the rewrite of the integer-coefficient
-    main term with every coefficient times the prefactor: the same value as
-    to_elementary(psi_explicit(alpha, n)), at a fraction of the Q(q) work.
+    The rewrite is linear, so this is the rewrite of the integral main term
+    with every coefficient times the prefactor: the same value as
+    to_elementary(psi_explicit(alpha, n)), with Q(q) arithmetic only at the
+    end.
     """
     alpha = check_orbit_label(alpha)
     if n is None:
         n = len(alpha)
-    return to_elementary(main_term(alpha, n)).scale(psi_prefactor(alpha, n))
+    result = to_elementary(_integral_main_term(alpha, n))
+    result.terms = _times_prefactor(result.terms, alpha, n)
+    return result
 
 
 def hl_variant(kind: str, lam, n: int) -> LaurentPoly:

@@ -361,8 +361,13 @@ def ideal_verdicts(n, labels, q_specs):
     Every label's elementary form is built once, outside the q-loop.  Returns
     a list of (q0, generator_ok, members): generator_ok says, per generator
     label, whether its image matches the tabulated generator up to scaling;
-    members lists (alpha, verdict) in label order.
+    members lists (alpha, verdict) in label order.  Each q0 must be at least
+    2: q = 0 is a pole of the prefactor, and at q = 1 its factor (q - 1)^k
+    makes every odd-label image zero, a vacuous member.
     """
+    bad_q = [q0 for q0 in q_specs if q0 < 2]
+    if bad_q:
+        raise ValueError(f"q specializations must be integers >= 2, got {bad_q}")
     forms = {}
     for alpha in [*GENERATOR_LABELS[n], *labels]:
         if alpha not in forms:

@@ -141,6 +141,13 @@ def test_odd_label_error(capsys):
     assert "(1,) is not a valid orbit label" in err
 
 
+@pytest.mark.parametrize("q_spec", ["0", "1", "3,1"])
+def test_ideal_rejects_q_below_two(capsys, q_spec):
+    # q = 0 is a pole of the prefactor; at q = 1 the odd-label images vanish
+    err = run_error(capsys, "ideal", "--n", "3", "--q-spec", q_spec, "--alpha", "2,0,0;1,1,0")
+    assert "q specializations must be integers >= 2" in err
+
+
 def test_convolve_nondiagonal_error(capsys):
     # the alternating target H is one convolution block, so --method convolve
     # runs and prints what enumerate prints

@@ -159,15 +159,20 @@ def _outcome(f, *args):
 
 @st.composite
 def templates(draw):
-    n = draw(st.integers(2, 3))
+    # Vandermonde multiplicity m: 0 (plain symmetrization), 1 (alternating),
+    # 2 (symmetric again).  Size 4 only up to m = 1 and without the extra
+    # denominator binomial, whose 12 orbit images make the reference take
+    # seconds per template.
+    m = draw(st.integers(0, 2))
+    n = draw(st.integers(2, 4 if m <= 1 else 3))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     unit = st.builds(lambda s, k: s * qpow(k), st.sampled_from([1, -1]), st.integers(-2, 2))
     binomial = st.builds(lambda ij, c: ij + (c,), st.sampled_from(pairs), unit)
     mu = tuple(draw(st.integers(-1, 2)) for _ in range(n))
     num = draw(st.lists(binomial, max_size=3))
     # the Vandermonde part keeps most templates polynomial
-    den = [(i, j, ONE) for i in range(n) for j in range(i + 1, n)]
-    den += draw(st.lists(binomial, max_size=1))
+    den = [(i, j, ONE) for i in range(n) for j in range(i + 1, n)] * m
+    den += draw(st.lists(binomial, max_size=1 if n < 4 else 0))
     return n, mu, num, den
 
 

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from quatherm.ratfunc import (
     DivisionByZero,
+    IntLaurent,
     ONE,
     PoleError,
     Q,
     QPoly,
     RatFuncQ,
     ZERO,
+    cyclotomic,
     format_fraction,
+    over_cyclotomics,
     poly_gcd,
     qpow,
     w_factor,
@@ -152,3 +155,57 @@ def test_canonical_form_against_sympy_cancel():
         lead = sympy.Poly(den, q, domain="QQ").LC()
         assert list(got.num.coeffs) == coeffs(num / lead)
         assert list(got.den.coeffs) == coeffs(den / lead)
+
+
+# -- Z[q^+-1] and cyclotomic reduction -------------------------------------------------
+
+
+def test_int_laurent_normal_form():
+    assert IntLaurent([0, 0, 3, 0], -1) == IntLaurent([3], 1)
+    assert IntLaurent([0, 0]) == IntLaurent() and not IntLaurent([0])
+    assert IntLaurent.from_terms({-2: 1, 0: -1, 5: 0}) == IntLaurent([1, 0, -1], -2)
+    assert IntLaurent([1, 1], -1) - IntLaurent([1], -1) == IntLaurent([1])
+    assert IntLaurent([1, 1]) * IntLaurent([-1, 1]) == IntLaurent([-1, 0, 1])
+    assert IntLaurent([2, 3], -2).to_ratfunc() == 2 * qpow(-2) + 3 * qpow(-1)
+    assert str(IntLaurent([2, 3], 1)) == str(2 * Q + 3 * Q**2)
+
+
+def int_laurents():
+    return st.builds(IntLaurent, st.lists(st.integers(-4, 4), max_size=5),
+                     st.integers(-3, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_laurents(), int_laurents(), st.integers(-3, 3))
+def test_int_laurent_matches_ratfunc(a, b, k):
+    assert (a + b).to_ratfunc() == a.to_ratfunc() + b.to_ratfunc()
+    assert (a - b).to_ratfunc() == a.to_ratfunc() - b.to_ratfunc()
+    assert (a * b).to_ratfunc() == a.to_ratfunc() * b.to_ratfunc()
+    assert (a * k).to_ratfunc() == a.to_ratfunc() * k
+
+
+def test_cyclotomic_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    for d in range(1, 31):
+        want = sympy.Poly(sympy.cyclotomic_poly(d, q), q).all_coeffs()[::-1]
+        assert list(cyclotomic(d)) == want, d
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_laurents(), st.lists(st.sampled_from([3, 4, 6, 8]), max_size=3),
+       st.lists(st.sampled_from([3, 4, 5, 6, 8, 10]), max_size=4),
+       st.integers(0, 2), st.integers(-3, 3))
+def test_over_cyclotomics_is_the_reduced_quotient(c, factors, orders, k, e):
+    """Trial division gives the canonical form that Euclid's gcd gives."""
+    for d in factors:            # make common factors likely
+        c = c * IntLaurent(cyclotomic(d))
+    cofactor = IntLaurent([1], e)
+    for _ in range(k):
+        cofactor = cofactor * IntLaurent([-1, 1])
+    den = ONE
+    for d in orders:
+        den = den * RatFuncQ(QPoly(cyclotomic(d)))
+    want = c.to_ratfunc() * cofactor.to_ratfunc() / den
+    got = over_cyclotomics(c, orders, cofactor)
+    assert (got.num, got.den) == (want.num, want.den)

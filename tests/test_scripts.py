@@ -1,8 +1,11 @@
 """Smoke tests: the scripts in scripts/ run in-process on small inputs."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -27,3 +30,39 @@ def test_spherical_table(monkeypatch, capsys):
     assert out.count("alpha = ") == 3
     assert out.count("elementary form = ") == 3
 
+
+def _canned_result(tree, seed, jobs_per_s, commit):
+    metrics = {"setup_s": 0.25, "jobs_per_s": jobs_per_s, "job_p50_s": 1 / jobs_per_s,
+               "job_tail_s": 2 / jobs_per_s, "peak_rss_mib": 38.0}
+    out = tree / "perfbench" / "out"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"result-symbolic-seed{seed}-trace0.json").write_text(json.dumps({
+        "correct": True, "attempted": 100, "failed": 0,
+        "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()},
+        "env": {"cpu": "test cpu", "nproc": 2, "python": "3", "numpy": "2",
+                "git_commit": commit, "src_sha256": "0" * 64, "seed": seed}}))
+
+
+def test_bench_pairs_reads_canned_results(monkeypatch, capsys, tmp_path):
+    # --reuse reads the result files in place: no benchmark process starts
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (before, after) in enumerate([(10, 20), (11, 19), (12, 9)], start=1):
+        _canned_result(parent, seed, before, "aaa")
+        _canned_result(change, seed, after, "bbb")
+    out_file = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, capsys, "bench_pairs.py", "--parent", str(parent),
+                   "--change", str(change), "--workload", "symbolic", "--seeds", "1-3",
+                   "--reuse", "--out", str(out_file))
+    assert exit_info.value.code == 0
+    report = json.loads(out_file.read_text())
+    assert report["machine"]["cpu"] == "test cpu"
+    assert report["commits"]["parent"][0].startswith("aaa")
+    assert [r["position"] for r in report["runs"] if r["side"] == "parent"] == [0, 1, 0]
+    summary = report["summary"]["symbolic"]
+    assert summary["pairs"] == 3 and summary["all_correct"]
+    jps = summary["metrics"]["jobs_per_s"]
+    assert jps["parent"] == {"median": 11, "q1": 10.5, "q3": 11.5}
+    assert jps["change"]["median"] == 19 and jps["change_won"] == 2
+    assert summary["metrics"]["job_p50_s"]["change_won"] == 2      # lower is better
+    assert summary["metrics"]["setup_s"]["change_won"] == 0        # ties do not count

@@ -1,5 +1,4 @@
 import itertools
-import os
 import tracemalloc
 from fractions import Fraction
 
@@ -85,10 +84,10 @@ def test_psi_symmetric_small_sizes():
             assert psi_explicit(alpha, n).is_symmetric()
 
 
-@pytest.mark.skipif(not os.environ.get("QUATHERM_SLOW_TESTS"),
-                    reason="120-permutation orbit sum; set QUATHERM_SLOW_TESTS=1")
 def test_psi_size5_symmetric():
+    # an even label and one with two odd pairs
     assert psi_explicit((0, 0, 0, 0, 0), 5).is_symmetric()
+    assert psi_explicit((3, 3, 1, 1, 0), 5).is_symmetric()
 
 
 @pytest.mark.parametrize("alpha", [(0, 0, 0), (0, -1, -1), (2, 0, 0), (1, 1, 0),
@@ -213,3 +212,27 @@ def test_psi_prefactor_matches_product_form():
         got = psi_prefactor(alpha)
         want = _psi_prefactor_by_products(alpha, len(alpha))
         assert (got.num, got.den) == (want.num, want.den), alpha
+
+
+def _psi_labels_n34():
+    from quatherm.verify import GENERATOR_LABELS, IDEAL_LABELS, SYMMETRY_LABELS
+
+    labels = {a for table in (IDEAL_LABELS, GENERATOR_LABELS, SYMMETRY_LABELS)
+              for n in (3, 4) for a in table[n]}
+    return sorted(labels, key=lambda a: (len(a), a))
+
+
+@pytest.mark.parametrize("alpha", _psi_labels_n34())
+def test_psi_coefficients_are_euclid_products(alpha):
+    """Psi's coefficients, reduced by cyclotomic trial division, equal the
+    main-term coefficients times psi_prefactor reduced by Euclid's gcd
+    (RatFuncQ.__mul__), in both the x and the elementary coordinates."""
+    n = len(alpha)
+    pref = psi_prefactor(alpha, n)
+    main = main_term(alpha, n)
+    for got, want in ((psi_explicit(alpha, n), main),
+                      (psi_elementary(alpha, n), to_elementary(main))):
+        assert got.terms.keys() == want.terms.keys()
+        for e, c in want.terms.items():
+            product = c * pref
+            assert (got.terms[e].num, got.terms[e].den) == (product.num, product.den), e
