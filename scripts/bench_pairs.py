@@ -3,12 +3,13 @@
 
 Usage:
     python scripts/bench_pairs.py --parent TREE --change TREE --workload W \
-        [--seeds 1-10] [--seconds 20] --out BENCH_<n>.json [--reuse]
+        [--seeds 1-10] --out BENCH_<n>.json [--reuse]
 
 For each seed, runs `perfbench/run.py --workload W --seed S --seconds T
---trace 0` once in the parent tree and once in the change tree, one process
-at a time, alternating which tree goes first, and reads the result file that
-run.py leaves in the tree's `perfbench/out/`.  `--reuse` skips the runs and
+--trace 0`, with T the `run_seconds` of `BENCHMARK.json`, once in the parent
+tree and once in the change tree, one process at a time, alternating which
+tree goes first, and reads the result file that run.py leaves in the tree's
+`perfbench/out/`.  `--reuse` skips the runs and
 reads the result files already there.
 
 The output file keeps every run (earlier runs of other workloads or seeds in
@@ -101,12 +102,13 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="1-10")
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--reuse", action="store_true",
                     help="read the result files already in the trees instead of running")
     args = ap.parse_args(argv)
 
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     runs = report.get("runs", [])
@@ -114,7 +116,7 @@ def main(argv=None) -> int:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
             if not args.reuse:
-                run_benchmark(trees[side], args.workload, seed, args.seconds)
+                run_benchmark(trees[side], args.workload, seed, seconds)
             rec = read_run(trees[side], args.workload, seed, side, position)
             runs = [r for r in runs if (r["workload"], r["seed"], r["side"])
                     != (args.workload, seed, side)] + [rec]
@@ -122,16 +124,15 @@ def main(argv=None) -> int:
             print(f"{args.workload} seed {seed} {side}: jobs_per_s {m['jobs_per_s']:.4g}, "
                   f"correct {rec['correct']}", flush=True)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     env = runs[-1]["env"]
     report = {
         "machine": {"cpu": env["cpu"], "nproc": env["nproc"], "python": env["python"],
                     "numpy": env["numpy"], "platform": platform.platform()},
-        "command": f"perfbench/run.py --trace 0 --seconds {args.seconds:g}",
+        "command": f"perfbench/run.py --trace 0 --seconds {seconds:g}",
         "commits": {side: sorted({(r["env"]["git_commit"] or "none") + " src "
                                   + r["env"]["src_sha256"][:16]
                                   for r in runs if r["side"] == side}) for side in SIDES},
-        "summary": summarize(runs, metrics),
+        "summary": summarize(runs, bench["end_to_end"]),
         "runs": sorted(runs, key=lambda r: (r["workload"], r["seed"], r["position"])),
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

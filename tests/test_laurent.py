@@ -158,13 +158,13 @@ def _outcome(f, *args):
 
 
 @st.composite
-def templates(draw):
+def templates(draw, multiplicity=st.integers(0, 2), max_n=4):
     # Vandermonde multiplicity m: 0 (plain symmetrization), 1 (alternating),
     # 2 (symmetric again).  Size 4 only up to m = 1 and without the extra
     # denominator binomial, whose 12 orbit images make the reference take
     # seconds per template.
-    m = draw(st.integers(0, 2))
-    n = draw(st.integers(2, 4 if m <= 1 else 3))
+    m = draw(multiplicity)
+    n = draw(st.integers(2, max_n if m <= 1 else 3))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     unit = st.builds(lambda s, k: s * qpow(k), st.sampled_from([1, -1]), st.integers(-2, 2))
     binomial = st.builds(lambda ij, c: ij + (c,), st.sampled_from(pairs), unit)
@@ -179,6 +179,15 @@ def templates(draw):
 @settings(max_examples=40, deadline=None)
 @given(templates())
 def test_integer_engine_matches_laurentpoly_arithmetic(template):
+    assert _outcome(symmetric_sum, *template) == _outcome(_orbit_sum_reference, *template)
+
+
+@settings(max_examples=40, deadline=None)
+@given(templates(st.just(1), max_n=3))
+def test_integer_engine_alternating_with_extra_denominator(template):
+    # alternating sums up to size 3 with an optional extra denominator
+    # binomial: the sign of the canonical orientation, an lcm L beyond the
+    # Vandermonde, and outcomes that are not polynomials
     assert _outcome(symmetric_sum, *template) == _outcome(_orbit_sum_reference, *template)
 
 
