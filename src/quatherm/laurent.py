@@ -6,8 +6,9 @@ The engine computes orbit sums
     sum over permutations of  x^mu * (product of binomials) / (product of binomials)
 
 by clearing every denominator factor that occurs in any orbit term, expanding
-one polynomial, collecting it by sorted exponent, permuting only the collected
-terms, and dividing exactly once.  Every binomial constant is +-q^k, so all of
+one polynomial, collecting it by sorted exponent into alternants (or monomial
+symmetric functions), and expanding those through cached Kostka rows; only
+denominator factors beyond the Vandermonde are divided out.  Every binomial constant is +-q^k, so all of
 this runs in Z[x^+-1, q^+-1], and the result has IntLaurent coefficients;
 `symmetric_sum` converts them to Q(q).  Exact-division failure means the
 template/exponent pair does not produce a polynomial and is reported, never
@@ -17,7 +18,9 @@ truncated.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+import math
+from collections import Counter
+from functools import lru_cache
 
 from .ratfunc import ONE, IntLaurent, RatFuncQ, ZERO
 
@@ -292,11 +295,18 @@ def elementary_symmetric(n: int, k: int) -> LaurentPoly:
 
 def _unit_qpower(c) -> tuple:
     """(s, k) with c = s * q^k and s = +-1; ValueError for any other constant."""
-    c = _coerce_scalar(c)
+    c = c.to_ratfunc() if isinstance(c, IntLaurent) else _coerce_scalar(c)
     num, den = c.num.coeffs, c.den.coeffs   # den is monic
     if num and num[-1] in (1, -1) and not any(num[:-1]) and not any(den[:-1]):
         return int(num[-1]), len(num) - len(den)
     raise ValueError(f"orbit-sum binomial constants must be +-q^k, got {c}")
+
+
+def _factor(n: int, i: int, j: int, c) -> tuple:
+    """(i, j, s, k) for the binomial x_i - s q^k x_j, with 0 <= i != j < n."""
+    if i == j or not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"binomial indices must be distinct and in [0, {n}), got ({i}, {j})")
+    return (i, j) + _unit_qpower(c)
 
 
 def _mul_binomial(poly: dict, i: int, j: int, s: int, k: int) -> dict:
@@ -395,28 +405,54 @@ def _sorted_with_sign(x: tuple, alternating: bool):
     return srt, _permutation_sign(sorted(range(len(x)), key=x.__getitem__, reverse=True))
 
 
+@lru_cache(maxsize=4096)
+def _kostka_row(lam: tuple) -> tuple:
+    """((mu, K_{lam mu}), ...) over the partitions mu with len(lam) parts: the
+    monomial expansion s_lam = sum_mu K_{lam mu} m_mu on dominant weights.
+
+    Branching rule: s_lam(x_1..x_n) is the sum of s_nu(x_1..x_{n-1}) *
+    x_n^(|lam| - |nu|) over the nu interlacing lam; a dominant mu ends in a
+    dominant weight of n - 1 parts.
+    """
+    if len(lam) == 1:
+        return ((lam, 1),)
+    row = {}
+    size = sum(lam)
+    for nu in itertools.product(*[range(b, a + 1) for a, b in zip(lam, lam[1:])]):
+        last = size - sum(nu)
+        for mu, k in _kostka_row(nu):
+            if last <= mu[-1]:
+                mu += (last,)
+                row[mu] = row.get(mu, 0) + k
+    return tuple(row.items())
+
+
 def orbit_sum(n: int, mu, num_factors, den_factors) -> LaurentPoly:
     """Orbit sum of x^mu * prod(num) / prod(den) over all permutations, with
     IntLaurent coefficients in Z[q^+-1].
 
     num_factors / den_factors: iterables of (i, j, c) triples standing for the
-    binomial x_i - c*x_j (0-based indices, c = +-q^k; any other constant is
-    a ValueError).  NonExactDivision signals a non-polynomial template.
+    binomial x_i - c*x_j (0-based indices, distinct and below n, c = +-q^k;
+    anything else is a ValueError).  NonExactDivision signals a
+    non-polynomial template.
 
     Let L be the lcm of the denominators over the orbit.  L is S_n-stable:
     sigma(L) = sgn(sigma)^m * L, where m is the multiplicity of each x_a - x_b
     in L.  So L times the sum is the sum of sgn(sigma)^m * sigma(B) for the
     one polynomial B = x^mu * prod(num) * L / prod(den).  B is expanded once
-    and its terms are collected by their sorted x-exponent (for odd m an
-    exponent with a repeated entry drops out and the others take the sign of
-    their sorting permutation); only the collected terms are permuted, and
-    the sum is divided by L exactly.
+    and collected by sorted x-exponent kappa into sum_kappa c_kappa * a_kappa
+    (odd m; a_kappa the alternant) or sum_kappa c_kappa * |Stab kappa| *
+    m_kappa (even m; m_kappa the monomial symmetric function).  For odd m,
+    a_kappa = a_delta * s_{kappa - delta} (Macdonald I.3) divides by the
+    Vandermonde a_delta with no division, through cached Kostka rows.  The
+    sum is accumulated on dominant weights, expanded to the S_n orbit once,
+    and divided exactly by what is left of L (nothing for Psi).
     """
     mu = tuple(mu)
     if len(mu) != n:
         raise ValueError("exponent arity mismatch")
-    num_factors = [(i, j) + _unit_qpower(c) for (i, j, c) in num_factors]
-    den_factors = [(i, j) + _unit_qpower(c) for (i, j, c) in den_factors]
+    num_factors = [_factor(n, *f) for f in num_factors]
+    den_factors = [_factor(n, *f) for f in den_factors]
 
     # cancel denominator factors that occur verbatim in the numerator
     num_pool = list(num_factors)
@@ -428,22 +464,21 @@ def orbit_sum(n: int, mu, num_factors, den_factors) -> LaurentPoly:
             kept_den.append(f)
     num_factors, den_factors = num_pool, kept_den
 
-    perms = list(itertools.permutations(range(n)))
+    # S_n carries any pair of variables to any other, so in L every factor
+    # with the constant s q^k has the largest multiplicity that any pair has
+    # in the denominator (pairs unordered for the constant 1)
+    top = Counter(_canonical_factor(*f)[0] for f in den_factors)
     lcm = {}
-    for sigma in perms:
-        fac = {}
-        for (i, j, s, k) in den_factors:
-            key, _ = _canonical_factor(sigma[i], sigma[j], s, k)
-            fac[key] = fac.get(key, 0) + 1
-        for key, mult in fac.items():
-            if lcm.get(key, 0) < mult:
-                lcm[key] = mult
+    for (_, _, s, k), mult in top.items():
+        for a, b in itertools.permutations(range(n), 2):
+            if (s, k) != (1, 0) or a < b:
+                lcm[(a, b, s, k)] = max(lcm.get((a, b, s, k), 0), mult)
 
     # B = x^mu * num * L / den, with the sign of den's canonical orientation
     completing = dict(lcm)
     den_sign = 1
-    for (i, j, s, k) in den_factors:
-        key, sg = _canonical_factor(i, j, s, k)
+    for f in den_factors:
+        key, sg = _canonical_factor(*f)
         den_sign *= sg
         completing[key] -= 1
     base = {mu + (0,): den_sign}
@@ -453,8 +488,6 @@ def orbit_sum(n: int, mu, num_factors, den_factors) -> LaurentPoly:
         for _ in range(mult):
             base = _mul_binomial(base, *key)
 
-    # S_n acts transitively on the pairs, so every x_a - x_b has the
-    # multiplicity of x_1 - x_2
     alternating = lcm.get((0, 1, 1, 0), 0) % 2 == 1
     collected = {}
     sorted_x = {}
@@ -464,20 +497,36 @@ def orbit_sum(n: int, mu, num_factors, den_factors) -> LaurentPoly:
             sorted_x[x] = _sorted_with_sign(x, alternating)
         hit = sorted_x[x]
         if hit is not None:
-            key = hit[0] + e[n:]
-            collected[key] = collected.get(key, 0) + hit[1] * c
-    collected = [(e, c) for e, c in collected.items() if c]
+            qc = collected.setdefault(hit[0], {})
+            qc[e[n]] = qc.get(e[n], 0) + hit[1] * c
 
-    total = {}
-    get = total.get
-    for sigma in perms:
-        perm = itemgetter(*[sigma.index(u) for u in range(n)], n)
-        sign = _permutation_sign(sigma) if alternating else 1
-        for e, c in collected:
-            pe = perm(e)
-            total[pe] = get(pe, 0) + sign * c
-    total = {e: c for e, c in total.items() if c}
+    # {dominant weight: {q-exponent: int}} of L' * sum, L' = L / a_delta for
+    # odd m; s_lam = (x_1..x_n)^shift * s_{lam - shift}, shift = lam_n = kappa_n
+    dominant = {}
+    for kappa, qc in collected.items():
+        if alternating:
+            shift = kappa[-1]
+            row = _kostka_row(tuple(a - shift - (n - 1 - t) for t, a in enumerate(kappa)))
+        else:
+            stab = math.prod(map(math.factorial, Counter(kappa).values()))
+            shift, row = 0, ((kappa, stab),)
+        for nu, mult in row:
+            acc = dominant.setdefault(tuple(a + shift for a in nu), {})
+            for d, c in qc.items():
+                acc[d] = acc.get(d, 0) + mult * c
+    if alternating:
+        for a, b in itertools.combinations(range(n), 2):
+            lcm[(a, b, 1, 0)] -= 1
 
+    res = LaurentPoly(n)
+    for nu, qc in dominant.items():
+        coef = IntLaurent.from_terms(qc)
+        if coef:
+            res.terms.update(dict.fromkeys(set(itertools.permutations(nu)), coef))
+    if not any(lcm.values()):
+        return res
+    total = {x + (d,): c for x, coef in res.terms.items()
+             for d, c in enumerate(coef.coeffs, coef.lo) if c}
     for key, mult in lcm.items():
         for _ in range(mult):
             total = _div_binomial(total, *key)

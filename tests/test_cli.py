@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -54,6 +55,23 @@ def test_spherical_psi_constant(capsys):
                           "--alpha", "-1,-1", "--what", "psi")
     assert code == 0
     assert data["terms"] == {"0,0": "-1 + q"}
+
+
+# SHA-256 of the JSON output at n = 5, where no benchmark job reaches; recorded
+# from the engine that permuted the collected terms and divided by the Vandermonde
+SIZE5_DIGESTS = {
+    ("0,0,0,0,0", "psi"): "58410f39b66a7d6446d2c3142f20544a606714e790287e1be2ee994cdce1244c",
+    ("0,0,0,0,0", "main-term"): "a2f625565c757a1559a6a919f5ee95e5fe1885cf8a6a216643c12209a480a7c6",
+    ("3,3,1,1,0", "psi"): "28a80a47fafcb1b0de50adf4e909522c3b0a46af3f91918c99c2d65896025223",
+    ("3,3,1,1,0", "main-term"): "9d172de16bdbe820c8c00b86d5e5a5fb7ee713bf9b7039bdebd88f3246c6464a",
+}
+
+
+@pytest.mark.parametrize("alpha,what", sorted(SIZE5_DIGESTS))
+def test_spherical_size5_digests(capsys, alpha, what):
+    code, out = run_cli(capsys, "spherical", "--alpha", alpha, "--what", what)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIZE5_DIGESTS[alpha, what]
 
 
 def test_spherical_whats(capsys):

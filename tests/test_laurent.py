@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from quatherm.laurent import (
     LaurentPoly,
     NonExactDivision,
+    _kostka_row,
     elementary_symmetric,
+    orbit_sum,
     symmetric_sum,
 )
-from quatherm.ratfunc import ONE, Q, RatFuncQ, qpow
+from quatherm.ratfunc import ONE, Q, IntLaurent, RatFuncQ, qpow
 from quatherm.spherical import main_term, psi_explicit
 
 
@@ -239,3 +241,81 @@ def test_psi_against_sympy_symmetrization(alpha):
     got_main = main_term(alpha, n)
     assert sympy.cancel(sympy.together(to_sympy(got_main) - main)) == 0
     assert sympy.cancel(sympy.together(to_sympy(psi_explicit(alpha, n)) - pref * main)) == 0
+
+
+# -- input checks, the Kostka table and the division-free Psi path -------------------
+
+
+def test_orbit_sum_rejects_degenerate_factors():
+    # x_1 - x_1 = 0 and indices outside [0, n)
+    with pytest.raises(ValueError):
+        orbit_sum(2, (1, 0), [], [(0, 0, ONE)])
+    with pytest.raises(ValueError):
+        orbit_sum(2, (1, 0), [(0, 2, Q)], [])
+    with pytest.raises(ValueError):
+        orbit_sum(3, (1, 0, 0), [(-1, 0, Q)], [(0, 1, ONE)])
+
+
+def test_orbit_sum_accepts_intlaurent_constants():
+    # q, -q^-2 and 1 as IntLaurents
+    got = orbit_sum(2, (0, 0), [(0, 1, IntLaurent([1], 1)), (0, 1, IntLaurent([-1], -2))],
+                    [(0, 1, IntLaurent([1]))])
+    assert got == orbit_sum(2, (0, 0), [(0, 1, Q), (0, 1, -qpow(-2))], [(0, 1, ONE)])
+    for bad in (IntLaurent([1, 1]), IntLaurent([2], 1), IntLaurent()):
+        with pytest.raises(ValueError):
+            orbit_sum(2, (0, 0), [(0, 1, bad)], [(0, 1, ONE)])
+
+
+def _alternant(n, kappa):
+    out = LaurentPoly.zero(n)
+    for sigma in itertools.permutations(range(n)):
+        sign = (-1) ** sum(sigma[a] > sigma[b] for a in range(n) for b in range(a + 1, n))
+        out = out + LaurentPoly.monomial(n, kappa, sign).permute(sigma)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kostka_rows_are_bialternant_quotients(n):
+    delta = tuple(range(n - 1, -1, -1))
+    for lam in itertools.product(range(5), repeat=n):
+        if any(a < b for a, b in zip(lam, lam[1:])):
+            continue
+        schur = _alternant(n, tuple(a + d for a, d in zip(lam, delta)))
+        for i in range(n):
+            for j in range(i + 1, n):
+                schur = schur.divide_exact_binomial(i, j, ONE)
+        expanded = LaurentPoly.zero(n)
+        for mu, k in _kostka_row(lam):
+            for x in set(itertools.permutations(mu)):
+                expanded = expanded + LaurentPoly.monomial(n, x, k)
+        assert expanded == schur, lam
+
+
+def test_kostka_classic_value():
+    # s_(2,1) = m_(2,1) + 2 m_(1,1,1) in three variables
+    assert dict(_kostka_row((2, 1, 0))) == {(2, 1, 0): 1, (1, 1, 1): 2}
+
+
+def test_psi_paths_never_divide(monkeypatch):
+    from quatherm import laurent
+    from quatherm.spherical import _integral_main_term, hl_variant, size2_closed
+    from quatherm.verify import IDEAL_LABELS
+
+    calls = []
+    div = laurent._div_binomial
+    monkeypatch.setattr(laurent, "_div_binomial",
+                        lambda *args: calls.append(args[1:]) or div(*args))
+    for n, labels in IDEAL_LABELS.items():
+        for alpha in labels:
+            _integral_main_term(alpha, n)
+    for n in (3, 4):
+        for kind in ("GL", "A", "H"):
+            hl_variant(kind, (2, 1) + (0,) * (n - 2), n)
+    for alpha in [(0, 0), (4, 2), (3, 3)]:
+        size2_closed(alpha)
+    assert calls == []
+    # an extra denominator beyond the Vandermonde is still divided out:
+    # (x_2 - x_1/q) / (x_1 - q x_2) = -1/q
+    got = orbit_sum(2, (1, 0), [(1, 0, qpow(-1))], [(0, 1, Q)])
+    assert calls
+    assert got == LaurentPoly(2, {(1, 0): IntLaurent([-1], -1), (0, 1): IntLaurent([-1], -1)})
