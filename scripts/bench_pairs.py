@@ -15,13 +15,17 @@ reads the result files already there.
 The output file keeps every run (earlier runs of other workloads or seeds in
 the same file are kept, and a rerun replaces its record) and, per workload and
 end-to-end metric of `BENCHMARK.json`: each side's median and quartiles, and
-the number of pairs (same seed) in which the change is strictly better.
+the number of pairs (same seed) in which the change is strictly better.  It
+also keeps, once per side, the seconds of each check of
+`quatherm verify --suite all --timings`, run after the pairs (kept from the
+file under `--reuse`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -52,6 +56,18 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> None:
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: "
                            f"{proc.stderr.strip()}")
+
+
+def verify_seconds(tree: Path) -> dict:
+    """check id -> seconds of one `verify --suite all --timings` run in tree.
+    The suite's red checks make it exit 1, so only its JSON output counts."""
+    cmd = [sys.executable, "-m", "quatherm.cli", "verify", "--suite", "all", "--timings"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()}")
+    return {c["check_id"]: c["seconds"] for c in json.loads(proc.stdout)["checks"]}
 
 
 def read_run(tree: Path, workload: str, seed: int, side: str, position: int) -> dict:
@@ -124,6 +140,8 @@ def main(argv=None) -> int:
             print(f"{args.workload} seed {seed} {side}: jobs_per_s {m['jobs_per_s']:.4g}, "
                   f"correct {rec['correct']}", flush=True)
 
+    verify = ({side: verify_seconds(trees[side]) for side in SIDES} if not args.reuse
+              else report.get("verify_seconds", {}))
     env = runs[-1]["env"]
     report = {
         "machine": {"cpu": env["cpu"], "nproc": env["nproc"], "python": env["python"],
@@ -133,6 +151,7 @@ def main(argv=None) -> int:
                                   + r["env"]["src_sha256"][:16]
                                   for r in runs if r["side"] == side}) for side in SIDES},
         "summary": summarize(runs, bench["end_to_end"]),
+        "verify_seconds": verify,
         "runs": sorted(runs, key=lambda r: (r["workload"], r["seed"], r["position"])),
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
@@ -142,6 +161,8 @@ def main(argv=None) -> int:
             if s["pairs"]:
                 print(f"  {name:14s} {m['parent']['median']:.4g} -> {m['change']['median']:.4g}"
                       f"  change better in {m['change_won']}/{s['pairs']}")
+    for check in verify.get("change", {}):
+        print(f"verify {check}: {verify['parent'].get(check)} -> {verify['change'][check]} s")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Exact bivariate rational functions in the weight parameters (u1, u2).
 
-Fractions are kept unreduced (no multivariate gcd); equality is decided by
-cross-multiplication, which is exact and cheap at the sizes the orthogonality
-identities need.
+Coefficients are ints (a Fraction is accepted): fractions are kept unreduced,
+with no multivariate gcd, so a division by an int goes into the denominator.
+Equality is decided by cross-multiplication, exact and cheap at these sizes.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from fractions import Fraction
 
 
 class BivarPoly:
-    """Polynomial in u1, u2 over Q: dict (i, j) -> Fraction."""
+    """Polynomial in u1, u2: dict (i, j) -> int (or Fraction, if given one)."""
 
     __slots__ = ("terms",)
 
@@ -19,13 +19,14 @@ class BivarPoly:
         self.terms = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
                 if c:
                     self.terms[tuple(e)] = c
 
     @staticmethod
     def const(c) -> "BivarPoly":
-        return BivarPoly({(0, 0): Fraction(c)})
+        return BivarPoly({(0, 0): c})
 
     @staticmethod
     def u(k: int) -> "BivarPoly":
@@ -40,7 +41,7 @@ class BivarPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, Fraction(0)) + c
+            v = out.get(e, 0) + c
             if v:
                 out[e] = v
             else:
@@ -62,7 +63,7 @@ class BivarPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1])
-                v = out.get(e, Fraction(0)) + c1 * c2
+                v = out.get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 else:
@@ -155,6 +156,12 @@ class BivarRat:
         if not other.num:
             raise ZeroDivisionError("division by zero")
         return BivarRat(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, k: int):
         if k < 0:

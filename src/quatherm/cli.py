@@ -165,16 +165,18 @@ def cmd_ideal(args) -> int:
 def cmd_plancherel(args) -> int:
     alpha = _parse_label(args.alpha)
     beta = _parse_label(args.beta) if args.beta else alpha
+    if args.q is not None and args.q < 2:
+        raise ValueError(f"--q is the residue field size, an integer >= 2; got {args.q}")
     pairing = plancherel.transform_pairing(alpha, beta)
     payload = {
         "alpha": list(alpha),
         "beta": list(beta),
         "pairing": str(pairing),
         "orbit_volume_alpha": str(plancherel.orbit_volume(alpha)),
-        "plancherel_ok": plancherel.plancherel_check(alpha, beta),
-        "inversion_ok": plancherel.inversion_check(alpha, beta),
+        "plancherel_ok": plancherel.plancherel_check(alpha, beta, pairing),
+        "inversion_ok": plancherel.inversion_check(alpha, beta, pairing),
     }
-    if args.q:
+    if args.q is not None:
         payload["pairing_at_q"] = format_fraction(pairing.eval_at(args.q))
     if args.symbolic_u:
         pairs = [(l, m) for l in range(1, 5) for m in range(l, 5)]

@@ -10,16 +10,19 @@ sum at the poles W in {0, u1, u2}, the configuration fixed once for
 0 < u_i < 1 and carried unchanged to the specialization u1 = q > 1 (the
 contour deformation exists precisely so the residue set never changes).
 
-All coefficient arithmetic is generic: Fraction, Q(q) elements, or bivariate
-rationals in (u1, u2) work alike.
+The family and the integral take any exact coefficients: Fraction (int weight
+parameters become Fractions, floats are refused), RatFuncQ or CycloQ, or
+BivarRat in (u1, u2).  Transforms, volumes and the pairing at u1 = q,
+u2 = q^-2 are computed in CycloQ (no polynomial gcd) and returned as RatFuncQ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .density import check_orbit_label
-from .ratfunc import ONE, Q, RatFuncQ, qpow
+from .ratfunc import CycloQ, IntLaurent, RatFuncQ
 
 
 class UncataloguedPole(ArithmeticError):
@@ -28,6 +31,13 @@ class UncataloguedPole(ArithmeticError):
 
 def _one_of(u):
     return u**0
+
+
+def _exact(u):
+    """Ints become Fractions (u**-k and the final /2 stay exact); floats are refused."""
+    if isinstance(u, float):
+        raise TypeError("weight parameters must be exact, not float")
+    return Fraction(u) if isinstance(u, int) else u
 
 
 # -- Laurent dictionaries in Y -------------------------------------------------
@@ -121,11 +131,12 @@ class WeightW:
 
     def value(self, w):
         """Exact evaluation at an invertible point."""
-        one = _one_of(self.u1)
+        u1, u2, w = _exact(self.u1), _exact(self.u2), _exact(w)
+        one = _one_of(u1)
         winv = one / w
         num = (one - w) * (one - winv)
-        den = ((one - self.u1 * w) * (one - self.u1 * winv)
-               * (one - self.u2 * w) * (one - self.u2 * winv))
+        den = ((one - u1 * w) * (one - u1 * winv)
+               * (one - u2 * w) * (one - u2 * winv))
         return num / den
 
 
@@ -153,6 +164,7 @@ def y_integral(f: dict, u1, u2):
 
     over W in {0, u1, u2}.
     """
+    u1, u2 = _exact(u1), _exact(u2)
     one = _one_of(u1)
     zero = one - one
     if u1 == u2 or not u1 or not u2:
@@ -223,37 +235,53 @@ class TransformValue:
     h_index: int | None
 
 
-def f_hat_size2(alpha) -> TransformValue:
-    """Transform of the inverted-orbit indicator for a size-2 label."""
+_ONE, _Q = CycloQ(IntLaurent([1])), CycloQ(IntLaurent([1], 1))
+
+
+def _f_hat(alpha) -> TransformValue:
+    """f_hat_size2 with its scalar in CycloQ."""
     alpha = check_orbit_label(alpha)
     if len(alpha) != 2:
         raise ValueError("size-2 labels only")
     if alpha[0] % 2 == 0:
         l1, l2 = alpha[0] // 2, alpha[1] // 2
         if l1 == l2:
-            return TransformValue(ONE / (ONE + qpow(-2)), l1 + l2 + 1, 1)
-        scalar = qpow(l1 - l2) * (ONE - qpow(-1)) / (ONE + qpow(-2))
+            return TransformValue(_ONE / (_ONE + _Q**-2), l1 + l2 + 1, 1)
+        scalar = _Q ** (l1 - l2) * (_ONE - _Q**-1) / (_ONE + _Q**-2)
         return TransformValue(scalar, l1 + l2 + 1, l1 - l2 + 1)
     e = (alpha[0] + 1) // 2
-    return TransformValue((ONE - qpow(-2)) / (ONE + qpow(-2)), 2 * e, None)
+    return TransformValue((_ONE - _Q**-2) / (_ONE + _Q**-2), 2 * e, None)
+
+
+def _orbit_volume(alpha) -> CycloQ:
+    alpha = check_orbit_label(alpha)
+    if len(alpha) != 2:
+        raise ValueError("size-2 labels only")
+    if alpha[0] % 2 == 0:
+        l1, l2 = alpha[0] // 2, alpha[1] // 2
+        if l1 == l2:
+            return _ONE
+        return _Q ** (2 * (l1 - l2)) * (_ONE - _Q**-1)
+    return _Q**-1 * (_ONE + _Q**-1) / (_ONE + _Q**-2)
+
+
+_NORM = (_ONE + _Q**-2) ** 2 / (_ONE - _Q**-1)
+
+
+def f_hat_size2(alpha) -> TransformValue:
+    """Transform of the inverted-orbit indicator for a size-2 label."""
+    tv = _f_hat(alpha)
+    return replace(tv, scalar=tv.scalar.to_ratfunc())
 
 
 def orbit_volume(alpha) -> RatFuncQ:
     """Orbit volume normalized so the identity orbit has volume 1."""
-    alpha = check_orbit_label(alpha)
-    if len(alpha) != 2:
-        raise ValueError("size-2 labels only")
-    if alpha[0] % 2 == 0:
-        l1, l2 = alpha[0] // 2, alpha[1] // 2
-        if l1 == l2:
-            return ONE
-        return qpow(2 * (l1 - l2)) * (ONE - qpow(-1))
-    return qpow(-1) * (ONE + qpow(-1)) / (ONE + qpow(-2))
+    return _orbit_volume(alpha).to_ratfunc()
 
 
 def norm_constant() -> RatFuncQ:
     """Global normalization (1 + q^-2)^2 / (1 - q^-1) for the pairing."""
-    return (ONE + qpow(-2)) ** 2 / (ONE - qpow(-1))
+    return _NORM.to_ratfunc()
 
 
 def _y_part(tv: TransformValue, u1, u2):
@@ -269,23 +297,23 @@ def transform_pairing(alpha, beta) -> RatFuncQ:
     Specializes the weight parameters to u1 = q, u2 = q^-2 and matches the
     q^x characters exactly (distinct exponents integrate to zero).
     """
-    fa, fb = f_hat_size2(alpha), f_hat_size2(beta)
+    fa, fb = _f_hat(alpha), _f_hat(beta)
     if fa.x_exp != fb.x_exp:
         return RatFuncQ.const(0)
-    u1, u2 = Q, qpow(-2)
+    u1, u2 = _Q, _Q**-2
     inner = y_inner(_y_part(fa, u1, u2), _y_part(fb, u1, u2), u1, u2)
-    return fa.scalar * fb.scalar * inner * norm_constant()
+    return (fa.scalar * fb.scalar * inner * _NORM).to_ratfunc()
 
 
-def plancherel_check(alpha, beta) -> bool:
-    """Pairing equals the orbit volume on the diagonal and zero off it."""
-    lhs = transform_pairing(alpha, beta)
-    rhs = orbit_volume(alpha) if tuple(alpha) == tuple(beta) else RatFuncQ.const(0)
-    return lhs == rhs
+def plancherel_check(alpha, beta, pairing=None) -> bool:
+    """Pairing equals the orbit volume on the diagonal and zero off it.
+    pairing is transform_pairing(alpha, beta), if the caller has it."""
+    lhs = CycloQ.from_ratfunc(transform_pairing(alpha, beta) if pairing is None else pairing)
+    return lhs == (_orbit_volume(alpha) if tuple(alpha) == tuple(beta) else 0)
 
 
-def inversion_check(alpha, x_orbit) -> bool:
-    """Indicator recovery: pairing divided by the orbit volume is 0 or 1."""
-    val = transform_pairing(alpha, x_orbit) / orbit_volume(x_orbit)
-    expect = ONE if tuple(alpha) == tuple(x_orbit) else RatFuncQ.const(0)
-    return val == expect
+def inversion_check(alpha, x_orbit, pairing=None) -> bool:
+    """Indicator recovery: pairing divided by the orbit volume is 0 or 1.
+    pairing is transform_pairing(alpha, x_orbit), if the caller has it."""
+    val = CycloQ.from_ratfunc(transform_pairing(alpha, x_orbit) if pairing is None else pairing)
+    return val / _orbit_volume(x_orbit) == (1 if tuple(alpha) == tuple(x_orbit) else 0)

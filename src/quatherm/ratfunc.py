@@ -1,14 +1,16 @@
 """Exact coefficient arithmetic: Q, polynomials in q over Q, and the field Q(q).
 
 Everything downstream (densities, spherical polynomials, residue integrals)
-carries its scalars in one of four exact types:
+carries its scalars in one of five exact types:
 
   * ``fractions.Fraction``    -- arbitrary-precision rationals,
   * :class:`QPoly`            -- univariate polynomials in q over Q,
   * :class:`RatFuncQ`         -- the fraction field Q(q), always reduced,
                                  denominator monic,
   * :class:`IntLaurent`       -- the ring Z[q, q^-1], in which the orbit sums
-                                 of the spherical polynomials are computed.
+                                 of the spherical polynomials are computed,
+  * :class:`CycloQ`           -- Q(q) elements over c * q^k * prod Phi_d, in
+                                 which the residue pairing is computed.
 
 Negative powers of q are ordinary elements of Q(q): q**-2 is stored as the
 fraction 1/q^2, which keeps gcd reduction classical.
@@ -16,8 +18,10 @@ fraction 1/q^2, which keeps gcd reduction classical.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 class DivisionByZero(ArithmeticError):
@@ -524,34 +528,141 @@ def cyclotomic(d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_product(orders: tuple) -> QPoly:
+def _phi_product(orders: tuple) -> IntLaurent:
     out = IntLaurent([1])
     for d in orders:
         out = out * IntLaurent(cyclotomic(d))
-    return QPoly(out.coeffs)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_product(orders: tuple) -> QPoly:
+    return QPoly(_phi_product(orders).coeffs)
 
 
 def over_cyclotomics(c: IntLaurent, orders, cofactor: IntLaurent) -> RatFuncQ:
-    """c * cofactor / prod(Phi_d for d in orders) as a canonical RatFuncQ, no gcd.
+    """c * cofactor / prod(Phi_d for d in orders) as a canonical RatFuncQ, no gcd,
+    for a cofactor coprime to each Phi_d (a power of q times a power of q - 1
+    is, for d >= 3): CycloQ's trial division of c alone reduces the quotient."""
+    r = CycloQ(c, orders)
+    return (r.num * cofactor).to_ratfunc(_cyclotomic_product(r.orders))
 
-    Each Phi_d is monic and irreducible, and cofactor must be coprime to every
-    one of them (a power of q times a power of q - 1 is, for d >= 3).  So the
-    common factor of numerator and denominator is the product of the Phi_d
-    that divide c, found by exact trial division in Z[q]; a repeated order is
-    tried once per repetition.  Phi_d(0) = +-1, so each quotient keeps a
-    nonzero constant term and q^lo stays coprime to the result.
+
+class CycloQ:
+    """num / (content * prod(Phi_d for d in orders)) in Q(q): an IntLaurent, an
+    ascending tuple of cyclotomic orders with multiplicity, a positive int.
+
+    The constructor divides num by each Phi_d of orders that divides it (a
+    repeated order once per repetition) and content by its integer gcd with
+    num: a canonical form, reached without a gcd of polynomials.
     """
-    if not c:
-        return ZERO
-    num = c.coeffs
-    den = []
-    for d in orders:
-        quo, rem = _divmod_monic(num, cyclotomic(d))
-        if any(rem):
-            den.append(d)
-        else:
-            num = quo
-    return (IntLaurent(num, c.lo) * cofactor).to_ratfunc(_cyclotomic_product(tuple(den)))
+
+    __slots__ = ("num", "orders", "content")
+
+    def __init__(self, num: IntLaurent, orders=(), content: int = 1):
+        coeffs, left = num.coeffs, []
+        for d in orders:
+            quo, rem = _divmod_monic(coeffs, cyclotomic(d))
+            if any(rem):
+                left.append(d)
+            else:
+                coeffs = quo
+        g = gcd(content, *coeffs)
+        if g > 1 or coeffs is not num.coeffs:
+            num = IntLaurent(tuple(c // g for c in coeffs), num.lo)
+        self.num, self.orders, self.content = num, tuple(sorted(left)), content // g
+
+    @staticmethod
+    def from_ratfunc(r: RatFuncQ) -> "CycloQ":
+        """r in this form; ArithmeticError unless its denominator is q^k * prod Phi_d."""
+        return _from_qpoly(r.num) / _from_qpoly(r.den)
+
+    def to_ratfunc(self) -> RatFuncQ:
+        """The canonical RatFuncQ of the same value, without a gcd."""
+        r = self.num.to_ratfunc(_cyclotomic_product(self.orders))
+        return RatFuncQ(r.num.scale(Fraction(1, self.content)), r.den, _canonical=True)
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __eq__(self, other) -> bool:
+        other = _cyclo(other)
+        return (self.num, self.orders, self.content) == (other.num, other.orders, other.content)
+
+    def __add__(self, other):
+        other = _cyclo(other)
+        a, b, orders = self.num, other.num, self.orders
+        if orders != other.orders:
+            mine, theirs = Counter(orders), Counter(other.orders)
+            a = a * _phi_product(tuple((theirs - mine).elements()))
+            b = b * _phi_product(tuple((mine - theirs).elements()))
+            orders = (mine | theirs).elements()
+        content = lcm(self.content, other.content)
+        return CycloQ(a * (content // self.content) + b * (content // other.content),
+                      orders, content)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CycloQ(-self.num, self.orders, self.content)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = _cyclo(other)
+        return CycloQ(self.num * other.num, self.orders + other.orders,
+                      self.content * other.content)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "CycloQ":
+        """ArithmeticError unless the numerator is c * q^k * prod Phi_d."""
+        if not self.num:
+            raise DivisionByZero("inverse of zero in Q(q)")
+        g = gcd(*self.num.coeffs) * (1 if self.num.coeffs[-1] > 0 else -1)
+        rest, orders, d = tuple(c // g for c in self.num.coeffs), [], 1
+        while len(rest) > 1:     # phi(d) >= sqrt(d/2) bounds the orders by 2 deg^2
+            if d > 2 * (len(rest) - 1) ** 2:
+                raise ArithmeticError(f"cannot invert {self}: not c * q^k * prod Phi_d")
+            if sum(gcd(k, d) == 1 for k in range(d)) < len(rest):
+                quo, rem = _divmod_monic(rest, cyclotomic(d))
+                if not any(rem):
+                    rest, orders = quo, orders + [d]
+                    continue
+            d += 1
+        num = _phi_product(self.orders) * (self.content * (1 if g > 0 else -1))
+        return CycloQ(IntLaurent(num.coeffs, -self.num.lo), orders, abs(g))
+
+    def __truediv__(self, other):
+        return self * _cyclo(other).inverse()
+
+    def __rtruediv__(self, other):
+        return _cyclo(other) * self.inverse()
+
+    def __pow__(self, k: int) -> "CycloQ":
+        base, out = (self if k >= 0 else self.inverse()), CycloQ(IntLaurent([1]))
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def __repr__(self) -> str:
+        return str(self.to_ratfunc())
+
+
+def _cyclo(x) -> CycloQ:
+    if isinstance(x, CycloQ):
+        return x
+    x = _frac(x)
+    return CycloQ(IntLaurent([x.numerator]), (), x.denominator)
+
+
+def _from_qpoly(p: QPoly) -> CycloQ:
+    content = lcm(*(c.denominator for c in p.coeffs))
+    return CycloQ(IntLaurent([int(c * content) for c in p.coeffs]), (), content)
 
 
 def format_fraction(x: Fraction) -> str:

@@ -159,9 +159,11 @@ PLANCHEREL_SET = [(0, 0), (2, 0), (2, 2), (1, 1), (3, 3)]
 
 
 def check_plancherel_inversion(results):
+    """Three checks on one set of pairings, each computed once."""
     t0 = time.monotonic()
-    bad = [(a, b) for a in PLANCHEREL_SET for b in PLANCHEREL_SET
-           if not plancherel.plancherel_check(a, b)]
+    pairings = {(a, b): plancherel.transform_pairing(a, b)
+                for a in PLANCHEREL_SET for b in PLANCHEREL_SET}
+    bad = [(a, b) for (a, b), p in pairings.items() if not plancherel.plancherel_check(a, b, p)]
     _check(results, "plancherel.pairing",
            "normalized transform pairing is diagonal with orbit-volume values",
            "[]", str(bad), t0=t0)
@@ -170,7 +172,7 @@ def check_plancherel_inversion(results):
     prenorm = (ONE - qpow(-1)) / (ONE + qpow(-2)) ** 2
     bad = []
     for alpha in PLANCHEREL_SET:
-        got = plancherel.transform_pairing(alpha, alpha) / plancherel.norm_constant()
+        got = pairings[alpha, alpha] / plancherel.norm_constant()
         if got != plancherel.orbit_volume(alpha) * prenorm:
             bad.append(alpha)
     _check(results, "plancherel.norms",
@@ -178,8 +180,7 @@ def check_plancherel_inversion(results):
            "[]", str(bad), t0=t0)
 
     t0 = time.monotonic()
-    bad = [(a, b) for a in PLANCHEREL_SET for b in PLANCHEREL_SET
-           if not plancherel.inversion_check(a, b)]
+    bad = [(a, b) for (a, b), p in pairings.items() if not plancherel.inversion_check(a, b, p)]
     _check(results, "plancherel.inversion",
            "inversion recovers the 0/1 indicator values",
            "[]", str(bad), t0=t0)

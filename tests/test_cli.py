@@ -105,6 +105,32 @@ def test_plancherel_subcommand(capsys):
     assert data["pairing"] == "0"
 
 
+# SHA-256 of plancherel outputs, recorded from the pairing computed over RatFuncQ
+PLANCHEREL_DIGESTS = {
+    ("plancherel", "--alpha", "1,1", "--q", "3"):
+        "2d3da3f986534b9c490f63c2ea499e1031be429e837dccfe8c0ca2fd38156279",
+    ("plancherel", "--alpha", "4,2", "--q", "5"):
+        "ed3e834e394472f92548cab2e5bbc20f2b5f87bf04c848d5a36ac31346c67f96",
+    ("plancherel", "--alpha", "2,0", "--beta", "1,1", "--q", "3"):
+        "54a3279ef59f8f48b4607ac331deac1806f0b1d93fede64a4990a7eb003f710d",
+    ("plancherel", "--alpha", "6,2", "--beta", "6,2"):
+        "f25266f43e4c7bbf6fc3a63f76b4d3981a59ea44dcbd0b4f3b5ba7293603b44f",
+    ("plancherel", "--alpha", "5,5", "--q", "7"):
+        "10aa6cd6f86b4f08f99fd4b4ba271d0c7fa1e7c7b877a19c687dde185e7719d9",
+    ("plancherel", "--alpha", "3,3", "--symbolic-u"):
+        "2aa77196f5f999c69e4e0fcadabba029993e0aa16e7d39f4c16eb29174d26e3a",
+    ("--format", "text", "plancherel", "--alpha", "8,0", "--q", "2", "--symbolic-u"):
+        "230d4bfb3c013f736d948cac4e095648c5ebb8a25f3e196021d1020516ee38a5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PLANCHEREL_DIGESTS))
+def test_plancherel_digests(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PLANCHEREL_DIGESTS[argv]
+
+
 def test_verify_symbolic_green_and_deterministic(capsys):
     code1, out1 = run_cli(capsys, "verify", "--suite", "symbolic")
     code2, out2 = run_cli(capsys, "verify", "--suite", "symbolic")
@@ -164,6 +190,13 @@ def test_ideal_rejects_q_below_two(capsys, q_spec):
     # q = 0 is a pole of the prefactor; at q = 1 the odd-label images vanish
     err = run_error(capsys, "ideal", "--n", "3", "--q-spec", q_spec, "--alpha", "2,0,0;1,1,0")
     assert "q specializations must be integers >= 2" in err
+
+
+@pytest.mark.parametrize("q", ["0", "1", "-1"])
+def test_plancherel_rejects_q_below_two(capsys, q):
+    # q is the size of the residue field; --q 0 used to be dropped silently
+    err = run_error(capsys, "plancherel", "--alpha", "2,0", "--q", q)
+    assert "--q is the residue field size, an integer >= 2" in err
 
 
 def test_convolve_nondiagonal_error(capsys):

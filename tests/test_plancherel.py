@@ -3,9 +3,12 @@ from fractions import Fraction
 import pytest
 
 from quatherm.bivar import BivarPoly, BivarRat
+from quatherm import ratfunc
 from quatherm.plancherel import (
     TransformValue,
     UncataloguedPole,
+    WeightW,
+    _y_part,
     f_hat_size2,
     h_poly,
     inversion_check,
@@ -22,7 +25,7 @@ from quatherm.plancherel import (
 from quatherm.density import density_self_closed
 from quatherm.ratfunc import ONE, Q, RatFuncQ, qpow
 from quatherm.spherical import psi_explicit
-from quatherm.verify import orthogonality_suite
+from quatherm.verify import PLANCHEREL_SET, orthogonality_suite
 
 U1 = BivarRat.u(1)
 U2 = BivarRat.u(2)
@@ -174,3 +177,90 @@ def test_cross_exponent_pairs_vanish():
     # y-integral of the index-2 member against the constant
     assert f_hat_size2((2, 0)).x_exp == f_hat_size2((1, 1)).x_exp
     assert transform_pairing((2, 0), (1, 1)) == RatFuncQ.const(0)
+
+
+# -- the CycloQ pairing against the route over RatFuncQ ------------------------------
+
+# size-2 labels with entries <= 8: even (2 l1, 2 l2) and odd (e, e)
+GRID = [(0, 0), (2, 0), (2, 2), (1, 1), (3, 3), (4, 0), (4, 2), (4, 4), (5, 5), (6, 2),
+        (8, 0), (7, 7)]
+
+
+def _generic_pairing(alpha, beta):
+    """The pairing with every scalar and the integral over RatFuncQ, at
+    u1 = Q and u2 = q^-2: the route the CycloQ pairing replaced."""
+    def scalar_and_exp(a):
+        if a[0] % 2 == 0:
+            l1, l2 = a[0] // 2, a[1] // 2
+            if l1 == l2:
+                return ONE / (ONE + qpow(-2)), l1 + l2 + 1
+            return qpow(l1 - l2) * (ONE - qpow(-1)) / (ONE + qpow(-2)), l1 + l2 + 1
+        return (ONE - qpow(-2)) / (ONE + qpow(-2)), a[0] + 1
+
+    (sa, xa), (sb, xb) = scalar_and_exp(alpha), scalar_and_exp(beta)
+    if xa != xb:
+        return RatFuncQ.const(0)
+    u1, u2 = Q, qpow(-2)
+    ya = _y_part(f_hat_size2(alpha), u1, u2)
+    yb = _y_part(f_hat_size2(beta), u1, u2)
+    norm = (ONE + qpow(-2)) ** 2 / (ONE - qpow(-1))
+    return sa * sb * y_inner(ya, yb, u1, u2) * norm
+
+
+def test_transform_pairing_matches_generic_route():
+    for a in GRID:
+        for b in GRID:
+            got, want = transform_pairing(a, b), _generic_pairing(a, b)
+            assert (got.num, got.den) == (want.num, want.den), (a, b)
+            assert str(got) == str(want)
+
+
+def test_pairing_and_checks_run_no_gcd(monkeypatch):
+    calls = []
+    gcd = ratfunc.poly_gcd
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda *args: calls.append(args) or gcd(*args))
+    for a in PLANCHEREL_SET:
+        for b in PLANCHEREL_SET:
+            pairing = transform_pairing(a, b)
+            assert plancherel_check(a, b) and plancherel_check(a, b, pairing)
+            assert inversion_check(a, b) and inversion_check(a, b, pairing)
+    assert calls == []
+    # the counter sees the Euclid path of RatFuncQ
+    assert (ONE + Q) / (Q * Q - ONE) == ONE / (Q - ONE)
+    assert calls
+
+
+def test_int_weight_parameters_stay_exact():
+    got = y_integral({0: 1}, 2, 3)
+    assert got == Fraction(-1, 60) and isinstance(got, Fraction)
+    w = WeightW(2, 3)
+    assert isinstance(w.value(5), Fraction)
+    assert w.value(5) == w.value(Fraction(1, 5))
+    with pytest.raises(TypeError):
+        y_integral({0: 1}, 0.5, 3)
+    with pytest.raises(TypeError):
+        w.value(0.5)
+
+
+def test_bivar_coefficients_are_ints(monkeypatch):
+    seen = []
+    init = BivarRat.__init__
+
+    def record(self, num, den=None):
+        init(self, num, den)
+        seen.extend(self.num.terms.values())
+        seen.extend(self.den.terms.values())
+
+    monkeypatch.setattr(BivarRat, "__init__", record)
+    pairs = [(l, m) for l in range(1, 5) for m in range(1, 5)]
+    assert all(ok for _, ok in orthogonality_suite(pairs, vanishing=range(1, 5)))
+    assert seen and all(type(c) is int for c in seen)
+
+
+def test_bivar_division_parity():
+    assert (1 / U1) * U1 == 1
+    assert 2 / (ONEB + U2) == BivarRat(BivarPoly.const(2), (ONEB + U2).num)
+    assert U1 / Fraction(2, 3) == U1 * Fraction(3, 2)
+    assert BivarRat.const(Fraction(2, 3)) / Fraction(4, 9) == Fraction(3, 2)
+    with pytest.raises(TypeError):
+        BivarPoly({(0, 0): 0.5})

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatherm.ratfunc import (
+    CycloQ,
     DivisionByZero,
     IntLaurent,
     ONE,
@@ -209,3 +210,98 @@ def test_over_cyclotomics_is_the_reduced_quotient(c, factors, orders, k, e):
     want = c.to_ratfunc() * cofactor.to_ratfunc() / den
     got = over_cyclotomics(c, orders, cofactor)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+# -- Q(q) with cyclotomic denominators ----------------------------------------------
+
+
+def _refused(divisor, sympy, q):
+    """A CycloQ division may refuse only a numerator with a factor other than
+    q and the Phi_d."""
+    num, _ = sympy.fraction(sympy.cancel(sympy.together(divisor)))
+    factors = sympy.factor_list(sympy.Poly(num, q))[1]
+    assert not all(f.is_cyclotomic or f.as_expr() == q for f, _ in factors)
+
+
+def _random_expr(rng, depth, sympy, q):
+    """A random expression over +-q^k, 1 - q^a and small ints, as a triple
+    (CycloQ, RatFuncQ, sympy expression)."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.randrange(3)
+        if kind == 0:
+            k, sign = rng.randint(-3, 3), rng.choice((1, -1))
+            return sign * CycloQ(IntLaurent([1], k)), sign * qpow(k), sign * q**k
+        if kind == 1:
+            a = rng.randint(1, 6)
+            return 1 - CycloQ(IntLaurent([1], a)), ONE - qpow(a), 1 - q**a
+        n = rng.randint(-3, 3)
+        return CycloQ(IntLaurent([n])), RatFuncQ.const(n), sympy.Integer(n)
+    a = _random_expr(rng, depth - 1, sympy, q)
+    op = rng.choice("+-*/^")
+    if op == "^":
+        e = rng.randint(-2, 3)
+        if e < 0 and not a[1]:
+            e = -e
+        try:
+            return a[0] ** e, a[1] ** e, a[2] ** e
+        except ArithmeticError:
+            _refused(a[2], sympy, q)
+            return a
+    b = _random_expr(rng, depth - 1, sympy, q)
+    if op == "+":
+        return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+    if op == "-":
+        return a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    if op == "*":
+        return a[0] * b[0], a[1] * b[1], a[2] * b[2]
+    if not b[1]:
+        return a
+    try:
+        return a[0] / b[0], a[1] / b[1], a[2] / b[2]
+    except ArithmeticError:
+        _refused(b[2], sympy, q)
+        return a
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cyclo_matches_euclid_and_sympy(seed):
+    """CycloQ agrees with RatFuncQ's Euclid path and with sympy.cancel."""
+    import random
+
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    rng = random.Random(seed)
+    exprs = [_random_expr(rng, 4, sympy, q) for _ in range(6)]
+    for (c, r, e), (c2, r2, _) in zip(exprs, exprs[1:] + exprs[:1]):
+        got = c.to_ratfunc()
+        assert (got.num, got.den) == (r.num, r.den) and str(got) == str(r)
+        assert (c == c2) == (r == r2)
+        assert CycloQ.from_ratfunc(r) == c
+        num, den = sympy.fraction(sympy.cancel(sympy.together(e)))
+        lead = sympy.Poly(den, q, domain="QQ").LC()
+        for part, want in ((num, got.num), (den, got.den)):
+            cs = sympy.Poly(part / lead, q, domain="QQ").all_coeffs()[::-1]
+            assert [Fraction(int(x.p), int(x.q)) for x in cs] == list(want.coeffs)
+
+
+def test_cyclo_canonical_form():
+    q = CycloQ(IntLaurent([1], 1))
+    x = (1 - q**4) / (2 - 2 * q)
+    assert (x.num, x.orders, x.content) == (IntLaurent([1, 1, 1, 1]), (), 2)
+    y = 3 * q**-2 / ((1 + q**2) * (1 - q**3))
+    assert (y.num, y.orders, y.content) == (IntLaurent([-3], -2), (1, 3, 4), 1)
+    assert y * (1 - q**3) == 3 * q**-2 / (1 + q**2)
+    assert y.to_ratfunc() == 3 * qpow(-2) / ((ONE + Q**2) * (ONE - Q**3))
+    assert CycloQ(IntLaurent([-1, 0, 1]), (2, 1), 4) == CycloQ(IntLaurent([1]), (), 4)
+    assert not (q - q) and (q - q) == 0 and CycloQ(IntLaurent([-2]), (), 6) == Fraction(-1, 3)
+
+
+def test_cyclo_refuses_non_cyclotomic_divisors():
+    q = CycloQ(IntLaurent([1], 1))
+    for divisor in (2 * q + 1, q**2 + 3 * q + 1, q**2 - 2, 1 - q + q**2 + q**4):
+        with pytest.raises(ArithmeticError):
+            1 / divisor
+    with pytest.raises(ArithmeticError):
+        CycloQ.from_ratfunc(ONE / (Q**2 - RatFuncQ.const(2)))
+    with pytest.raises(DivisionByZero):
+        q / (q - q)

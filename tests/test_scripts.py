@@ -66,3 +66,11 @@ def test_bench_pairs_reads_canned_results(monkeypatch, capsys, tmp_path):
     assert jps["change"]["median"] == 19 and jps["change_won"] == 2
     assert summary["metrics"]["job_p50_s"]["change_won"] == 2      # lower is better
     assert summary["metrics"]["setup_s"]["change_won"] == 0        # ties do not count
+    assert report["verify_seconds"] == {}                          # nothing ran
+
+
+def test_bench_pairs_verify_seconds():
+    bench_pairs = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    seconds = bench_pairs["verify_seconds"](SCRIPTS.parent)
+    assert {"plancherel.pairing", "plancherel.inversion", "density.oracle.p3.l1.1-1"} <= set(seconds)
+    assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
