@@ -16,9 +16,9 @@ The output file keeps every run (earlier runs of other workloads or seeds in
 the same file are kept, and a rerun replaces its record) and, per workload and
 end-to-end metric of `BENCHMARK.json`: each side's median and quartiles, and
 the number of pairs (same seed) in which the change is strictly better.  It
-also keeps, once per side, the seconds of each check of
-`quatherm verify --suite all --timings`, run after the pairs (kept from the
-file under `--reuse`).
+also keeps, per side, each check's median seconds over three runs of
+`quatherm verify --suite all --timings`, one process each, run after the pairs
+(kept from the file under `--reuse`).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+VERIFY_RUNS = 3
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -59,15 +60,19 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> None:
 
 
 def verify_seconds(tree: Path) -> dict:
-    """check id -> seconds of one `verify --suite all --timings` run in tree.
-    The suite's red checks make it exit 1, so only its JSON output counts."""
+    """check id -> median seconds over VERIFY_RUNS `verify --suite all --timings`
+    processes in tree.  The suite's red checks make it exit 1, so only its
+    JSON output counts."""
     cmd = [sys.executable, "-m", "quatherm.cli", "verify", "--suite", "all", "--timings"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(tree / "src")})
-    if proc.returncode not in (0, 1):
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: "
-                           f"{proc.stderr.strip()}")
-    return {c["check_id"]: c["seconds"] for c in json.loads(proc.stdout)["checks"]}
+    runs = []
+    for _ in range(VERIFY_RUNS):
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(tree / "src")})
+        if proc.returncode not in (0, 1):
+            raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: "
+                               f"{proc.stderr.strip()}")
+        runs.append({c["check_id"]: c["seconds"] for c in json.loads(proc.stdout)["checks"]})
+    return {check: statistics.median(r[check] for r in runs) for check in runs[0]}
 
 
 def read_run(tree: Path, workload: str, seed: int, side: str, position: int) -> dict:

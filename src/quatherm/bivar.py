@@ -125,6 +125,8 @@ class BivarRat:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return BivarRat(self.num + other.num, self.den)
         return BivarRat(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__

@@ -11,6 +11,7 @@ import json
 import sys
 
 from . import counting, density, elemsym, plancherel, spherical, verify
+from .quatring import RingParams
 from .ratfunc import format_fraction
 
 
@@ -63,6 +64,7 @@ def cmd_density(args) -> int:
         if beta != alpha:
             print("closed formula available for the self-density only", file=sys.stderr)
             return 2
+        RingParams(p, 1)   # p must be an odd prime, as for the counts
         val = density.density_self_closed(alpha)
         num, den = val.as_coeff_arrays()
         payload = {
@@ -105,7 +107,7 @@ def _terms_payload(poly) -> dict:
 
 def cmd_spherical(args) -> int:
     alpha = _parse_label(args.alpha)
-    n = args.n or len(alpha)
+    n = len(alpha) if args.n is None else args.n
     what = args.what
     if what == "psi":
         payload = {"what": "psi", "alpha": list(alpha), "n": n,

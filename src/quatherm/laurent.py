@@ -3,30 +3,26 @@ symmetrization engine.
 
 The engine computes orbit sums
 
-    sum over permutations of  x^mu * (product of binomials) / (product of binomials)
+    sum over permutations of  x^mu * (product of binomials) / Delta,
 
-by clearing every denominator factor that occurs in any orbit term, expanding
-one polynomial, collecting it by sorted exponent into alternants (or monomial
-symmetric functions), and expanding those through cached Kostka rows; only
-denominator factors beyond the Vandermonde are divided out.  Every binomial constant is +-q^k, so all of
-this runs in Z[x^+-1, q^+-1], and the result has IntLaurent coefficients;
-`symmetric_sum` converts them to Q(q).  Exact-division failure means the
-template/exponent pair does not produce a polynomial and is reported, never
-truncated.
+Delta = prod_{i<j} (x_i - x_j) the Vandermonde, the one denominator of every
+orbit sum in the paper.  It expands the numerator once and collects it by
+sorted exponent into alternants; an alternant over Delta is a Schur
+polynomial, expanded through cached Kostka rows, so nothing is divided.  Every
+binomial constant is +-q^k, so all of this runs in Z[x^+-1, q^+-1], and the
+result has IntLaurent coefficients; `symmetric_sum` converts them to Q(q).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 from functools import lru_cache
 
 from .ratfunc import ONE, IntLaurent, RatFuncQ, ZERO
 
 
 class NonExactDivision(ArithmeticError):
-    """Orbit sum is not divisible by the cleared denominator."""
+    """A polynomial is not divisible by the binomial it is divided by."""
 
 
 def _coerce_scalar(c):
@@ -289,8 +285,7 @@ def elementary_symmetric(n: int, k: int) -> LaurentPoly:
 #
 # Every binomial of an orbit-sum template is x_i - s*q^k x_j with s = +-1, so
 # the engine works in Z[x^+-1, q^+-1]: a polynomial is a dict from exponent
-# tuples (e_1, ..., e_n, e_q) to ints.  Each divisor is monic in x_i and its
-# other coefficient is a unit, so exact division needs no gcd.
+# tuples (e_1, ..., e_n, e_q) to ints.
 
 
 def _unit_qpower(c) -> tuple:
@@ -326,65 +321,6 @@ def _mul_binomial(poly: dict, i: int, j: int, s: int, k: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _div_binomial(poly: dict, i: int, j: int, s: int, k: int) -> dict:
-    """Exact quotient poly / (x_i - s q^k x_j); raises NonExactDivision.
-
-    Synthetic division in x_i, highest layer first, as in
-    LaurentPoly.divide_exact_binomial: the divisor is monic in x_i, so each
-    step only moves s*q^k times a coefficient one x_i-degree down.
-    """
-    by_deg = {}
-    for e, c in poly.items():
-        by_deg.setdefault(e[i], {})[e] = c
-    if not by_deg:
-        return {}
-    dmin = min(by_deg)
-    quo = {}
-    for d in range(max(by_deg), dmin - 1, -1):
-        layer = by_deg.pop(d, None)
-        if not layer:
-            continue
-        if d == dmin:
-            c = s * RatFuncQ.q_power(k)
-            raise NonExactDivision(f"not divisible by x_{i+1} - ({c}) x_{j+1}")
-        lower = by_deg.setdefault(d - 1, {})
-        for e, c in layer.items():
-            qe = list(e)
-            qe[i] -= 1
-            quo[tuple(qe)] = c
-            # subtracting c x^qe (x_i - s q^k x_j) cancels this term and
-            # pushes s q^k c x^qe x_j one x_i-degree down
-            qe[j] += 1
-            qe[-1] += k
-            re = tuple(qe)
-            v = lower.get(re, 0) + s * c
-            if v:
-                lower[re] = v
-            else:
-                del lower[re]
-    return quo
-
-
-def _collect_q(n: int, poly: dict) -> LaurentPoly:
-    """Collect the q-exponents of each x-monomial into one IntLaurent coefficient."""
-    by_x = {}
-    for e, c in poly.items():
-        by_x.setdefault(e[:n], {})[e[n]] = c
-    res = LaurentPoly(n)
-    res.terms = {x: IntLaurent.from_terms(qc) for x, qc in by_x.items()}
-    return res
-
-
-def _canonical_factor(i: int, j: int, s: int, k: int):
-    """Canonical key and sign for the binomial x_i - s q^k x_j.
-
-    Only the constant 1 has an orientation ambiguity: x_j - x_i = -(x_i - x_j).
-    """
-    if (s, k) == (1, 0) and i > j:
-        return (j, i, s, k), -1
-    return (i, j, s, k), 1
-
-
 def _permutation_sign(sigma) -> int:
     sign = 1
     for a in range(len(sigma)):
@@ -394,15 +330,13 @@ def _permutation_sign(sigma) -> int:
     return sign
 
 
-def _sorted_with_sign(x: tuple, alternating: bool):
+def _sorted_with_sign(x: tuple):
     """(x sorted decreasingly, sign of the sorting permutation), or None when
-    alternating and x repeats an entry (its alternating orbit sum is zero)."""
-    srt = tuple(sorted(x, reverse=True))
-    if not alternating:
-        return srt, 1
+    x repeats an entry (its alternating orbit sum is zero)."""
     if len(set(x)) < len(x):
         return None
-    return srt, _permutation_sign(sorted(range(len(x)), key=x.__getitem__, reverse=True))
+    return (tuple(sorted(x, reverse=True)),
+            _permutation_sign(sorted(range(len(x)), key=x.__getitem__, reverse=True)))
 
 
 @lru_cache(maxsize=4096)
@@ -427,117 +361,63 @@ def _kostka_row(lam: tuple) -> tuple:
     return tuple(row.items())
 
 
-def orbit_sum(n: int, mu, num_factors, den_factors) -> LaurentPoly:
-    """Orbit sum of x^mu * prod(num) / prod(den) over all permutations, with
-    IntLaurent coefficients in Z[q^+-1].
+def orbit_sum(n: int, mu, num_factors) -> LaurentPoly:
+    """Orbit sum of x^mu * prod(num) / Delta over all permutations, with
+    IntLaurent coefficients in Z[q^+-1]; Delta = prod_{i<j} (x_i - x_j) is the
+    Vandermonde.
 
-    num_factors / den_factors: iterables of (i, j, c) triples standing for the
-    binomial x_i - c*x_j (0-based indices, distinct and below n, c = +-q^k;
-    anything else is a ValueError).  NonExactDivision signals a
-    non-polynomial template.
+    num_factors: an iterable of (i, j, c) triples standing for the binomial
+    x_i - c*x_j (0-based indices, distinct and below n, c = +-q^k; anything
+    else is a ValueError).  A plain symmetrization of x^mu is the numerator
+    Delta itself.
 
-    Let L be the lcm of the denominators over the orbit.  L is S_n-stable:
-    sigma(L) = sgn(sigma)^m * L, where m is the multiplicity of each x_a - x_b
-    in L.  So L times the sum is the sum of sgn(sigma)^m * sigma(B) for the
-    one polynomial B = x^mu * prod(num) * L / prod(den).  B is expanded once
-    and collected by sorted x-exponent kappa into sum_kappa c_kappa * a_kappa
-    (odd m; a_kappa the alternant) or sum_kappa c_kappa * |Stab kappa| *
-    m_kappa (even m; m_kappa the monomial symmetric function).  For odd m,
-    a_kappa = a_delta * s_{kappa - delta} (Macdonald I.3) divides by the
-    Vandermonde a_delta with no division, through cached Kostka rows.  The
-    sum is accumulated on dominant weights, expanded to the S_n orbit once,
-    and divided exactly by what is left of L (nothing for Psi).
+    sigma(Delta) = sgn(sigma) * Delta, so the sum is Delta^-1 times the sum of
+    sgn(sigma) * sigma(B) for the one polynomial B = x^mu * prod(num).  B is
+    expanded once and collected by sorted x-exponent kappa into
+    sum_kappa c_kappa * a_kappa, a_kappa the alternant, and
+    a_kappa / Delta = s_{kappa - delta} (Macdonald I.3) goes to monomials
+    through cached Kostka rows.  The sum is accumulated on dominant weights
+    and expanded to the S_n orbit once.
     """
     mu = tuple(mu)
     if len(mu) != n:
         raise ValueError("exponent arity mismatch")
     num_factors = [_factor(n, *f) for f in num_factors]
-    den_factors = [_factor(n, *f) for f in den_factors]
-
-    # cancel denominator factors that occur verbatim in the numerator
-    num_pool = list(num_factors)
-    kept_den = []
-    for f in den_factors:
-        if f in num_pool:
-            num_pool.remove(f)
-        else:
-            kept_den.append(f)
-    num_factors, den_factors = num_pool, kept_den
-
-    # S_n carries any pair of variables to any other, so in L every factor
-    # with the constant s q^k has the largest multiplicity that any pair has
-    # in the denominator (pairs unordered for the constant 1)
-    top = Counter(_canonical_factor(*f)[0] for f in den_factors)
-    lcm = {}
-    for (_, _, s, k), mult in top.items():
-        for a, b in itertools.permutations(range(n), 2):
-            if (s, k) != (1, 0) or a < b:
-                lcm[(a, b, s, k)] = max(lcm.get((a, b, s, k), 0), mult)
-
-    # B = x^mu * num * L / den, with the sign of den's canonical orientation
-    completing = dict(lcm)
-    den_sign = 1
-    for f in den_factors:
-        key, sg = _canonical_factor(*f)
-        den_sign *= sg
-        completing[key] -= 1
-    base = {mu + (0,): den_sign}
+    base = {mu + (0,): 1}
     for f in num_factors:
         base = _mul_binomial(base, *f)
-    for key, mult in completing.items():
-        for _ in range(mult):
-            base = _mul_binomial(base, *key)
 
-    alternating = lcm.get((0, 1, 1, 0), 0) % 2 == 1
     collected = {}
     sorted_x = {}
     for e, c in base.items():
         x = e[:n]
         if x not in sorted_x:
-            sorted_x[x] = _sorted_with_sign(x, alternating)
+            sorted_x[x] = _sorted_with_sign(x)
         hit = sorted_x[x]
         if hit is not None:
             qc = collected.setdefault(hit[0], {})
             qc[e[n]] = qc.get(e[n], 0) + hit[1] * c
 
-    # {dominant weight: {q-exponent: int}} of L' * sum, L' = L / a_delta for
-    # odd m; s_lam = (x_1..x_n)^shift * s_{lam - shift}, shift = lam_n = kappa_n
+    # {dominant weight: {q-exponent: int}} of the sum;
+    # s_lam = (x_1..x_n)^shift * s_{lam - shift}, shift = lam_n = kappa_n
     dominant = {}
     for kappa, qc in collected.items():
-        if alternating:
-            shift = kappa[-1]
-            row = _kostka_row(tuple(a - shift - (n - 1 - t) for t, a in enumerate(kappa)))
-        else:
-            stab = math.prod(map(math.factorial, Counter(kappa).values()))
-            shift, row = 0, ((kappa, stab),)
-        for nu, mult in row:
+        shift = kappa[-1]
+        for nu, mult in _kostka_row(tuple(a - shift - (n - 1 - t) for t, a in enumerate(kappa))):
             acc = dominant.setdefault(tuple(a + shift for a in nu), {})
             for d, c in qc.items():
                 acc[d] = acc.get(d, 0) + mult * c
-    if alternating:
-        for a, b in itertools.combinations(range(n), 2):
-            lcm[(a, b, 1, 0)] -= 1
 
     res = LaurentPoly(n)
     for nu, qc in dominant.items():
         coef = IntLaurent.from_terms(qc)
         if coef:
             res.terms.update(dict.fromkeys(set(itertools.permutations(nu)), coef))
-    if not any(lcm.values()):
-        return res
-    total = {x + (d,): c for x, coef in res.terms.items()
-             for d, c in enumerate(coef.coeffs, coef.lo) if c}
-    for key, mult in lcm.items():
-        for _ in range(mult):
-            total = _div_binomial(total, *key)
-    return _collect_q(n, total)
+    return res
 
 
-def symmetric_sum(n: int, mu, num_factors, den_factors, scalar=None) -> LaurentPoly:
-    """The orbit sum of `orbit_sum` with RatFuncQ coefficients, times scalar
-    (in Q(q)) when given."""
-    result = orbit_sum(n, mu, num_factors, den_factors)
+def symmetric_sum(n: int, mu, num_factors) -> LaurentPoly:
+    """The orbit sum of `orbit_sum` with RatFuncQ coefficients."""
+    result = orbit_sum(n, mu, num_factors)
     result.terms = map_distinct(result.terms, IntLaurent.to_ratfunc)
-    if scalar is not None:
-        result = result.scale(scalar)
     return result

@@ -98,18 +98,23 @@ def _pair(lam, z) -> int:
 # -- the explicit formula ----------------------------------------------------------
 
 
-def _integral_main_term(alpha, n: int) -> LaurentPoly:
-    """The symmetrized sum with IntLaurent coefficients in Z[q^+-1]."""
+def _main_term_factors(alpha, n: int) -> list:
+    """The numerator over the Vandermonde: (x_i - q x_j)(x_i - q^-2 x_j) for
+    i < j, less each odd pair's (x_l - q x_{l+1}), which cancels its
+    denominator."""
+    odd = {(l - 1, l) for l in _odd_indices(alpha, n)}
     num = []
-    den = []
     for i in range(n):
         for j in range(i + 1, n):
-            num.append((i, j, Q))
+            if (i, j) not in odd:
+                num.append((i, j, Q))
             num.append((i, j, qpow(-2)))
-            den.append((i, j, ONE))
-    for l in _odd_indices(alpha, n):
-        den.append((l - 1, l, Q))
-    return orbit_sum(n, lambda_alpha(alpha), num, den)
+    return num
+
+
+def _integral_main_term(alpha, n: int) -> LaurentPoly:
+    """The symmetrized sum with IntLaurent coefficients in Z[q^+-1]."""
+    return orbit_sum(n, lambda_alpha(alpha), _main_term_factors(alpha, n))
 
 
 def main_term(alpha, n: int | None = None) -> LaurentPoly:
@@ -117,9 +122,7 @@ def main_term(alpha, n: int | None = None) -> LaurentPoly:
     alpha = check_orbit_label(alpha)
     if n is None:
         n = len(alpha)
-    result = _integral_main_term(alpha, n)
-    result.terms = map_distinct(result.terms, IntLaurent.to_ratfunc)
-    return result
+    return symmetric_sum(n, lambda_alpha(alpha), _main_term_factors(alpha, n))
 
 
 def _prefactor_exponents(alpha, n: int):
@@ -200,13 +203,8 @@ def hl_variant(kind: str, lam, n: int) -> LaurentPoly:
     cmap = {"GL": qpow(-1), "A": qpow(-2), "H": -qpow(-1)}
     if kind not in cmap:
         raise ValueError(f"unknown kind {kind!r}")
-    num = []
-    den = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            num.append((i, j, cmap[kind]))
-            den.append((i, j, ONE))
-    return symmetric_sum(n, lam, num, den)
+    num = [(i, j, cmap[kind]) for i in range(n) for j in range(i + 1, n)]
+    return symmetric_sum(n, lam, num)
 
 
 # -- size 2 closed form -------------------------------------------------------------
@@ -224,7 +222,7 @@ def size2_closed(alpha):
     g2 = gn_factor(2)
     if alpha[0] % 2 == 0 and alpha[1] % 2 == 0:
         lam = (alpha[0] // 2, alpha[1] // 2)
-        s = symmetric_sum(2, lam, [(0, 1, qpow(-2)), (0, 1, Q)], [(0, 1, ONE)])
+        s = symmetric_sum(2, lam, [(0, 1, qpow(-2)), (0, 1, Q)])
         pref = qpow(_pair(lam, z_zero(2))) / (ONE + qpow(-2))
         return s.scale(pref), g2
     # equal odd pair 2e - 1

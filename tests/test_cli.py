@@ -199,6 +199,20 @@ def test_plancherel_rejects_q_below_two(capsys, q):
     assert "--q is the residue field size, an integer >= 2" in err
 
 
+@pytest.mark.parametrize("method", ["closed", "enumerate"])
+@pytest.mark.parametrize("p", ["0", "1", "-3", "4"])
+def test_density_rejects_p_not_an_odd_prime(capsys, method, p):
+    # the closed formula used to die on a pole at p = 0 and to evaluate at the rest
+    err = run_error(capsys, "density", "--method", method, "--alpha", "0,0", f"--p={p}")
+    assert f"p must be an odd prime, got {p}" in err
+
+
+def test_spherical_n_zero_is_an_arity_error(capsys):
+    # --n 0 used to be read as "no --n", that is n = len(alpha)
+    err = run_error(capsys, "spherical", "--n", "0", "--alpha", "0,0")
+    assert "arity mismatch" in err
+
+
 def test_convolve_nondiagonal_error(capsys):
     # the alternating target H is one convolution block, so --method convolve
     # runs and prints what enumerate prints

@@ -41,6 +41,16 @@ def test_bivar_equality_cross_multiplies():
     assert BivarPoly.const(0) == BivarPoly({})
 
 
+def test_bivar_sum_over_a_shared_denominator():
+    # equal denominators add numerators; the value is the cross-multiplied sum
+    den = (ONEB - U1 * U2).num
+    a, b = BivarRat(U1.num, den), BivarRat((ONEB + U2).num, den)
+    got = a + b
+    assert got.den == den and got.num == U1.num + (ONEB + U2).num
+    assert got == BivarRat(a.num * b.den + b.num * a.den, a.den * b.den)
+    assert (a - a).num == BivarPoly() and (a - a).den == den
+
+
 def test_h1_value():
     h1 = h_poly(1, U1, U2)
     c = ONEB - U1 * U2

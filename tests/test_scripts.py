@@ -1,7 +1,10 @@
 """Smoke tests: the scripts in scripts/ run in-process on small inputs."""
 
+import importlib.util
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,8 +72,57 @@ def test_bench_pairs_reads_canned_results(monkeypatch, capsys, tmp_path):
     assert report["verify_seconds"] == {}                          # nothing ran
 
 
-def test_bench_pairs_verify_seconds():
+def test_bench_pairs_verify_seconds(monkeypatch):
+    # one real `verify --suite all --timings` run, replayed with its seconds
+    # times 3, 1 and 2: the script keeps each check's median, twice the real
     bench_pairs = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    real = subprocess.run([sys.executable, "-m", "quatherm.cli", "verify", "--suite", "all",
+                           "--timings"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")})
+    assert real.returncode in (0, 1), real.stderr
+    scales = [3, 1, 2]
+
+    def replay(cmd, **kwargs):
+        data = json.loads(real.stdout)
+        scale = scales.pop(0)
+        for check in data["checks"]:
+            check["seconds"] *= scale
+        return subprocess.CompletedProcess(cmd, real.returncode, json.dumps(data), "")
+
+    monkeypatch.setattr(subprocess, "run", replay)
     seconds = bench_pairs["verify_seconds"](SCRIPTS.parent)
+    assert bench_pairs["VERIFY_RUNS"] == 3 and scales == []
     assert {"plancherel.pairing", "plancherel.inversion", "density.oracle.p3.l1.1-1"} <= set(seconds)
+    assert seconds == {c["check_id"]: 2 * c["seconds"]
+                       for c in json.loads(real.stdout)["checks"]}
     assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
+
+
+def test_tracer_binds_every_target():
+    # perfbench/tracing.py names library functions by string; a deletion or
+    # rename in the library must fail here rather than break a traced run
+    path = SCRIPTS.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def bindings():
+        return {(name, attr): id(val) for name, mod in sys.modules.items()
+                if name == "quatherm" or name.startswith("quatherm.")
+                for attr, val in list(vars(mod).items()) + [
+                    (f"{cls}.{meth}", fn) for cls, obj in vars(mod).items()
+                    if isinstance(obj, type) for meth, fn in vars(obj).items()]}
+
+    import quatherm.cli  # noqa: F401
+    before = bindings()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        prefixes = {prefix for _, _, prefix, _, _ in tracing._TARGETS}
+        assert set(tracer.agg) == prefixes
+        from quatherm import laurent, spherical
+        assert spherical.symmetric_sum is laurent.symmetric_sum
+        assert hasattr(laurent.symmetric_sum, "__wrapped__")
+    finally:
+        tracer.uninstall()
+    assert bindings() == before
