@@ -15,10 +15,15 @@ reads the result files already there.
 The output file keeps every run (earlier runs of other workloads or seeds in
 the same file are kept, and a rerun replaces its record) and, per workload and
 end-to-end metric of `BENCHMARK.json`: each side's median and quartiles, and
-the number of pairs (same seed) in which the change is strictly better.  It
-also keeps, per side, each check's median seconds over three runs of
-`quatherm verify --suite all --timings`, one process each, run after the pairs
-(kept from the file under `--reuse`).
+the number of pairs (same seed) in which the change is strictly better.  After
+the pairs it runs, per side and one process at a time:
+  - three `quatherm verify --suite all --timings`, keeping each check's median
+    seconds under `verify_seconds`;
+  - the tier-1 suite once (ROADMAP's command, `python -m pytest -q
+    --continue-on-collection-errors`, with `-p no:cacheprovider` so that no
+    `.pytest_cache` is left in the tree), keeping its wall seconds and its
+    passed, failed, skipped and error counts under `tier1`.
+`--reuse` keeps both from the file.
 """
 
 from __future__ import annotations
@@ -27,9 +32,11 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +66,10 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> None:
                            f"{proc.stderr.strip()}")
 
 
+def _env(tree: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(tree / "src")}
+
+
 def verify_seconds(tree: Path) -> dict:
     """check id -> median seconds over VERIFY_RUNS `verify --suite all --timings`
     processes in tree.  The suite's red checks make it exit 1, so only its
@@ -66,13 +77,31 @@ def verify_seconds(tree: Path) -> dict:
     cmd = [sys.executable, "-m", "quatherm.cli", "verify", "--suite", "all", "--timings"]
     runs = []
     for _ in range(VERIFY_RUNS):
-        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(tree / "src")})
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=_env(tree))
         if proc.returncode not in (0, 1):
             raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: "
                                f"{proc.stderr.strip()}")
         runs.append({c["check_id"]: c["seconds"] for c in json.loads(proc.stdout)["checks"]})
     return {check: statistics.median(r[check] for r in runs) for check in runs[0]}
+
+
+def tier1(tree: Path) -> dict:
+    """Wall seconds and outcome counts of one tier-1 run in tree, read from
+    pytest's closing summary line ("2 failed, 447 passed, 18 skipped in ...")."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "-p", "no:cacheprovider"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=_env(tree))
+    seconds = time.perf_counter() - t0
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    found = re.findall(r"(\d+) (passed|failed|skipped|error)", summary)
+    if proc.returncode not in (0, 1) or not found:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: "
+                           f"{summary or proc.stderr.strip()}")
+    counts = dict.fromkeys(("passed", "failed", "skipped", "error"), 0)
+    for n, outcome in found:
+        counts[outcome] += int(n)
+    return {"seconds": seconds, **counts}
 
 
 def read_run(tree: Path, workload: str, seed: int, side: str, position: int) -> dict:
@@ -145,8 +174,11 @@ def main(argv=None) -> int:
             print(f"{args.workload} seed {seed} {side}: jobs_per_s {m['jobs_per_s']:.4g}, "
                   f"correct {rec['correct']}", flush=True)
 
-    verify = ({side: verify_seconds(trees[side]) for side in SIDES} if not args.reuse
-              else report.get("verify_seconds", {}))
+    if args.reuse:
+        verify, suite = report.get("verify_seconds", {}), report.get("tier1", {})
+    else:
+        verify = {side: verify_seconds(trees[side]) for side in SIDES}
+        suite = {side: tier1(trees[side]) for side in SIDES}
     env = runs[-1]["env"]
     report = {
         "machine": {"cpu": env["cpu"], "nproc": env["nproc"], "python": env["python"],
@@ -157,6 +189,7 @@ def main(argv=None) -> int:
                                   for r in runs if r["side"] == side}) for side in SIDES},
         "summary": summarize(runs, bench["end_to_end"]),
         "verify_seconds": verify,
+        "tier1": suite,
         "runs": sorted(runs, key=lambda r: (r["workload"], r["seed"], r["position"])),
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
@@ -168,6 +201,9 @@ def main(argv=None) -> int:
                       f"  change better in {m['change_won']}/{s['pairs']}")
     for check in verify.get("change", {}):
         print(f"verify {check}: {verify['parent'].get(check)} -> {verify['change'][check]} s")
+    for side, t in suite.items():
+        print(f"tier-1 {side}: {t['passed']} passed, {t['failed']} failed, "
+              f"{t['skipped']} skipped, {t['error']} errors in {t['seconds']:.1f} s")
     return 0
 
 

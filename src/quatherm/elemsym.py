@@ -321,7 +321,7 @@ def schwartz_image_generators(n: int):
     on s_2 (not its square): only with this value does the membership suite
     close, and it matches the shape of the size-4 cross term.
     """
-    # every coefficient lies in Z[q^+-1]; Q(q) is reached without a gcd
+    # every coefficient lies in Z[q^+-1]
     one, q = IntLaurent([1]), IntLaurent([1], 1)
     t = IntLaurent([1, 1, 1], -2)        # q^-2 + q^-1 + 1
     u = IntLaurent([1, 0, 1], -2)        # q^-2 + 1
@@ -336,7 +336,7 @@ def schwartz_image_generators(n: int):
                 {(0, 2, 0, 0): one, (1, 0, 1, 0): -(q * t), (0, 0, 0, 1): q * q * q * u * u * t})
     else:
         raise ValueError("generators tabulated for sizes 3 and 4 only")
-    return tuple(ElemSymExpr(n, {e: x.to_ratfunc() for e, x in g.items()}) for g in gens)
+    return tuple(ElemSymExpr(n, {e: RatFuncQ(x) for e, x in g.items()}) for g in gens)
 
 
 def image_ideal_basis(n: int, q0, order: str = "grevlex") -> GroebnerBasis:

@@ -290,10 +290,11 @@ def elementary_symmetric(n: int, k: int) -> LaurentPoly:
 
 def _unit_qpower(c) -> tuple:
     """(s, k) with c = s * q^k and s = +-1; ValueError for any other constant."""
-    c = c.to_ratfunc() if isinstance(c, IntLaurent) else _coerce_scalar(c)
-    num, den = c.num.coeffs, c.den.coeffs   # den is monic
-    if num and num[-1] in (1, -1) and not any(num[:-1]) and not any(den[:-1]):
-        return int(num[-1]), len(num) - len(den)
+    c = _coerce_scalar(c)
+    if isinstance(c, RatFuncQ) and c.content == 1 and not c.orders:
+        c = c.num
+    if isinstance(c, IntLaurent) and c.coeffs in ((1,), (-1,)):
+        return c.coeffs[0], c.lo
     raise ValueError(f"orbit-sum binomial constants must be +-q^k, got {c}")
 
 
@@ -419,5 +420,5 @@ def orbit_sum(n: int, mu, num_factors) -> LaurentPoly:
 def symmetric_sum(n: int, mu, num_factors) -> LaurentPoly:
     """The orbit sum of `orbit_sum` with RatFuncQ coefficients."""
     result = orbit_sum(n, mu, num_factors)
-    result.terms = map_distinct(result.terms, IntLaurent.to_ratfunc)
+    result.terms = map_distinct(result.terms, RatFuncQ)
     return result

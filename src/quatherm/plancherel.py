@@ -11,18 +11,20 @@ sum at the poles W in {0, u1, u2}, the configuration fixed once for
 contour deformation exists precisely so the residue set never changes).
 
 The family and the integral take any exact coefficients: Fraction (int weight
-parameters become Fractions, floats are refused), RatFuncQ or CycloQ, or
-BivarRat in (u1, u2).  Transforms, volumes and the pairing at u1 = q,
-u2 = q^-2 are computed in CycloQ (no polynomial gcd) and returned as RatFuncQ.
+parameters become Fractions, floats are refused), RatFuncQ, or BivarRat in
+(u1, u2).  Transforms, volumes and the pairing at u1 = q, u2 = q^-2 are
+RatFuncQ values, whose denominators c * q^k * prod Phi_d are reduced by
+cyclotomic trial division, with no polynomial gcd.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .density import check_orbit_label
-from .ratfunc import CycloQ, IntLaurent, RatFuncQ
+from .ratfunc import ONE, Q, ZERO, RatFuncQ
 
 
 class UncataloguedPole(ArithmeticError):
@@ -235,53 +237,38 @@ class TransformValue:
     h_index: int | None
 
 
-_ONE, _Q = CycloQ(IntLaurent([1])), CycloQ(IntLaurent([1], 1))
-
-
-def _f_hat(alpha) -> TransformValue:
-    """f_hat_size2 with its scalar in CycloQ."""
-    alpha = check_orbit_label(alpha)
-    if len(alpha) != 2:
-        raise ValueError("size-2 labels only")
-    if alpha[0] % 2 == 0:
-        l1, l2 = alpha[0] // 2, alpha[1] // 2
-        if l1 == l2:
-            return TransformValue(_ONE / (_ONE + _Q**-2), l1 + l2 + 1, 1)
-        scalar = _Q ** (l1 - l2) * (_ONE - _Q**-1) / (_ONE + _Q**-2)
-        return TransformValue(scalar, l1 + l2 + 1, l1 - l2 + 1)
-    e = (alpha[0] + 1) // 2
-    return TransformValue((_ONE - _Q**-2) / (_ONE + _Q**-2), 2 * e, None)
-
-
-def _orbit_volume(alpha) -> CycloQ:
-    alpha = check_orbit_label(alpha)
-    if len(alpha) != 2:
-        raise ValueError("size-2 labels only")
-    if alpha[0] % 2 == 0:
-        l1, l2 = alpha[0] // 2, alpha[1] // 2
-        if l1 == l2:
-            return _ONE
-        return _Q ** (2 * (l1 - l2)) * (_ONE - _Q**-1)
-    return _Q**-1 * (_ONE + _Q**-1) / (_ONE + _Q**-2)
-
-
-_NORM = (_ONE + _Q**-2) ** 2 / (_ONE - _Q**-1)
-
-
 def f_hat_size2(alpha) -> TransformValue:
     """Transform of the inverted-orbit indicator for a size-2 label."""
-    tv = _f_hat(alpha)
-    return replace(tv, scalar=tv.scalar.to_ratfunc())
+    alpha = check_orbit_label(alpha)
+    if len(alpha) != 2:
+        raise ValueError("size-2 labels only")
+    if alpha[0] % 2 == 0:
+        l1, l2 = alpha[0] // 2, alpha[1] // 2
+        if l1 == l2:
+            return TransformValue(ONE / (ONE + Q**-2), l1 + l2 + 1, 1)
+        scalar = Q ** (l1 - l2) * (ONE - Q**-1) / (ONE + Q**-2)
+        return TransformValue(scalar, l1 + l2 + 1, l1 - l2 + 1)
+    e = (alpha[0] + 1) // 2
+    return TransformValue((ONE - Q**-2) / (ONE + Q**-2), 2 * e, None)
 
 
 def orbit_volume(alpha) -> RatFuncQ:
     """Orbit volume normalized so the identity orbit has volume 1."""
-    return _orbit_volume(alpha).to_ratfunc()
+    alpha = check_orbit_label(alpha)
+    if len(alpha) != 2:
+        raise ValueError("size-2 labels only")
+    if alpha[0] % 2 == 0:
+        l1, l2 = alpha[0] // 2, alpha[1] // 2
+        if l1 == l2:
+            return ONE
+        return Q ** (2 * (l1 - l2)) * (ONE - Q**-1)
+    return Q**-1 * (ONE + Q**-1) / (ONE + Q**-2)
 
 
+@lru_cache(maxsize=None)
 def norm_constant() -> RatFuncQ:
     """Global normalization (1 + q^-2)^2 / (1 - q^-1) for the pairing."""
-    return _NORM.to_ratfunc()
+    return (ONE + Q**-2) ** 2 / (ONE - Q**-1)
 
 
 def _y_part(tv: TransformValue, u1, u2):
@@ -297,23 +284,23 @@ def transform_pairing(alpha, beta) -> RatFuncQ:
     Specializes the weight parameters to u1 = q, u2 = q^-2 and matches the
     q^x characters exactly (distinct exponents integrate to zero).
     """
-    fa, fb = _f_hat(alpha), _f_hat(beta)
+    fa, fb = f_hat_size2(alpha), f_hat_size2(beta)
     if fa.x_exp != fb.x_exp:
-        return RatFuncQ.const(0)
-    u1, u2 = _Q, _Q**-2
+        return ZERO
+    u1, u2 = Q, Q**-2
     inner = y_inner(_y_part(fa, u1, u2), _y_part(fb, u1, u2), u1, u2)
-    return (fa.scalar * fb.scalar * inner * _NORM).to_ratfunc()
+    return fa.scalar * fb.scalar * inner * norm_constant()
 
 
 def plancherel_check(alpha, beta, pairing=None) -> bool:
     """Pairing equals the orbit volume on the diagonal and zero off it.
     pairing is transform_pairing(alpha, beta), if the caller has it."""
-    lhs = CycloQ.from_ratfunc(transform_pairing(alpha, beta) if pairing is None else pairing)
-    return lhs == (_orbit_volume(alpha) if tuple(alpha) == tuple(beta) else 0)
+    lhs = transform_pairing(alpha, beta) if pairing is None else pairing
+    return lhs == (orbit_volume(alpha) if tuple(alpha) == tuple(beta) else 0)
 
 
 def inversion_check(alpha, x_orbit, pairing=None) -> bool:
     """Indicator recovery: pairing divided by the orbit volume is 0 or 1.
     pairing is transform_pairing(alpha, x_orbit), if the caller has it."""
-    val = CycloQ.from_ratfunc(transform_pairing(alpha, x_orbit) if pairing is None else pairing)
-    return val / _orbit_volume(x_orbit) == (1 if tuple(alpha) == tuple(x_orbit) else 0)
+    val = transform_pairing(alpha, x_orbit) if pairing is None else pairing
+    return val / orbit_volume(x_orbit) == (1 if tuple(alpha) == tuple(x_orbit) else 0)

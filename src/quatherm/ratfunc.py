@@ -1,19 +1,17 @@
-"""Exact coefficient arithmetic: Q, polynomials in q over Q, and the field Q(q).
+"""Exact coefficient arithmetic: Q, Z[q, q^-1] and the field Q(q).
 
 Everything downstream (densities, spherical polynomials, residue integrals)
-carries its scalars in one of five exact types:
+carries its scalars in one of four exact types:
 
   * ``fractions.Fraction``    -- arbitrary-precision rationals,
-  * :class:`QPoly`            -- univariate polynomials in q over Q,
-  * :class:`RatFuncQ`         -- the fraction field Q(q), always reduced,
-                                 denominator monic,
   * :class:`IntLaurent`       -- the ring Z[q, q^-1], in which the orbit sums
                                  of the spherical polynomials are computed,
-  * :class:`CycloQ`           -- Q(q) elements over c * q^k * prod Phi_d, in
-                                 which the residue pairing is computed.
-
-Negative powers of q are ordinary elements of Q(q): q**-2 is stored as the
-fraction 1/q^2, which keeps gcd reduction classical.
+  * :class:`RatFuncQ`         -- Q(q) over c * q^k * prod Phi_d, the
+                                 denominators of every value of the paper,
+                                 reduced by trial division, with no gcd,
+  * :class:`QPoly`            -- polynomials in q over Q; with `poly_gcd`,
+                                 the Euclid reduction that the tests compare
+                                 RatFuncQ against (the library never calls it).
 """
 
 from __future__ import annotations
@@ -38,6 +36,21 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _poly_str(coeffs, start: int = 0) -> str:
+    """The sum of coeffs[i] * q^(start + i), for int or Fraction coefficients."""
+    parts = []
+    for i, c in enumerate(coeffs, start):
+        if not c:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        elif i == 1:
+            parts.append("q" if c == 1 else ("-q" if c == -1 else f"{c}*q"))
+        else:
+            parts.append(f"q^{i}" if c == 1 else (f"-q^{i}" if c == -1 else f"{c}*q^{i}"))
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 class QPoly:
@@ -191,20 +204,7 @@ class QPoly:
         return 0
 
     def __str__(self) -> str:
-        if not self:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("q" if c == 1 else ("-q" if c == -1 else f"{c}*q"))
-            else:
-                parts.append(f"q^{i}" if c == 1 else (f"-q^{i}" if c == -1 else f"{c}*q^{i}"))
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        return _poly_str(self.coeffs)
 
     __repr__ = __str__
 
@@ -224,181 +224,6 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
         _, r = a.divmod(b)
         a, b = b, r
     return a.monic()
-
-
-class RatFuncQ:
-    """Element of Q(q) in canonical form: reduced fraction, monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None, _canonical=False):
-        if isinstance(num, (int, Fraction)):
-            num = QPoly.const(num)
-        if den is None:
-            den = QPoly.const(1)
-        elif isinstance(den, (int, Fraction)):
-            den = QPoly.const(den)
-        if not den:
-            raise DivisionByZero("rational function with zero denominator")
-        if _canonical:
-            self.num, self.den = num, den
-            return
-        if not num:
-            self.num, self.den = QPoly(), QPoly.const(1)
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
-        lead = den.leading()
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        self.num, self.den = num, den
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def const(c) -> "RatFuncQ":
-        return RatFuncQ(QPoly.const(c), QPoly.const(1), _canonical=True)
-
-    @staticmethod
-    def q_power(k: int) -> "RatFuncQ":
-        """q**k for any integer k."""
-        if k >= 0:
-            return RatFuncQ(QPoly.q_power(k), QPoly.const(1), _canonical=True)
-        return RatFuncQ(QPoly.const(1), QPoly.q_power(-k), _canonical=True)
-
-    # -- predicates ----------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RatFuncQ.const(other)
-        if not isinstance(other, RatFuncQ):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash(("RatFuncQ", self.num.coeffs, self.den.coeffs))
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFuncQ.const(other)
-        if isinstance(other, RatFuncQ):
-            return other
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den == other.den:
-            return RatFuncQ(self.num + other.num, self.den)
-        return RatFuncQ(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFuncQ(-self.num, self.den, _canonical=True)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.num or not other.num:
-            return RatFuncQ.const(0)
-        return RatFuncQ(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.num:
-            raise DivisionByZero("division by zero in Q(q)")
-        return RatFuncQ(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def inverse(self) -> "RatFuncQ":
-        if not self.num:
-            raise DivisionByZero("inverse of zero in Q(q)")
-        return RatFuncQ(self.den, self.num)
-
-    def __pow__(self, k: int) -> "RatFuncQ":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = RatFuncQ.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # -- specialization and serialization -------------------------------
-
-    def eval_at(self, q0) -> Fraction:
-        """Exact value at q = q0; raises PoleError at a pole."""
-        q0 = _frac(q0)
-        d = self.den.evaluate(q0)
-        if d == 0:
-            raise PoleError(f"pole at q = {q0}")
-        return self.num.evaluate(q0) / d
-
-    def as_coeff_arrays(self):
-        """(numerator, denominator) as lists of exact coefficient strings."""
-        return (
-            [format_fraction(c) for c in self.num.coeffs],
-            [format_fraction(c) for c in self.den.coeffs],
-        )
-
-    def __str__(self) -> str:
-        if self.den.coeffs == (Fraction(1),):
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__
-
-
-# Shared symbols.
-Q = RatFuncQ.q_power(1)
-ONE = RatFuncQ.const(1)
-ZERO = RatFuncQ.const(0)
-
-
-def qpow(k: int) -> RatFuncQ:
-    return RatFuncQ.q_power(k)
-
-
-def w_factor(m: int, t: RatFuncQ) -> RatFuncQ:
-    """The finite product (1 - t)(1 - t^2)...(1 - t^m)."""
-    out = ONE
-    tp = ONE
-    for _ in range(m):
-        tp = tp * t
-        out = out * (ONE - tp)
-    return out
 
 
 # -- integer Laurent polynomials in q and cyclotomic reduction ------------------------
@@ -483,18 +308,8 @@ class IntLaurent:
 
     __rmul__ = __mul__
 
-    def to_ratfunc(self, den: QPoly | None = None) -> RatFuncQ:
-        """self / den in Q(q), for a monic den (default 1) coprime to self and
-        to q.  The numerator has a nonzero constant term after q^lo is split
-        off, so the result is canonical without a gcd."""
-        if den is None:
-            den = QPoly.const(1)
-        if self.lo >= 0:
-            return RatFuncQ(QPoly((0,) * self.lo + self.coeffs), den, _canonical=True)
-        return RatFuncQ(QPoly(self.coeffs), den.shift(-self.lo), _canonical=True)
-
     def __str__(self) -> str:
-        return str(self.to_ratfunc())
+        return str(RatFuncQ(self))
 
     __repr__ = __str__
 
@@ -535,26 +350,22 @@ def _phi_product(orders: tuple) -> IntLaurent:
     return out
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_product(orders: tuple) -> QPoly:
-    return QPoly(_phi_product(orders).coeffs)
+def _horner(coeffs, x):
+    """The polynomial with these coefficients (constant term first) at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
-def over_cyclotomics(c: IntLaurent, orders, cofactor: IntLaurent) -> RatFuncQ:
-    """c * cofactor / prod(Phi_d for d in orders) as a canonical RatFuncQ, no gcd,
-    for a cofactor coprime to each Phi_d (a power of q times a power of q - 1
-    is, for d >= 3): CycloQ's trial division of c alone reduces the quotient."""
-    r = CycloQ(c, orders)
-    return (r.num * cofactor).to_ratfunc(_cyclotomic_product(r.orders))
-
-
-class CycloQ:
+class RatFuncQ:
     """num / (content * prod(Phi_d for d in orders)) in Q(q): an IntLaurent, an
     ascending tuple of cyclotomic orders with multiplicity, a positive int.
 
     The constructor divides num by each Phi_d of orders that divides it (a
     repeated order once per repetition) and content by its integer gcd with
-    num: a canonical form, reached without a gcd of polynomials.
+    num: a canonical form, reached without a gcd of polynomials.  It prints as
+    the reduced fraction over the monic q^max(-lo, 0) * prod Phi_d.
     """
 
     __slots__ = ("num", "orders", "content")
@@ -573,24 +384,30 @@ class CycloQ:
         self.num, self.orders, self.content = num, tuple(sorted(left)), content // g
 
     @staticmethod
-    def from_ratfunc(r: RatFuncQ) -> "CycloQ":
-        """r in this form; ArithmeticError unless its denominator is q^k * prod Phi_d."""
-        return _from_qpoly(r.num) / _from_qpoly(r.den)
+    def const(c) -> "RatFuncQ":
+        c = _frac(c)
+        return RatFuncQ(IntLaurent([c.numerator]), (), c.denominator)
 
-    def to_ratfunc(self) -> RatFuncQ:
-        """The canonical RatFuncQ of the same value, without a gcd."""
-        r = self.num.to_ratfunc(_cyclotomic_product(self.orders))
-        return RatFuncQ(r.num.scale(Fraction(1, self.content)), r.den, _canonical=True)
+    @staticmethod
+    def q_power(k: int) -> "RatFuncQ":
+        """q**k for any integer k."""
+        return RatFuncQ(IntLaurent([1], k))
 
     def __bool__(self) -> bool:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        other = _cyclo(other)
-        return (self.num, self.orders, self.content) == (other.num, other.orders, other.content)
+        other = _coerce(other)
+        return NotImplemented if other is None else (
+            (self.num, self.orders, self.content) == (other.num, other.orders, other.content))
+
+    def __hash__(self):
+        return hash((self.num, self.orders, self.content))
 
     def __add__(self, other):
-        other = _cyclo(other)
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
         a, b, orders = self.num, other.num, self.orders
         if orders != other.orders:
             mine, theirs = Counter(orders), Counter(other.orders)
@@ -598,28 +415,30 @@ class CycloQ:
             b = b * _phi_product(tuple((mine - theirs).elements()))
             orders = (mine | theirs).elements()
         content = lcm(self.content, other.content)
-        return CycloQ(a * (content // self.content) + b * (content // other.content),
-                      orders, content)
+        return RatFuncQ(a * (content // self.content) + b * (content // other.content),
+                        orders, content)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloQ(-self.num, self.orders, self.content)
+        return RatFuncQ(-self.num, self.orders, self.content)
 
     def __sub__(self, other):
-        return self + (-other)
+        other = _coerce(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _coerce(other)
+        return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other):
-        other = _cyclo(other)
-        return CycloQ(self.num * other.num, self.orders + other.orders,
-                      self.content * other.content)
+        other = _coerce(other)
+        return NotImplemented if other is None else RatFuncQ(
+            self.num * other.num, self.orders + other.orders, self.content * other.content)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CycloQ":
+    def inverse(self) -> "RatFuncQ":
         """ArithmeticError unless the numerator is c * q^k * prod Phi_d."""
         if not self.num:
             raise DivisionByZero("inverse of zero in Q(q)")
@@ -635,34 +454,93 @@ class CycloQ:
                     continue
             d += 1
         num = _phi_product(self.orders) * (self.content * (1 if g > 0 else -1))
-        return CycloQ(IntLaurent(num.coeffs, -self.num.lo), orders, abs(g))
+        return RatFuncQ(IntLaurent(num.coeffs, -self.num.lo), orders, abs(g))
 
     def __truediv__(self, other):
-        return self * _cyclo(other).inverse()
+        other = _coerce(other)
+        return NotImplemented if other is None else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _cyclo(other) * self.inverse()
+        other = _coerce(other)
+        return NotImplemented if other is None else other * self.inverse()
 
-    def __pow__(self, k: int) -> "CycloQ":
-        base, out = (self if k >= 0 else self.inverse()), CycloQ(IntLaurent([1]))
-        for _ in range(abs(k)):
-            out = out * base
+    def __pow__(self, k: int) -> "RatFuncQ":
+        base, out = (self if k >= 0 else self.inverse()), ONE
+        k = abs(k)
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
-    def __repr__(self) -> str:
-        return str(self.to_ratfunc())
+    def _scaled(self):
+        """The numerator's coefficients over content: the ints themselves when
+        content is 1, so that only a fractional value builds Fractions."""
+        if self.content == 1:
+            return self.num.coeffs
+        return [Fraction(c, self.content) for c in self.num.coeffs]
+
+    def eval_at(self, q0) -> Fraction:
+        """Exact value at q = q0; raises PoleError at a pole."""
+        q0 = _frac(q0)
+        x = q0.numerator if q0.denominator == 1 else q0
+        num = _horner(self.num.coeffs, x)
+        den = self.content * _horner(_phi_product(self.orders).coeffs, x)
+        lo = self.num.lo
+        if not den or (lo < 0 and not x):
+            raise PoleError(f"pole at q = {q0}")
+        if lo >= 0:
+            num = num * x**lo
+        else:
+            den = den * x**-lo
+        return Fraction(num) / den
+
+    def as_coeff_arrays(self):
+        """(numerator, denominator) of the reduced fraction with a monic
+        denominator, as lists of exact coefficient strings, constant term first."""
+        lo = self.num.lo
+        return (["0"] * max(lo, 0) + [str(c) for c in self._scaled()],
+                ["0"] * max(-lo, 0) + [str(c) for c in _phi_product(self.orders).coeffs])
+
+    def __str__(self) -> str:
+        lo = self.num.lo
+        num = _poly_str(self._scaled(), max(lo, 0))
+        if lo >= 0 and not self.orders:
+            return num
+        return f"({num})/({_poly_str(_phi_product(self.orders).coeffs, max(-lo, 0))})"
+
+    __repr__ = __str__
 
 
-def _cyclo(x) -> CycloQ:
-    if isinstance(x, CycloQ):
+def _coerce(x) -> RatFuncQ | None:
+    """x as a RatFuncQ, for RatFuncQ, int and Fraction operands; None otherwise."""
+    if isinstance(x, RatFuncQ):
         return x
-    x = _frac(x)
-    return CycloQ(IntLaurent([x.numerator]), (), x.denominator)
+    if isinstance(x, (int, Fraction)):
+        return RatFuncQ.const(x)
+    return None
 
 
-def _from_qpoly(p: QPoly) -> CycloQ:
-    content = lcm(*(c.denominator for c in p.coeffs))
-    return CycloQ(IntLaurent([int(c * content) for c in p.coeffs]), (), content)
+# Shared symbols.
+Q = RatFuncQ.q_power(1)
+ONE = RatFuncQ.const(1)
+ZERO = RatFuncQ.const(0)
+
+
+def qpow(k: int) -> RatFuncQ:
+    return RatFuncQ.q_power(k)
+
+
+def w_factor(m: int, t: RatFuncQ) -> RatFuncQ:
+    """The finite product (1 - t)(1 - t^2)...(1 - t^m)."""
+    out = ONE
+    tp = ONE
+    for _ in range(m):
+        tp = tp * t
+        out = out * (ONE - tp)
+    return out
 
 
 def format_fraction(x: Fraction) -> str:

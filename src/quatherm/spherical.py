@@ -28,8 +28,7 @@ from .density import build_gram, check_orbit_label
 from .elemsym import ElemSymExpr, to_elementary
 from .laurent import LaurentPoly, map_distinct, orbit_sum, symmetric_sum
 from .quatring import RingParams, qadd, qconj, qmul
-from .ratfunc import (ONE, Q, IntLaurent, QPoly, RatFuncQ, ZERO, over_cyclotomics, qpow,
-                      w_factor)
+from .ratfunc import ONE, Q, IntLaurent, RatFuncQ, ZERO, qpow, w_factor
 
 
 # -- combinatorial ingredients ---------------------------------------------------
@@ -125,45 +124,37 @@ def main_term(alpha, n: int | None = None) -> LaurentPoly:
     return symmetric_sum(n, lambda_alpha(alpha), _main_term_factors(alpha, n))
 
 
-def _prefactor_exponents(alpha, n: int):
-    """(k, e) with psi_prefactor = (q - 1)^k * q^e / prod_{i<=n} [i]_{q^2}."""
+def _prefactor(alpha, n: int):
+    """(cofactor, orders) with psi_prefactor = cofactor / prod(Phi_d for d in orders).
+
+    psi_prefactor is (q - 1)^k * q^e / prod_{i<=n} [i]_{q^2}, k = |I_odd| for
+    odd pairs at l in I_odd, e = sum(n - 2l) + <lam, z0> + n(n - 1) and
+    [i]_{q^2} = 1 + q^2 + ... + q^(2i-2) = prod_{d | 2i, d >= 3} Phi_d(q).
+    """
     idx = _odd_indices(alpha, n)
     e = sum(n - 2 * l for l in idx) + _pair(lambda_alpha(alpha), z_zero(n)) + n * (n - 1)
-    return len(idx), e
+    cofactor = IntLaurent([1], e)
+    for _ in idx:
+        cofactor = cofactor * IntLaurent([-1, 1])
+    orders = tuple(d for i in range(1, n + 1) for d in range(3, 2 * i + 1) if 2 * i % d == 0)
+    return cofactor, orders
 
 
 def psi_prefactor(alpha, n: int | None = None) -> RatFuncQ:
-    """(1 - q^-2)^n * c_odd * q^<lam, z0> / w_n(q^-2), built reduced.
-
-    With odd pairs at l in I_odd this is (q - 1)^k * q^e / prod_{i<=n} [i]_{q^2},
-    k = |I_odd|, e = sum(n - 2l) + <lam, z0> + n(n - 1) and [i]_{q^2} =
-    1 + q^2 + ... + q^(2i-2).  The denominator is monic, and q - 1 and q are
-    coprime to each [i]_{q^2} (values i and 1 at q = 1 and q = 0): no gcd.
-    """
+    """(1 - q^-2)^n * c_odd * q^<lam, z0> / w_n(q^-2), in the factored form of
+    `_prefactor`."""
     alpha = check_orbit_label(alpha)
     if n is None:
         n = len(alpha)
-    k, e = _prefactor_exponents(alpha, n)
-    num = QPoly([-1, 1]) ** k
-    den = QPoly.const(1)
-    for i in range(1, n + 1):
-        den = den * QPoly([1, 0] * (i - 1) + [1])
-    return RatFuncQ(num.shift(max(e, 0)), den.shift(max(-e, 0)), _canonical=True)
+    cofactor, orders = _prefactor(alpha, n)
+    return RatFuncQ(cofactor, orders)
 
 
 def _times_prefactor(terms: dict, alpha, n: int) -> dict:
-    """Each IntLaurent coefficient times psi_prefactor, as canonical RatFuncQs.
-
-    The denominator prod_{i<=n} [i]_{q^2} is prod_{i<=n} prod_{d | 2i, d >= 3}
-    Phi_d(q), and the cofactor (q - 1)^k q^e is coprime to every such Phi_d,
-    so exact division by the cyclotomic factors reduces each product.
-    """
-    k, e = _prefactor_exponents(alpha, n)
-    orders = [d for i in range(1, n + 1) for d in range(3, 2 * i + 1) if 2 * i % d == 0]
-    cofactor = IntLaurent([1], e)
-    for _ in range(k):
-        cofactor = cofactor * IntLaurent([-1, 1])
-    return map_distinct(terms, lambda c: over_cyclotomics(c, orders, cofactor))
+    """Each IntLaurent coefficient times psi_prefactor, each distinct product
+    reduced once by cyclotomic trial division."""
+    cofactor, orders = _prefactor(alpha, n)
+    return map_distinct(terms, lambda c: RatFuncQ(c * cofactor, orders))
 
 
 def psi_explicit(alpha, n: int | None = None) -> LaurentPoly:

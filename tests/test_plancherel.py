@@ -189,7 +189,7 @@ def test_cross_exponent_pairs_vanish():
     assert transform_pairing((2, 0), (1, 1)) == RatFuncQ.const(0)
 
 
-# -- the CycloQ pairing against the route over RatFuncQ ------------------------------
+# -- the pairing against the generic route over RatFuncQ ------------------------------
 
 # size-2 labels with entries <= 8: even (2 l1, 2 l2) and odd (e, e)
 GRID = [(0, 0), (2, 0), (2, 2), (1, 1), (3, 3), (4, 0), (4, 2), (4, 4), (5, 5), (6, 2),
@@ -197,8 +197,9 @@ GRID = [(0, 0), (2, 0), (2, 2), (1, 1), (3, 3), (4, 0), (4, 2), (4, 4), (5, 5), 
 
 
 def _generic_pairing(alpha, beta):
-    """The pairing with every scalar and the integral over RatFuncQ, at
-    u1 = Q and u2 = q^-2: the route the CycloQ pairing replaced."""
+    """The pairing with every scalar, the integral and the norm computed
+    generically over RatFuncQ at u1 = Q and u2 = q^-2, apart from the library's
+    transforms and norm constant."""
     def scalar_and_exp(a):
         if a[0] % 2 == 0:
             l1, l2 = a[0] // 2, a[1] // 2
@@ -221,23 +222,47 @@ def test_transform_pairing_matches_generic_route():
     for a in GRID:
         for b in GRID:
             got, want = transform_pairing(a, b), _generic_pairing(a, b)
-            assert (got.num, got.den) == (want.num, want.den), (a, b)
-            assert str(got) == str(want)
+            assert got == want and str(got) == str(want), (a, b)
 
 
-def test_pairing_and_checks_run_no_gcd(monkeypatch):
+CLI_JOBS = [
+    ["spherical", "--alpha", "1,1,0,0", "--what", "psi"],
+    ["spherical", "--alpha", "2,0,0,0", "--what", "main-term"],
+    ["spherical", "--alpha", "4,4,4", "--what", "hl:GL"],
+    ["ideal", "--n", "3", "--alpha", "0,0,0", "--q-spec", "2"],
+    ["spherical", "--n", "2", "--alpha", "6,6", "--what", "omega"],
+    ["spherical", "--n", "2", "--alpha", "2,0", "--what", "delta"],
+    ["density", "--method", "closed", "--alpha", "4,2,0"],
+    ["plancherel", "--alpha", "2,0", "--beta", "2,0", "--q", "3"],
+    ["plancherel", "--alpha", "2,0", "--symbolic-u"],
+]
+
+
+def test_pairing_and_checks_run_no_gcd(monkeypatch, capsys):
+    # no Euclid step anywhere in the library: neither poly_gcd nor QPoly.divmod
+    # runs in the pairing, the checks, the symbolic suite or one CLI job of
+    # each symbolic kind
+    from quatherm.cli import main
+    from quatherm.verify import run_suite
+
     calls = []
-    gcd = ratfunc.poly_gcd
-    monkeypatch.setattr(ratfunc, "poly_gcd", lambda *args: calls.append(args) or gcd(*args))
+    gcd, divmod_ = ratfunc.poly_gcd, ratfunc.QPoly.divmod
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda *args: calls.append("gcd") or gcd(*args))
+    monkeypatch.setattr(ratfunc.QPoly, "divmod",
+                        lambda *args: calls.append("divmod") or divmod_(*args))
     for a in PLANCHEREL_SET:
         for b in PLANCHEREL_SET:
             pairing = transform_pairing(a, b)
             assert plancherel_check(a, b) and plancherel_check(a, b, pairing)
             assert inversion_check(a, b) and inversion_check(a, b, pairing)
+    assert all(c.status == "pass" for c in run_suite("symbolic"))
+    for argv in CLI_JOBS:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
     assert calls == []
-    # the counter sees the Euclid path of RatFuncQ
-    assert (ONE + Q) / (Q * Q - ONE) == ONE / (Q - ONE)
-    assert calls
+    # both counters are live
+    assert ratfunc.poly_gcd(ratfunc.QPoly([-1, 0, 1]), ratfunc.QPoly([1, 1]))
+    assert calls == ["gcd", "divmod"]
 
 
 def test_int_weight_parameters_stay_exact():

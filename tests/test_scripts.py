@@ -69,7 +69,7 @@ def test_bench_pairs_reads_canned_results(monkeypatch, capsys, tmp_path):
     assert jps["change"]["median"] == 19 and jps["change_won"] == 2
     assert summary["metrics"]["job_p50_s"]["change_won"] == 2      # lower is better
     assert summary["metrics"]["setup_s"]["change_won"] == 0        # ties do not count
-    assert report["verify_seconds"] == {}                          # nothing ran
+    assert report["verify_seconds"] == {} and report["tier1"] == {}  # nothing ran
 
 
 def test_bench_pairs_verify_seconds(monkeypatch):
@@ -96,6 +96,35 @@ def test_bench_pairs_verify_seconds(monkeypatch):
     assert seconds == {c["check_id"]: 2 * c["seconds"]
                        for c in json.loads(real.stdout)["checks"]}
     assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
+
+
+def test_bench_pairs_tier1(monkeypatch):
+    # a replayed pytest run: the counts come from its closing summary line
+    bench_pairs = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    seen = []
+
+    def replay(cmd, **kwargs):
+        seen.append((cmd, kwargs))
+        out = "..F.s\n[100%]\n2 failed, 447 passed, 18 skipped, 1 error in 35.28s\n"
+        return subprocess.CompletedProcess(cmd, 1, out, "")
+
+    monkeypatch.setattr(subprocess, "run", replay)
+    got = bench_pairs["tier1"](SCRIPTS.parent)
+    seconds = got.pop("seconds")
+    assert got == {"passed": 447, "failed": 2, "skipped": 18, "error": 1}
+    assert isinstance(seconds, float) and seconds >= 0
+    (cmd, kwargs), = seen
+    assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors",
+                       "-p", "no:cacheprovider"]
+    assert kwargs["cwd"] == SCRIPTS.parent
+    assert kwargs["env"]["PYTHONPATH"] == str(SCRIPTS.parent / "src")
+
+    def crashed(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 2, "", "ImportError: no module")
+
+    monkeypatch.setattr(subprocess, "run", crashed)
+    with pytest.raises(RuntimeError, match="exited 2"):
+        bench_pairs["tier1"](SCRIPTS.parent)
 
 
 def test_tracer_binds_every_target():

@@ -8,7 +8,7 @@ from quatherm.counting import InfeasibleSizeError
 from quatherm.density import is_orbit_label
 from quatherm.elemsym import to_elementary
 from quatherm.laurent import LaurentPoly
-from quatherm.ratfunc import ONE, Q, RatFuncQ, qpow, w_factor
+from quatherm.ratfunc import ONE, Q, QPoly, RatFuncQ, format_fraction, poly_gcd, qpow, w_factor
 from quatherm.spherical import (
     delta_closed,
     delta_oracle,
@@ -211,7 +211,7 @@ def test_psi_prefactor_matches_product_form():
     for alpha in labels:
         got = psi_prefactor(alpha)
         want = _psi_prefactor_by_products(alpha, len(alpha))
-        assert (got.num, got.den) == (want.num, want.den), alpha
+        assert got == want and str(got) == str(want), alpha
 
 
 def _psi_labels_n34():
@@ -222,17 +222,38 @@ def _psi_labels_n34():
     return sorted(labels, key=lambda a: (len(a), a))
 
 
+def _euclid(num: QPoly, den: QPoly):
+    """num / den reduced by Euclid's gcd, as as_coeff_arrays prints it."""
+    g = poly_gcd(num, den)
+    num, den = num.divmod(g)[0], den.divmod(g)[0]
+    lead = den.leading()
+    return tuple([format_fraction(c) for c in p.scale(1 / lead).coeffs] for p in (num, den))
+
+
+def _qpoly_pair(c: RatFuncQ):
+    """c as a pair of QPolys, read off its coefficient arrays."""
+    return tuple(QPoly([Fraction(x) for x in part]) for part in c.as_coeff_arrays())
+
+
 @pytest.mark.parametrize("alpha", _psi_labels_n34())
 def test_psi_coefficients_are_euclid_products(alpha):
     """Psi's coefficients, reduced by cyclotomic trial division, equal the
-    main-term coefficients times psi_prefactor reduced by Euclid's gcd
-    (RatFuncQ.__mul__), in both the x and the elementary coordinates."""
+    main-term coefficients times (q - 1)^k q^e / prod [i]_{q^2} reduced by
+    Euclid's gcd, in both the x and the elementary coordinates."""
     n = len(alpha)
-    pref = psi_prefactor(alpha, n)
+    idx = odd_data(alpha, n).indices
+    e = (sum(n - 2 * l for l in idx)
+         + sum(a * b for a, b in zip(lambda_alpha(alpha), z_zero(n))) + n * (n - 1))
+    pref_num, pref_den = QPoly([-1, 1]) ** len(idx), QPoly.const(1)
+    for i in range(1, n + 1):
+        pref_den = pref_den * QPoly([1, 0] * (i - 1) + [1])
+    pref_num, pref_den = pref_num.shift(max(e, 0)), pref_den.shift(max(-e, 0))
+    assert _euclid(pref_num, pref_den) == psi_prefactor(alpha, n).as_coeff_arrays()
     main = main_term(alpha, n)
     for got, want in ((psi_explicit(alpha, n), main),
                       (psi_elementary(alpha, n), to_elementary(main))):
         assert got.terms.keys() == want.terms.keys()
-        for e, c in want.terms.items():
-            product = c * pref
-            assert (got.terms[e].num, got.terms[e].den) == (product.num, product.den), e
+        for x, c in want.terms.items():
+            num, den = _qpoly_pair(c)
+            product = _euclid(num * pref_num, den * pref_den)
+            assert got.terms[x].as_coeff_arrays() == product, x
