@@ -15,8 +15,12 @@ from .quatring import RingParams
 from .ratfunc import format_fraction
 
 
-def _parse_label(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(","))
+def _parse_ints(text: str, option: str) -> tuple:
+    """A comma list of integers; a ValueError that names the option otherwise."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{option} takes comma-separated integers, got {text!r}") from None
 
 
 def _emit(payload, fmt: str) -> int:
@@ -49,9 +53,9 @@ def _emit_text(payload, indent=0):
 
 
 def cmd_density(args) -> int:
-    alpha = _parse_label(args.alpha)
-    beta = _parse_label(args.beta) if args.beta else alpha
-    levels = [int(x) for x in args.ell.split(",")]
+    alpha = _parse_ints(args.alpha, "--alpha")
+    beta = _parse_ints(args.beta, "--beta") if args.beta else alpha
+    levels = list(_parse_ints(args.ell, "--ell"))
     p = args.p
     n, m = len(beta), len(alpha)
     if len(levels) == 1 and levels[0] > 1:
@@ -62,8 +66,7 @@ def cmd_density(args) -> int:
 
     if args.method == "closed":
         if beta != alpha:
-            print("closed formula available for the self-density only", file=sys.stderr)
-            return 2
+            raise ValueError("closed formula available for the self-density only")
         RingParams(p, 1)   # p must be an odd prime, as for the counts
         val = density.density_self_closed(alpha)
         num, den = val.as_coeff_arrays()
@@ -106,7 +109,7 @@ def _terms_payload(poly) -> dict:
 
 
 def cmd_spherical(args) -> int:
-    alpha = _parse_label(args.alpha)
+    alpha = _parse_ints(args.alpha, "--alpha")
     n = len(alpha) if args.n is None else args.n
     what = args.what
     if what == "psi":
@@ -117,8 +120,7 @@ def cmd_spherical(args) -> int:
                    "terms": _terms_payload(spherical.main_term(alpha, n))}
     elif what == "omega":
         if n != 2:
-            print("the closed fraction form is implemented for size 2", file=sys.stderr)
-            return 2
+            raise ValueError("the closed fraction form is implemented for size 2")
         num, g2 = spherical.size2_closed(alpha)
         payload = {"what": "omega", "alpha": list(alpha), "n": 2,
                    "numerator": _terms_payload(num),
@@ -136,8 +138,7 @@ def cmd_spherical(args) -> int:
         payload = {"what": what, "lambda": list(alpha), "n": n,
                    "terms": _terms_payload(spherical.hl_variant(kind, alpha, n))}
     else:
-        print(f"unknown --what {what!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown --what {what!r}")
     return _emit(payload, args.format)
 
 
@@ -146,8 +147,8 @@ def cmd_spherical(args) -> int:
 
 def cmd_ideal(args) -> int:
     n = args.n
-    q_specs = [int(x) for x in args.q_spec.split(",")]
-    labels = ([_parse_label(x) for x in args.alpha.split(";")]
+    q_specs = list(_parse_ints(args.q_spec, "--q-spec"))
+    labels = ([_parse_ints(x, "--alpha") for x in args.alpha.split(";")]
               if args.alpha else verify.IDEAL_LABELS[n])
     verdicts = [{"alpha": list(alpha), "q": q0, "member": member}
                 for q0, _, members in verify.ideal_verdicts(n, labels, q_specs)
@@ -165,8 +166,8 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_plancherel(args) -> int:
-    alpha = _parse_label(args.alpha)
-    beta = _parse_label(args.beta) if args.beta else alpha
+    alpha = _parse_ints(args.alpha, "--alpha")
+    beta = _parse_ints(args.beta, "--beta") if args.beta else alpha
     if args.q is not None and args.q < 2:
         raise ValueError(f"--q is the residue field size, an integer >= 2; got {args.q}")
     pairing = plancherel.transform_pairing(alpha, beta)

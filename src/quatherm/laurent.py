@@ -6,17 +6,26 @@ The engine computes orbit sums
     sum over permutations of  x^mu * (product of binomials) / Delta,
 
 Delta = prod_{i<j} (x_i - x_j) the Vandermonde, the one denominator of every
-orbit sum in the paper.  It expands the numerator once and collects it by
-sorted exponent into alternants; an alternant over Delta is a Schur
-polynomial, expanded through cached Kostka rows, so nothing is divided.  Every
-binomial constant is +-q^k, so all of this runs in Z[x^+-1, q^+-1], and the
-result has IntLaurent coefficients; `symmetric_sum` converts them to Q(q).
+orbit sum in the paper.  The orbit sum is Delta^-1 times the alternating sum
+of the numerator B, a sum of alternants a_kappa, and a_kappa / Delta is a
+Schur polynomial, expanded through cached Kostka rows, so nothing is divided.
+
+B is never expanded.  The variables are cut into blocks, each a variable or
+a few adjacent ones (an odd pair of the paper), such that the binomials
+between a block and any earlier variable are the same for every earlier
+variable.  The alternating sum is then built block by block on a state of
+alternant coefficients: the binomials to the next block act on an alternant
+exponent-wise, and the block's own monomials extend each exponent, sorted
+with sign.  Every binomial constant is +-q^k, so all of this runs in
+Z[x^+-1, q^+-1], and the result has IntLaurent coefficients;
+`symmetric_sum` converts them to Q(q).
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import add
 
 from .ratfunc import ONE, IntLaurent, RatFuncQ, ZERO
 
@@ -305,30 +314,12 @@ def _factor(n: int, i: int, j: int, c) -> tuple:
     return (i, j) + _unit_qpower(c)
 
 
-def _mul_binomial(poly: dict, i: int, j: int, s: int, k: int) -> dict:
-    """poly * (x_i - s q^k x_j) in Z[x^+-1, q^+-1]."""
-    out = {}
-    get = out.get
-    for e, c in poly.items():
-        a = list(e)
-        a[i] += 1
-        a = tuple(a)
-        out[a] = get(a, 0) + c
-        b = list(e)
-        b[j] += 1
-        b[-1] += k
-        b = tuple(b)
-        out[b] = get(b, 0) - s * c
-    return {e: c for e, c in out.items() if c}
-
-
-def _permutation_sign(sigma) -> int:
-    sign = 1
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if sigma[a] > sigma[b]:
-                sign = -sign
-    return sign
+def _binomial(m: int, i: int, j: int, s: int, k: int) -> dict:
+    """x_i - s q^k x_j in Z[x_1..x_m, q^+-1]."""
+    a, b = [0] * (m + 1), [0] * (m + 1)
+    a[i] = b[j] = 1
+    b[m] = k
+    return {tuple(a): 1, tuple(b): -s}
 
 
 def _sorted_with_sign(x: tuple):
@@ -336,8 +327,8 @@ def _sorted_with_sign(x: tuple):
     x repeats an entry (its alternating orbit sum is zero)."""
     if len(set(x)) < len(x):
         return None
-    return (tuple(sorted(x, reverse=True)),
-            _permutation_sign(sorted(range(len(x)), key=x.__getitem__, reverse=True)))
+    inversions = sum(a < b for i, a in enumerate(x) for b in x[i + 1:])
+    return tuple(sorted(x, reverse=True)), -1 if inversions & 1 else 1
 
 
 @lru_cache(maxsize=4096)
@@ -362,6 +353,137 @@ def _kostka_row(lam: tuple) -> tuple:
     return tuple(row.items())
 
 
+def _normalized(n: int, num_factors) -> tuple:
+    """({(i, j): sorted ((s, k), ...)} with i < j, sign, q-exponent): the
+    numerator as sign * q^exponent times the binomials x_i - s q^k x_j, each
+    x_j - c x_i with j > i rewritten as -c * (x_i - c^-1 x_j)."""
+    pairs, sign, qexp = {}, 1, 0
+    for f in num_factors:
+        i, j, s, k = _factor(n, *f)
+        if i > j:
+            i, j, sign, qexp, k = j, i, -s * sign, qexp + k, -k
+        pairs.setdefault((i, j), []).append((s, k))
+    return {ij: tuple(sorted(c)) for ij, c in pairs.items()}, sign, qexp
+
+
+def _blocks(n: int, pairs: dict) -> list:
+    """Contiguous blocks [v, e) of 0..n-1, as many as possible, such that for
+    each j of a block the binomials between x_i and x_j are the same for every
+    i < v.  The first variable is always a block (one earlier variable has
+    nothing to differ from); a template without further structure leaves the
+    rest as one block, whose own numerator is expanded in full."""
+    cuts = [0]
+    for j in range(1, n):
+        first, u = pairs.get((0, j), ()), 1
+        while u < j and pairs.get((u, j), ()) == first:
+            u += 1
+        if u == j:
+            cuts.append(j)
+        else:
+            while cuts[-1] > u:
+                cuts.pop()
+    return list(zip(cuts, cuts[1:] + [n]))
+
+
+def _mul_poly(a: dict, b: dict) -> dict:
+    """a * b for dicts from exponent tuples to ints."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+@lru_cache(maxsize=1024)
+def _block_steps(v: int, beta: tuple, inner: tuple, links: tuple) -> tuple:
+    """((d, ((y-exponent, q-exponent, int), ...)), ...) over d in {0..D}^v: the
+    terms of y^beta * prod(inner) * prod_{i<v} h_{d_i}(y) for a block of
+    len(beta) variables y after v earlier ones x.
+
+    inner holds the binomials inside the block as (i, j, s, k), links those
+    between one earlier x and the block as (j, s, k), both block-local;
+    G(x; y) = prod over links of (x - s q^k y_j) = sum_d h_d(y) x^d.  The
+    products are built once per sorted d.
+    """
+    b = len(beta)
+    own = {beta + (0,): 1}
+    for f in inner:
+        own = _mul_poly(own, _binomial(b, *f))
+    link = {(0,) * (b + 2): 1}
+    for j, s, k in links:
+        link = _mul_poly(link, _binomial(b + 1, 0, j + 1, s, k))
+    h = {}
+    for (d, *rest), c in link.items():
+        h.setdefault(d, {})[tuple(rest)] = c
+    products = {(): own}
+
+    def product(key):
+        p = products.get(key)
+        if p is None:
+            p = products[key] = _mul_poly(product(key[:-1]), h[key[-1]])
+        return p
+
+    return tuple((d, tuple((ye[:b], ye[b], c) for ye, c in product(tuple(sorted(d))).items()))
+                 for d in itertools.product(sorted(h), repeat=v))
+
+
+def _peel(state: dict, steps: tuple) -> dict:
+    """The alternant state of the earlier variables x times the next block y.
+
+    The block contributes y^beta * (its inner binomials) * prod_i G(x_i; y).
+    G is symmetric in x, so a_kappa * prod_i G(x_i; y) is the sum over d of
+    prod_i h_{d_i}(y) * a_{kappa+d}, and the sum over the cosets of
+    S_v x S_b turns a_rho(x) * y^beta into a_(rho, beta), sorted with sign.
+    """
+    out, sorted_x = {}, {}
+    for kappa, qc in state.items():
+        qc = qc.items()
+        for d, terms in steps:
+            rho = tuple(map(add, kappa, d))
+            if len(set(rho)) < len(rho):
+                continue
+            for beta, t0, c in terms:
+                x = rho + beta
+                if x not in sorted_x:
+                    sorted_x[x] = _sorted_with_sign(x)
+                hit = sorted_x[x]
+                if hit is not None:
+                    acc = out.setdefault(hit[0], {})
+                    c *= hit[1]
+                    for t, cq in qc:
+                        t += t0
+                        acc[t] = acc.get(t, 0) + c * cq
+    return out
+
+
+def alternant_sum(n: int, mu, num_factors) -> dict:
+    """sum over sigma of sgn(sigma) * sigma(x^mu * prod(num)), as
+    {kappa: {q-exponent: int}} over strictly decreasing kappa: the coefficients
+    of the alternants a_kappa, zeros dropped.
+
+    The template is cut into the blocks of `_blocks` and peeled one block at
+    a time by `_peel`, starting from sign * q^exponent of `_normalized` on no
+    variables.
+    """
+    mu = tuple(mu)
+    if len(mu) != n:
+        raise ValueError("exponent arity mismatch")
+    pairs, sign, qexp = _normalized(n, num_factors)
+    factors = sorted((i, j) + c for (i, j), cs in pairs.items() for c in cs)
+    state = {(): {qexp: sign}}
+    for v, e in _blocks(n, pairs):
+        inner = tuple((i - v, j - v, s, k) for i, j, s, k in factors if v <= i and j < e)
+        links = tuple((j - v, s, k) for i, j, s, k in factors if i == 0 < v <= j < e)
+        state = _peel(state, _block_steps(v, mu[v:e], inner, links))
+    out = {}
+    for kappa, qc in state.items():
+        qc = {t: c for t, c in qc.items() if c}
+        if qc:
+            out[kappa] = qc
+    return out
+
+
 def orbit_sum(n: int, mu, num_factors) -> LaurentPoly:
     """Orbit sum of x^mu * prod(num) / Delta over all permutations, with
     IntLaurent coefficients in Z[q^+-1]; Delta = prod_{i<j} (x_i - x_j) is the
@@ -373,36 +495,16 @@ def orbit_sum(n: int, mu, num_factors) -> LaurentPoly:
     Delta itself.
 
     sigma(Delta) = sgn(sigma) * Delta, so the sum is Delta^-1 times the sum of
-    sgn(sigma) * sigma(B) for the one polynomial B = x^mu * prod(num).  B is
-    expanded once and collected by sorted x-exponent kappa into
-    sum_kappa c_kappa * a_kappa, a_kappa the alternant, and
-    a_kappa / Delta = s_{kappa - delta} (Macdonald I.3) goes to monomials
-    through cached Kostka rows.  The sum is accumulated on dominant weights
-    and expanded to the S_n orbit once.
+    sgn(sigma) * sigma(B) for B = x^mu * prod(num): the alternant sum of
+    `alternant_sum`, sum_kappa c_kappa * a_kappa, built block by block without
+    expanding B.  a_kappa / Delta = s_{kappa - delta} (Macdonald I.3) goes to
+    monomials through cached Kostka rows.  The sum is accumulated on dominant
+    weights and expanded to the S_n orbit once.
     """
-    mu = tuple(mu)
-    if len(mu) != n:
-        raise ValueError("exponent arity mismatch")
-    num_factors = [_factor(n, *f) for f in num_factors]
-    base = {mu + (0,): 1}
-    for f in num_factors:
-        base = _mul_binomial(base, *f)
-
-    collected = {}
-    sorted_x = {}
-    for e, c in base.items():
-        x = e[:n]
-        if x not in sorted_x:
-            sorted_x[x] = _sorted_with_sign(x)
-        hit = sorted_x[x]
-        if hit is not None:
-            qc = collected.setdefault(hit[0], {})
-            qc[e[n]] = qc.get(e[n], 0) + hit[1] * c
-
     # {dominant weight: {q-exponent: int}} of the sum;
     # s_lam = (x_1..x_n)^shift * s_{lam - shift}, shift = lam_n = kappa_n
     dominant = {}
-    for kappa, qc in collected.items():
+    for kappa, qc in alternant_sum(n, mu, num_factors).items():
         shift = kappa[-1]
         for nu, mult in _kostka_row(tuple(a - shift - (n - 1 - t) for t, a in enumerate(kappa))):
             acc = dominant.setdefault(tuple(a + shift for a in nu), {})

@@ -308,6 +308,10 @@ class IntLaurent:
 
     __rmul__ = __mul__
 
+    def eval_at(self, q0) -> Fraction:
+        """Exact value at q = q0; PoleError at q0 = 0 for a negative power."""
+        return RatFuncQ(self).eval_at(q0)
+
     def __str__(self) -> str:
         return str(RatFuncQ(self))
 
@@ -348,6 +352,30 @@ def _phi_product(orders: tuple) -> IntLaurent:
     for d in orders:
         out = out * IntLaurent(cyclotomic(d))
     return out
+
+
+@lru_cache(maxsize=None)
+def _totient(d: int) -> int:
+    """Euler's phi(d), the degree of Phi_d."""
+    return sum(gcd(k, d) == 1 for k in range(d))
+
+
+@lru_cache(maxsize=4096)
+def _cyclotomic_orders(coeffs: tuple):
+    """The ascending orders d with prod Phi_d equal to the primitive integer
+    polynomial coeffs (constant term first, leading coefficient positive), by
+    trial division; None when it is no such product."""
+    rest, orders, d = coeffs, [], 1
+    while len(rest) > 1:     # phi(d) >= sqrt(d/2) bounds the orders by 2 deg^2
+        if d > 2 * (len(rest) - 1) ** 2:
+            return None
+        if _totient(d) < len(rest):
+            quo, rem = _divmod_monic(rest, cyclotomic(d))
+            if not any(rem):
+                rest, orders = quo, orders + [d]
+                continue
+        d += 1
+    return tuple(orders)
 
 
 def _horner(coeffs, x):
@@ -443,16 +471,9 @@ class RatFuncQ:
         if not self.num:
             raise DivisionByZero("inverse of zero in Q(q)")
         g = gcd(*self.num.coeffs) * (1 if self.num.coeffs[-1] > 0 else -1)
-        rest, orders, d = tuple(c // g for c in self.num.coeffs), [], 1
-        while len(rest) > 1:     # phi(d) >= sqrt(d/2) bounds the orders by 2 deg^2
-            if d > 2 * (len(rest) - 1) ** 2:
-                raise ArithmeticError(f"cannot invert {self}: not c * q^k * prod Phi_d")
-            if sum(gcd(k, d) == 1 for k in range(d)) < len(rest):
-                quo, rem = _divmod_monic(rest, cyclotomic(d))
-                if not any(rem):
-                    rest, orders = quo, orders + [d]
-                    continue
-            d += 1
+        orders = _cyclotomic_orders(tuple(c // g for c in self.num.coeffs))
+        if orders is None:
+            raise ArithmeticError(f"cannot invert {self}: not c * q^k * prod Phi_d")
         num = _phi_product(self.orders) * (self.content * (1 if g > 0 else -1))
         return RatFuncQ(IntLaurent(num.coeffs, -self.num.lo), orders, abs(g))
 

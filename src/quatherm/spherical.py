@@ -16,9 +16,10 @@ its finite oracle, and the truncated induction identity all live here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from . import counting, density
 from .counting import _CHUNK, _decode_digits
 from .density import build_gram, check_orbit_label
 from .elemsym import ElemSymExpr, to_elementary
-from .laurent import LaurentPoly, map_distinct, orbit_sum, symmetric_sum
+from .laurent import (LaurentPoly, _kostka_row, alternant_sum, map_distinct, orbit_sum,
+                      symmetric_sum)
 from .quatring import RingParams, qadd, qconj, qmul
 from .ratfunc import ONE, Q, IntLaurent, RatFuncQ, ZERO, qpow, w_factor
 
@@ -167,18 +169,49 @@ def psi_explicit(alpha, n: int | None = None) -> LaurentPoly:
     return result
 
 
-def psi_elementary(alpha, n: int | None = None) -> ElemSymExpr:
-    """Psi(alpha) in elementary symmetric coordinates.
+@lru_cache(maxsize=4096)
+def _schur_elementary(lam: tuple) -> tuple:
+    """((s-exponent, int), ...): the Schur polynomial s_lam of a partition lam
+    in elementary coordinates, by `to_elementary` on its Kostka expansion."""
+    schur = LaurentPoly(len(lam))
+    for mu, k in _kostka_row(lam):
+        schur.terms.update(dict.fromkeys(set(itertools.permutations(mu)), IntLaurent([k])))
+    return tuple((e, c.coeffs[0]) for e, c in to_elementary(schur).terms.items())
 
-    The rewrite is linear, so this is the rewrite of the integral main term
-    with every coefficient times the prefactor: the same value as
-    to_elementary(psi_explicit(alpha, n)), with Q(q) arithmetic only at the
-    end.
+
+def main_term_elementary(alpha, n: int | None = None) -> ElemSymExpr:
+    """The main term in elementary coordinates, with IntLaurent coefficients:
+    the same value as to_elementary(main_term(alpha, n)).
+
+    From the alternant sum, sum_kappa c_kappa * s_(kappa - delta), and
+    s_lam = s_n^(lam_n) * s_(lam - lam_n) with lam_n = kappa_n; the s_n^-k
+    shift is k = max(0, -min kappa_n), the smallest exponent of the sum.
     """
     alpha = check_orbit_label(alpha)
     if n is None:
         n = len(alpha)
-    result = to_elementary(_integral_main_term(alpha, n))
+    state = alternant_sum(n, lambda_alpha(alpha), _main_term_factors(alpha, n))
+    k = max(0, -min((kappa[-1] for kappa in state), default=0))
+    terms = {}
+    for kappa, qc in state.items():
+        c, last = IntLaurent.from_terms(qc), kappa[-1]
+        lam = tuple(a - last - (n - 1 - t) for t, a in enumerate(kappa))
+        for e, mult in _schur_elementary(lam):
+            e = e[:-1] + (e[-1] + last + k,)
+            prev = terms.get(e)
+            terms[e] = c * mult if prev is None else prev + c * mult
+    return ElemSymExpr(n, terms, shift=k)
+
+
+def psi_elementary(alpha, n: int | None = None) -> ElemSymExpr:
+    """Psi(alpha) in elementary symmetric coordinates: `main_term_elementary`
+    with every coefficient times the prefactor, the same value as
+    to_elementary(psi_explicit(alpha, n)), with Q(q) arithmetic only at the
+    end."""
+    alpha = check_orbit_label(alpha)
+    if n is None:
+        n = len(alpha)
+    result = main_term_elementary(alpha, n)
     result.terms = _times_prefactor(result.terms, alpha, n)
     return result
 

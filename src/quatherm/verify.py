@@ -101,6 +101,8 @@ SYMMETRY_LABELS = {
     3: [(0, 0, 0), (2, 0, 0), (1, 1, 0), (2, 2, 0), (2, 1, 1), (0, -1, -1)],
     4: [(0, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0), (2, 1, 1, 0),
         (-1, -1, -1, -1)],
+    5: [(0, 0, 0, 0, 0), (2, 0, 0, 0, 0), (1, 1, 0, 0, 0), (2, 2, 0, 0, 0),
+        (3, 3, 1, 1, 0), (0, -1, -1, -1, -1)],
 }
 
 
@@ -359,12 +361,14 @@ GENERATOR_LABELS = {3: [(0, 0, 0), (0, -1, -1)], 4: [(0, 0, 0, 0), (-1, -1, -1, 
 def ideal_verdicts(n, labels, q_specs):
     """Generator agreement and ideal membership at each q in q_specs.
 
-    Every label's elementary form is built once, outside the q-loop.  Returns
-    a list of (q0, generator_ok, members): generator_ok says, per generator
-    label, whether its image matches the tabulated generator up to scaling;
-    members lists (alpha, verdict) in label order.  Each q0 must be at least
-    2: q = 0 is a pole of the prefactor, and at q = 1 its factor (q - 1)^k
-    makes every odd-label image zero, a vacuous member.
+    Every label's elementary form is built once, outside the q-loop, without
+    Psi's prefactor (q - 1)^k q^e / prod [i]_{q^2}: at every q0 >= 2 it is a
+    nonzero constant, which cancels in `leading_normalized` and cannot change
+    membership.  Returns a list of (q0, generator_ok, members): generator_ok
+    says, per generator label, whether its image matches the tabulated
+    generator up to scaling; members lists (alpha, verdict) in label order.
+    Each q0 must be at least 2: q = 0 is a pole of the prefactor, and at q = 1
+    its factor (q - 1)^k makes every odd-label image zero, a vacuous member.
     """
     bad_q = [q0 for q0 in q_specs if q0 < 2]
     if bad_q:
@@ -372,7 +376,7 @@ def ideal_verdicts(n, labels, q_specs):
     forms = {}
     for alpha in [*GENERATOR_LABELS[n], *labels]:
         if alpha not in forms:
-            forms[alpha] = spherical.psi_elementary(alpha, n)
+            forms[alpha] = spherical.main_term_elementary(alpha, n)
     computed = [forms[a] for a in GENERATOR_LABELS[n]]
     tabulated = elemsym.schwartz_image_generators(n)
     out = []
@@ -429,7 +433,7 @@ def run_suite(tier: str = "all", budget: int = counting.DEFAULT_BUDGET):
         check_shift_by_counting(results)
         check_decomposition(results, budget)
     if tier in ("deep", "all"):
-        check_symmetry_polynomiality(results, sizes=(4,))
+        check_symmetry_polynomiality(results, sizes=(4, 5))
         check_ideal_structure(results)
         check_induction(results, budget)
         check_key_lemma(results, budget)

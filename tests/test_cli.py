@@ -74,6 +74,19 @@ def test_spherical_size5_digests(capsys, alpha, what):
     assert hashlib.sha256(out.encode()).hexdigest() == SIZE5_DIGESTS[alpha, what]
 
 
+# recorded from the engine that expanded the whole numerator (14 s there)
+SIZE6_ZERO_DIGEST = "5c672a705270349dcd7b4f03bcc3f771218e34cd0d01a8c08bcaa7f203b3737c"
+
+
+def test_spherical_size6_zero_label(capsys):
+    from quatherm.spherical import psi_explicit
+
+    code, out = run_cli(capsys, "spherical", "--alpha", "0,0,0,0,0,0", "--what", "psi")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIZE6_ZERO_DIGEST
+    assert psi_explicit((0,) * 6, 6).is_symmetric()
+
+
 def test_spherical_whats(capsys):
     code, data = run_json(capsys, "spherical", "--alpha", "2,0", "--what", "delta")
     assert code == 0
@@ -205,6 +218,21 @@ def test_density_rejects_p_not_an_odd_prime(capsys, method, p):
     # the closed formula used to die on a pole at p = 0 and to evaluate at the rest
     err = run_error(capsys, "density", "--method", method, "--alpha", "0,0", f"--p={p}")
     assert f"p must be an odd prime, got {p}" in err
+
+
+def test_spherical_unknown_what_error(capsys):
+    err = run_error(capsys, "spherical", "--alpha", "0,0", "--what", "foo")
+    assert err == "quatherm: error: unknown --what 'foo'\n"
+
+
+def test_empty_level_list_names_the_option(capsys):
+    err = run_error(capsys, "density", "--ell", ",", "--alpha", "0")
+    assert err == "quatherm: error: --ell takes comma-separated integers, got ','\n"
+
+
+def test_empty_label_names_the_option(capsys):
+    err = run_error(capsys, "spherical", "--alpha", "")
+    assert err == "quatherm: error: --alpha takes comma-separated integers, got ''\n"
 
 
 def test_spherical_n_zero_is_an_arity_error(capsys):

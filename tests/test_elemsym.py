@@ -184,8 +184,8 @@ def test_ideal_verdicts_build_each_form_once(monkeypatch):
     from quatherm import spherical, verify
 
     built = []
-    real = spherical.psi_elementary
-    monkeypatch.setattr(spherical, "psi_elementary",
+    real = spherical.main_term_elementary
+    monkeypatch.setattr(spherical, "main_term_elementary",
                         lambda a, n: built.append(a) or real(a, n))
     labels = [(2, 0, 0), (0, 0, 0), (2, 0, 0)]
     out = verify.ideal_verdicts(3, labels, (2, 3, 5))
@@ -194,6 +194,21 @@ def test_ideal_verdicts_build_each_form_once(monkeypatch):
     for _, generator_ok, members in out:
         assert generator_ok == [True, True]
         assert members == [(a, True) for a in labels]
+
+
+def test_ideal_verdicts_ignore_the_prefactor(monkeypatch):
+    # the prefactor is a nonzero constant at every q >= 2, so the verdicts of
+    # the main-term forms are those of Psi's own elementary forms
+    from quatherm import spherical, verify
+    from quatherm.verify import GENERATOR_LABELS, IDEAL_LABELS
+
+    qs = (2, 3, 5, 7)
+    plain = {n: verify.ideal_verdicts(n, labels, qs) for n, labels in IDEAL_LABELS.items()}
+    psi = {(a, n): spherical.psi_elementary(a, n)
+           for table in (GENERATOR_LABELS, IDEAL_LABELS) for n in table for a in table[n]}
+    monkeypatch.setattr(spherical, "main_term_elementary", lambda a, n: psi[a, n])
+    for n, labels in IDEAL_LABELS.items():
+        assert verify.ideal_verdicts(n, labels, qs) == plain[n]
 
 
 @pytest.mark.parametrize("order", ["grevlex", "lex"])

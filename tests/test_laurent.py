@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 from quatherm.laurent import (
     LaurentPoly,
     NonExactDivision,
+    _blocks,
     _kostka_row,
+    _normalized,
+    alternant_sum,
     elementary_symmetric,
     orbit_sum,
     symmetric_sum,
 )
 from quatherm.ratfunc import ONE, Q, IntLaurent, RatFuncQ, qpow
-from quatherm.spherical import main_term, psi_explicit
+from quatherm.spherical import _main_term_factors, main_term, psi_explicit
 
 
 def test_ring_basics():
@@ -298,3 +301,44 @@ def test_psi_paths_never_divide(monkeypatch):
     # both counters are live
     LaurentPoly.binomial(2, 0, 1, ONE).divide_exact_binomial(0, 1, ONE)
     assert poly_gcd(QPoly([-1, 0, 1]), QPoly([1, 1])) == QPoly([1, 1]) and len(set(calls)) == 2
+
+
+# -- the block peel ---------------------------------------------------------------------
+
+
+def _template_blocks(n, num):
+    return _blocks(n, _normalized(n, num)[0])
+
+
+def test_blocks_follow_the_template():
+    # one variable per block for an even label; a later odd pair is one block
+    # (its inner factor differs from those to earlier variables), the first
+    # variable always its own; a template with no further structure leaves
+    # all the rest in one block
+    assert _template_blocks(4, _main_term_factors((0, 0, 0, 0), 4)) == [
+        (0, 1), (1, 2), (2, 3), (3, 4)]
+    assert _template_blocks(4, _main_term_factors((0, 0, -1, -1), 4)) == [
+        (0, 1), (1, 2), (2, 4)]
+    assert _template_blocks(5, _main_term_factors((3, 3, 1, 1, 0), 5)) == [
+        (0, 1), (1, 2), (2, 4), (4, 5)]
+    assert _template_blocks(4, [(0, 3, Q), (1, 2, ONE)]) == [(0, 1), (1, 4)]
+    # x_j - c x_i with j > i is -c (x_i - c^-1 x_j)
+    assert _normalized(2, [(1, 0, Q)]) == ({(0, 1): ((1, -1),)}, -1, 1)
+    assert _normalized(2, [(1, 0, -qpow(-2))]) == ({(0, 1): ((-1, 2),)}, 1, -2)
+
+
+def test_peel_matches_reference_on_hl_templates():
+    for n, c in [(3, qpow(-1)), (3, -qpow(-1)), (4, qpow(-2))]:
+        num = [(i, j, c) for i in range(n) for j in range(i + 1, n)]
+        lam = (2, 1) + (0,) * (n - 2)
+        assert len(_template_blocks(n, num)) == n
+        assert symmetric_sum(n, lam, num) == _orbit_sum_reference(n, lam, num, _vandermonde(n))
+
+
+def test_alternant_sum_small_values():
+    # a_(2,1,0) with the sign of the sort, and nothing for a repeated exponent
+    assert alternant_sum(3, (2, 1, 0), []) == {(2, 1, 0): {0: 1}}
+    assert alternant_sum(3, (0, 1, 2), []) == {(2, 1, 0): {0: -1}}
+    assert alternant_sum(3, (1, 1, 0), []) == {}
+    # x_2 - q x_1 antisymmetrizes to -(1 + q) a_(1,0)
+    assert alternant_sum(2, (0, 0), [(1, 0, Q)]) == {(1, 0): {0: -1, 1: -1}}

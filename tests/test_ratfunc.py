@@ -418,3 +418,21 @@ def test_cyclo_refuses_non_cyclotomic_divisors():
             1 / divisor
     with pytest.raises(DivisionByZero):
         Q / (Q - Q)
+
+
+def test_inverse_round_trips_on_symbolic_suite_values(monkeypatch):
+    # the inverses one `verify --suite symbolic` takes, each through the cached
+    # factorisation, and the powers of q it inverts most
+    from quatherm import verify
+
+    for k in range(-6, 7):
+        assert qpow(k) ** -1 == qpow(-k)
+    inverted = []
+    real = RatFuncQ.inverse
+    monkeypatch.setattr(RatFuncQ, "inverse", lambda x: inverted.append(x) or real(x))
+    verify.run_suite("symbolic")
+    monkeypatch.undo()
+    assert len(set(inverted)) >= 10
+    for x in set(inverted):
+        assert x.inverse() * x == ONE
+        assert x.inverse() == x ** -1 and str(x.inverse()) == str(real(x))

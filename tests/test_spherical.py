@@ -6,10 +6,11 @@ import pytest
 
 from quatherm.counting import InfeasibleSizeError
 from quatherm.density import is_orbit_label
-from quatherm.elemsym import to_elementary
-from quatherm.laurent import LaurentPoly
+from quatherm.elemsym import ElemSymExpr, to_elementary
+from quatherm.laurent import LaurentPoly, _kostka_row
 from quatherm.ratfunc import ONE, Q, QPoly, RatFuncQ, format_fraction, poly_gcd, qpow, w_factor
 from quatherm.spherical import (
+    _schur_elementary,
     delta_closed,
     delta_oracle,
     delta_series_weights,
@@ -17,6 +18,7 @@ from quatherm.spherical import (
     hl_variant,
     lambda_alpha,
     main_term,
+    main_term_elementary,
     odd_data,
     omega_series_size2,
     psi_elementary,
@@ -95,6 +97,30 @@ def test_psi_size5_symmetric():
 def test_psi_elementary_is_rewrite_of_psi(alpha):
     n = len(alpha)
     assert psi_elementary(alpha, n) == to_elementary(psi_explicit(alpha, n))
+
+
+@pytest.mark.parametrize("alpha", [(0, 0), (-1, -1), (0, 0, 0), (0, -1, -1), (2, 2, 0),
+                                   (-1, -1, -1, -1), (2, 1, 1, 0), (0, 0, -2, -2),
+                                   (0, 0, 0, 0, 0), (3, 3, 1, 1, 0)])
+def test_main_term_elementary_is_rewrite_of_main_term(alpha):
+    # from the Schur coefficients, with the shift of the rewrite
+    n = len(alpha)
+    got, want = main_term_elementary(alpha, n), to_elementary(main_term(alpha, n))
+    assert got.shift == want.shift
+    assert {e: RatFuncQ(c) for e, c in got.terms.items()} == want.terms
+
+
+def test_schur_elementary_expands_to_the_schur_polynomial():
+    for lam in [(0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 1, 1), (2, 2, 0, 0), (3, 2, 1, 0)]:
+        n = len(lam)
+        schur = LaurentPoly(n)
+        for mu, k in _kostka_row(lam):
+            for x in set(itertools.permutations(mu)):
+                schur.terms[x] = RatFuncQ.const(k)
+        assert ElemSymExpr(n, dict(_schur_elementary(lam))).expand_x() == schur, lam
+    # s_(1,1,0) = e_2 and s_(2,0,0) = e_1^2 - e_2
+    assert dict(_schur_elementary((1, 1, 0))) == {(0, 1, 0): 1}
+    assert dict(_schur_elementary((2, 0, 0))) == {(2, 0, 0): 1, (0, 1, 0): -1}
 
 
 def test_main_term_values():
