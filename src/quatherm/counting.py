@@ -17,10 +17,7 @@ from functools import cache, partial, reduce
 
 import numpy as np
 
-from .quatring import (
-    HermMatrix, QuatElem, QuatMatrix, RingParams, fmul, herm_apply, qadd, qconj, qmul, qnrd,
-    qresidue, qscalar,
-)
+from .quatring import HermMatrix, QuatElem, RingParams, fmul, qadd, qconj, qmul, qresidue
 
 
 class InfeasibleSizeError(RuntimeError):
@@ -75,10 +72,6 @@ def _decode_digits(idx, count, base):
     return out
 
 
-def _entry_coords(m: HermMatrix):
-    return [[m.entries[i][j].coords() for j in range(m.cols)] for i in range(m.rows)]
-
-
 def _congruence_masks(coords, b_coords, p, ell, pl):
     """Boolean mask for one hermitian-difference entry set.
 
@@ -104,7 +97,9 @@ def _congruence_masks(coords, b_coords, p, ell, pl):
 
 
 def cost_generic(p: int, m: int, n: int, ell: int):
-    """(ops, peak bytes) of count_generic: p^(4*ell*m*n) matrices, chunked."""
+    """(ops, peak bytes) of count_generic: p^(4*ell*m*n) matrices, chunked.
+    Its int64 values stay below the index p^(4*ell*m*n) and, for a quaternion
+    product before its reduction mod p^ell, (p+1)(eps^2+1) p^(2*ell)."""
     space = p ** (4 * ell * m * n)
     return space * 4 * m * n * max(m, 1), min(space, _CHUNK) * 8 * (20 * m * n + 8)
 
@@ -122,7 +117,7 @@ def count_generic(b: HermMatrix, a: HermMatrix, primitive: bool = False,
     m, n = a.rows, b.rows
     check_cost("count_generic", partial(cost_generic, p, m, n), p, ell, budget)
     space = pl ** (4 * m * n)
-    acoo = _entry_coords(a)
+    acoo = [[x.coords() for x in row] for row in a.entries]
     bcoo = {(i, j): b.entries[i][j].coords() for i in range(n) for j in range(i, n)}
 
     total = 0
@@ -193,6 +188,10 @@ def _rank_mask(res, p, e2):
 # the four), on a 2-core VM with Python 3.11 and numpy 2.4.
 OBJECT_MULADD_OPS = 64
 
+# Budget ops per element and term of count_matrix_pair's arrays: ~110 ns per
+# element held (p=3 level 3, p=7 level 2), the bound charged is 2-3x that.
+PAIR_ELEMENT_OPS = 64
+
 
 def cost_convolutions(p: int, factors: int, totals: int, ell: int):
     """(ops, peak bytes) of `totals` reductions of `factors` length-p^ell
@@ -212,6 +211,30 @@ def _cyclic_convolve(h1, h2):
     return full[:pl]
 
 
+def _coordinate_histograms(params: RingParams, scale: int, linear, in_radical: bool, modulus: int):
+    """Per coordinate v of y = a + b*eps + c*Pi + d*Pi*eps in O/Pi^(2*ell)
+    (Pi O if in_radical: a, b in p), the histogram of k*(scale*v^2 + 2*l*v)
+    mod modulus for Nrd's coefficients k = 1, -eps^2, -p, p*eps^2 and the
+    coordinates l of w; convolved, that of scale*Nrd(y) + Trd(y* w)."""
+    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
+    t = np.arange(pl, dtype=np.int64)
+    ab = t[: p ** (ell - 1)] * p if in_radical else t
+    return [np.bincount((v * v % modulus * (k * scale % modulus) + v * (2 * k * l % modulus))
+                        % modulus, minlength=modulus).astype(object)
+            for k, l, v in zip((1, -e2, -p, p * e2), linear, (ab, ab, t, t))]
+
+
+def _read_bin(histograms, value: int) -> int:
+    """Bin `value` of the cyclic convolution of the histograms; the last
+    convolution is one dot product."""
+    *rest, last = histograms
+    pl = len(last)
+    if not rest:
+        return int(last[value % pl])
+    head = np.asarray(reduce(_cyclic_convolve, rest), dtype=object)
+    return int(head.dot(np.asarray(last, dtype=object)[(value - np.arange(pl)) % pl]))
+
+
 def nrd_histogram(params: RingParams, scale: int = 1, in_radical: bool = False,
                   budget: int = DEFAULT_BUDGET):
     """Histogram over x of scale * Nrd(x) mod p^ell.
@@ -221,12 +244,9 @@ def nrd_histogram(params: RingParams, scale: int = 1, in_radical: bool = False,
     + d*Pi*eps) = a^2 - eps^2*b^2 - p*c^2 + p*eps^2*d^2, so the histogram is
     the cyclic convolution of four 1-D histograms of scaled squares.
     """
-    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
+    p, ell, pl = params.p, params.ell, params.modulus
     check_cost("nrd_histogram", partial(cost_convolutions, p, 4, 1), p, ell, budget)
-    t = np.arange(pl, dtype=np.int64)
-    ab = t[: p ** (ell - 1)] * p if in_radical else t
-    squares = [np.bincount(v * v % pl * (scale * k % pl) % pl, minlength=pl).astype(object)
-               for k, v in ((1, ab), (-e2, ab), (-p, t), (p * e2, t))]
+    squares = _coordinate_histograms(params, scale, (0, 0, 0, 0), in_radical, pl)
     return reduce(_cyclic_convolve, squares).tolist()
 
 
@@ -258,15 +278,9 @@ def count_diagonal_convolved(b_value: int, diag_scalars, params: RingParams,
             hist[:: p**v] = count
         return hist
 
-    def bin_at_b(in_radical):
-        *rest, last = (histogram(blk, in_radical) for blk in diag_scalars)
-        if not rest:
-            return int(last[b_value % pl])
-        head = np.asarray(reduce(_cyclic_convolve, rest), dtype=object)
-        return int(head.dot(np.asarray(last, dtype=object)[(b_value - np.arange(pl)) % pl]))
-
-    total = bin_at_b(False)
-    return total - bin_at_b(True) if primitive else total
+    counts = [_read_bin([histogram(blk, in_radical) for blk in diag_scalars], b_value)
+              for in_radical in (False, True)[: 1 + primitive]]
+    return counts[0] - sum(counts[1:])
 
 
 # -- alternating block: n = 1, A = [[0, beta], [beta*, 0]] ---------------------
@@ -307,191 +321,173 @@ def count_column_pair(b_value: int, a: HermMatrix, primitive: bool = False,
 # -- size-2 Gram pairs: m = n = 2, A diagonal or p^e * H ----------------------
 
 
-# Budget ops per row-histogram key or bin (16-31 ns measured at p=3 levels 2-3,
-# p=5 level 2, p=7 level 1) and per 6 x 8 linear system (~4.8 us in batches of
-# 2^14 at p=3 and 5, level 2), against ~1.7 ns per int64 element op on 2^20
-# arrays (add, multiply, remainder, compare), on a 2-core VM, numpy 2.4.
-ROW_KEY_OPS = 16
-LINEAR_SYSTEM_OPS = 4096
-
-
 def cost_matrix_pair(p: int, alternating: bool, primitive: bool, ell: int):
-    """(ops, peak bytes) of count_matrix_pair: p^(4*ell) + p^(4*ell-2) rows
-    at each of <= 2*ell levels, for 1 (p^2 + 3 if primitive) reads of one bin.
-    Diagonal: 1 (3) histograms of p^(6*ell-2) int64 bins up to p^(8*ell), from
-    phi(p^ell) keys per row; the peak, 8 bytes per held bin and 56 per key,
-    bounds tracemalloc at p=3 levels 1-3, p=5 levels 1-2, p=7 level 1.  The
-    largest int64 value, a bin times its divisor before the exact division,
-    is p^(12*ell) < 2^63 for p^ell < 38; the byte limit stops at p^ell = 31.
-    Alternating: one system per row, int64 entries below p^(2*ell) * 4p^2."""
-    pl = p**ell
-    rows, reads = pl**4 + pl**4 // p**2, p * p + 3 if primitive else 1
+    """(ops, peak bytes) of count_matrix_pair's 1 (p^2 + 3 if primitive)
+    counts.  p^e H: <= 3 value counts, 3 convolutions of p^ell bins each.
+    Diagonal: <= ell first-row levels, each an array of phi(p^ell) norms by
+    <= 2 p^(3*ell-1) bins of z read by <= ell + 1 terms, and cached
+    convolutions of length p^(2*ell-1).  The largest int64 value, a product
+    of two residues mod p^(2*ell-1), is below 2^63 while p^(2*ell-1) < 3e9.
+    48 bytes per array element (128 KiB + 256 per bin for p^e H) bound
+    tracemalloc at p=3, levels 1-3, and p=5, level 2."""
+    pl, top = p**ell, p ** (2 * ell - 1)
+    counts = p * p + 3 if primitive else 1
     if alternating:
-        return reads * 2 * ell * rows * LINEAR_SYSTEM_OPS, 2**25 + 128 * rows
-    bins, keys, builds = pl**4 * (pl // p) ** 2, (pl - pl // p) * rows, 3 if primitive else 1
-    return (ell * (builds * (keys + bins) + reads * keys) * ROW_KEY_OPS,
-            2**20 + 8 * (builds + 1) * bins + 56 * keys)
+        return counts * 9 * pl * pl * OBJECT_MULADD_OPS, 2**17 + 256 * pl
+    elements = 2 * (pl - pl // p) * pl * top
+    return (counts * ell * (ell + 1) * elements * PAIR_ELEMENT_OPS
+            + 8 * top * top * OBJECT_MULADD_OPS, 2**20 + 48 * elements)
 
 
-def _quat_grid(params: RingParams, in_radical: bool = False):
-    """4 x N coordinates of all of O/Pi^(2*ell), or of Pi O (a, b in p)."""
-    p, pl = params.p, params.modulus
-    grid = np.array(_decode_digits(np.arange(pl**4, dtype=np.int64), 4, pl))
-    return grid[:, (grid[0] % p == 0) & (grid[1] % p == 0)] if in_radical else grid
+@cache
+def _residue_tables(p: int, ell: int):
+    """v_p on Z/p^(2*ell-1), capped there (v_Pi of an off-diagonal entry from
+    its norm), and the inverses mod p^ell of the units (0 at the rest)."""
+    top, pl = p ** (2 * ell - 1), p**ell
+    vals = sum((np.arange(top) % p**v == 0).astype(np.int64) for v in range(1, 2 * ell))
+    return vals, np.array([pow(t, -1, pl) if t % p else 0 for t in range(pl)], dtype=np.int64)
 
 
-def _g2_key(d1, d2, q, params: RingParams):
-    """Index in G_2 = Herm_2 mod the level-ell congruence set (p^(6*ell-2)
-    classes) of the class with diagonal (d1, d2) and upper entry q."""
-    pl, pl1 = params.modulus, params.modulus // params.p
-    a, b, c, d = q
-    return d1 % pl + pl * (d2 % pl + pl * (a % pl + pl * (b % pl + pl * (
-        c % pl1 + pl1 * (d % pl1)))))
-
-
-def _row_keys(params: RingParams, s: int, off, in_radical: bool):
-    """h(X) = #{rows r = (x, y) : off + s r*r = X}, y in Pi O if in_radical,
-    as groups (keys, weight, divisor) summing weight * #{keys = X} / divisor.
-    r*r = [[Nrd x, x* y], [y* x, Nrd y]].  Rows are not enumerated: a unit x
-    of norm t (p^(3*ell-1)(p+1) of them per t) and z = x* y give the key
-    (t, Nrd(z)/t, z); x in Pi O and a unit y of norm t, with w = x* y, give
-    (Nrd(w)/t, t, w); rows in Pi O give those of -p*s, p^4 rows per key."""
-    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
-    t = np.array([t for t in range(pl) if t % p], dtype=np.int64)[:, None]
-    t_inv = np.array([pow(int(u), -1, pl) for u in t[:, 0]], dtype=np.int64)[:, None]
-    o1, o2, oq = off
-    grid, radical = _quat_grid(params), _quat_grid(params, True)
-    for k in range(ell + 1):
-        top, sk = in_radical and k == 0, s * (-p) ** k % pl
-        if sk == 0:
-            yield np.array([_g2_key(o1, o2, oq, params)]), p ** (8 * ell - 4 * k - 2 * top), 1
-            return
-        z = radical if top else grid
-        keys = [_g2_key(o1 + sk * t, o2 + sk * qnrd(z, p, e2, pl) * t_inv,
-                        qadd(oq, sk * z, pl), params).ravel()]
-        if not top:
-            keys.append(_g2_key(o1 + sk * qnrd(radical, p, e2, pl) * t_inv, o2 + sk * t,
-                                qadd(oq, sk * radical, pl), params).ravel())
-        yield np.concatenate(keys), p ** (3 * ell - 1) * (p + 1), p ** (4 * k)
-
-
-def _row_histogram(params: RingParams, s: int, in_radical: bool):
-    """The int64 bins of the row histogram of s (see _row_keys)."""
-    hist = np.zeros(params.modulus**4 * (params.modulus // params.p) ** 2, dtype=np.int64)
-    for keys, weight, divisor in _row_keys(params, s, (0, 0, (0, 0, 0, 0)), in_radical):
-        counts = np.bincount(keys, minlength=hist.size)
-        counts *= weight
-        counts //= divisor
-        hist += counts
-    return hist
-
-
-def _solution_exponents(m, params: RingParams):
-    """log_p #{y : M y = c mod p^ell} for a batch m = [M | c], or -1 if none.
-    Each pivot has the least valuation v_k left, so it divides the rest of its
-    row and column: row k has p^v_k solutions if v(c_k) >= v_k, else none."""
+def _row_fibres(params: RingParams, s: int, m11, m22, n12, in_radical: bool):
+    """h_s(M) = #{rows r = (x, y) : s r*r = M}, y in Pi O if in_radical, as
+    (weight, count) terms; M is m11, m22 and n12 = Nrd(m12), a lift's norm
+    mod p^(2*ell-1).  For s = p^v sigma, a unit x of norm t (p^(3*ell-1)(p+1)
+    of them) and z = x* y need s t = m11 and z = m12/s mod Pi^(2*ell-1-2v)
+    (p^(4v+2) z, if v_Pi(m12) >= 2v), and then s Nrd(z)/t = Nrd(m12)/s.  x in
+    Pi O and a unit y swap m11 and m22 and need z in Pi O; rows in Pi O are
+    those of -p*s, p^4 to one, and all give 0 once p^ell | s."""
     p, ell, pl = params.p, params.ell, params.modulus
-    n, rows, cols = m.shape[0], m.shape[1], m.shape[2] - 1
-    vals = np.array([params.val_p(t) for t in range(pl)])
-    unit_inv = np.array([0] + [pow(t // p ** int(vals[t]), -1, pl) for t in range(1, pl)])
-    at, expo, ok = np.arange(n), ell * (cols - rows), np.ones(n, dtype=bool)
-    for k in range(rows):
-        flat = vals[m[:, k:, k:cols]].reshape(n, -1).argmin(axis=1)
-        i, j = k + flat // (cols - k), k + flat % (cols - k)
-        m[at, k], m[at, i] = m[at, i], m[at, k]
-        m[at, :, k], m[at, :, j] = m[at, :, j], m[at, :, k]
-        piv = m[:, k, k]
-        v = vals[piv]
-        ok &= vals[m[:, k, cols]] >= v
-        expo = expo + v
-        factor = m[:, k + 1:, k] // p ** v[:, None] * unit_inv[piv][:, None] % pl
-        m[:, k + 1:] = (m[:, k + 1:] - factor[:, :, None] * m[:, None, k]) % pl
-    return np.where(ok, expo, -1)
+    vals, inverse = _residue_tables(p, ell)
+
+    def units(first, second):
+        # #{t : p^v sigma t = first, t second = q}, over the p^v lifts of t0 mod p^(ell-v)
+        mu, t0 = vals[second], first // p**v * sigma_inv % pl
+        ok = (vals[first] == v) & (vals[(q - t0 * second) % pl] >= np.minimum(ell - v + mu, ell))
+        return ok * p ** np.minimum(mu, v)
+
+    for k in range(ell + 1):
+        top, s_k = in_radical and k == 0, s * (-p) ** k % pl
+        if s_k == 0:
+            yield p ** (8 * ell - 2 * top - 4 * k), (m11 == 0) & (m22 == 0) & (n12 == 0)
+            return
+        v = int(vals[s_k])
+        sigma_inv = int(inverse[s_k // p**v])
+        q = n12 // p**v * sigma_inv % pl
+        found = (vals[n12] >= 2 * v + top) * units(m11, m22)
+        yield p ** (3 * ell + 4 * (v - k) + 1) * (p + 1), (
+            found if top else found + (vals[n12] > 2 * v) * units(m22, m11))
 
 
-def _alternating_pair_count(a: HermMatrix, target, in_radical: bool) -> int:
-    """#{u : A[u] = B} for A = [[0, beta], [beta*, 0]], the second column of
-    u in Pi O if in_radical (y2 = Pi y2', p^2 lifts).  A[u] = r1* beta r2 +
-    r2* beta* r1 is linear in r2: one 6 x 8 system over Z/p^ell per first row
-    r1, its mod p^(ell-1) rows times p.  g r1 (g a unit) moves r2 by
-    beta^-1 g*^-1 beta, so |O^x| times the rows (1, y) and (x, 1), x in Pi O,
-    cover r1 with a unit entry; r1 in Pi O repeats with Pi* beta, p^4 to 1."""
-    pm = a.params
-    p, ell, e2, pl = pm.p, pm.ell, pm.eps2, pm.modulus
-    pi, (d1, d2, bq) = QuatElem.pi(pm), target
-    b1 = a.entries[0][1]
-    b2 = b1 * pi if in_radical else b1
-    grid, radical = _quat_grid(pm), _quat_grid(pm, True)
+@cache
+def _z_bins(params: RingParams, i: int, in_radical: bool):
+    """First rows as flat arrays (Nrd y mod p^(2*ell-1), coordinate i of y,
+    multiplicity, swapped): a unit x with y in O (Pi O if in_radical) and,
+    unless in_radical, a unit y with x in Pi O, swapped.  y is binned by the
+    norm of its other coordinates: square histograms convolved mod p^(2*ell-1)."""
+    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
+    groups = []
+    for radical in (True,) if in_radical else (False, True):
+        squares = _coordinate_histograms(params, 1, (0, 0, 0, 0), radical, pl * pl // p)
+        rest = np.array(reduce(_cyclic_convolve, squares[:i] + squares[i + 1:]), dtype=np.int64)
+        norms = np.flatnonzero(rest)
+        y = np.arange(0, pl, p if radical and i < 2 else 1)[:, None]
+        nrd = ((1, -e2, -p, p * e2)[i] * y * y + norms).ravel() % (pl * pl // p)
+        groups.append((nrd, np.repeat(y, len(norms)), np.tile(rest[norms], len(y)),
+                       np.full(nrd.size, radical and not in_radical)))
+    nrd, coord, mult, swap = (np.concatenate(g) for g in zip(*groups))
+    return nrd, coord, mult.astype(object), swap
+
+
+def _diagonal_pair_count(params: RingParams, s1: int, s2: int, b, in_radical: bool) -> int:
+    """#{u : s1 r1*r1 + s2 r2*r2 = B}, rows r_k = (x_k, y_k), y_k in Pi O if
+    in_radical: the sum over first rows, grouped as in _row_fibres, of
+    h_s2(B - s1 r1*r1).  h reads m12 = b12 - s1 z through Nrd(m12) =
+    Nrd b12 - s1 Trd(b12* z) + s1^2 Nrd z only.  With b12 = w Pi^k (w a unit)
+    and z = w y, Trd(b12* z) = Nrd(w) Trd(Pi*^k y), which is 2 p^(k/2) a or
+    -2 p^((k+1)/2) c for y = a + b eps + c Pi + d Pi eps: so z enters through
+    one coordinate of y and the norm of the rest (_z_bins)."""
+    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
+    top, (b11, b22, w) = pl * pl // p, b
+    inverse = _residue_tables(p, ell)[1]
+    t = np.flatnonzero(inverse)[:, None]
+    nrd_b, k_w = w.a**2 - e2 * w.b**2 - p * w.c**2 + p * e2 * w.d**2, w.pi_valuation()
+    i, unit, trace = (0, 1, 0) if k_w is None else (
+        k_w % 2 * 2, nrd_b // (-p) ** k_w % top, (-1) ** k_w * 2 * p ** ((k_w + 1) // 2) % top)
     total = 0
-    for k in range(2 * ell + 1):
-        if not b1:
-            total += (_g2_key(*target, pm) == 0) * p ** (16 * ell - 4 * k)
-            break
-        x2 = radical if in_radical and k == 0 else grid
-        x1 = np.zeros_like(x2)
-        x1[0] = 1                           # first rows (1, y)
-        if x2 is grid:                      # and (x, 1), x in Pi O
-            x1, x2 = np.hstack((x1, radical)), np.hstack((x2, x1[:, :radical.shape[1]]))
-        found = 0
-        for start in range(0, x1.shape[1], 1 << 14):
-            r1, r2 = (qconj(x[:, start:start + (1 << 14)], pl) for x in (x1, x2))
-            first, second = qmul(r1, b1.coords(), p, e2, pl), qmul(r2, b2.coords(), p, e2, pl)
-            cross = qmul(r1, b2.coords(), p, e2, pl)
-            back = qmul(b1.conj().coords(), qconj(r2, pl), p, e2, pl)
-            m = np.zeros((len(r1[0]), 6, 9), dtype=np.int64)
-            for t, e in enumerate(np.eye(4, dtype=np.int64)):
-                m[:, 0, t] = 2 * qscalar(first, e, p, e2, pl)
-                m[:, 1, 4 + t] = 2 * qscalar(second, e, p, e2, pl)
-                m[:, 2:, t] = np.stack(qmul(qconj(e, pl), back, p, e2, pl), axis=1)
-                m[:, 2:, 4 + t] = np.stack(qmul(cross, e, p, e2, pl), axis=1)
-            m[:, 4:] *= p
-            m[:, :, 8] = (d1, d2, bq[0], bq[1], p * bq[2], p * bq[3])
-            m %= pl
-            expo = _solution_exponents(m, pm)
-            found += sum(int(c) * p**e for e, c in enumerate(np.bincount(expo[expo >= 0])))
-        total += p ** (4 * ell - 2) * (p * p - 1) * found // p ** (4 * k)
-        b1, b2 = pi.conj() * b1, pi.conj() * b2
-    return total // p**2 if in_radical else total
+    for k in range(ell + 1):
+        first, s = in_radical and k == 0, s1 * (-p) ** k % pl
+        if s == 0:
+            terms = _row_fibres(params, s2, b11, b22, nrd_b % top, in_radical)
+            return total + p ** (8 * ell - 2 * first - 4 * k) * sum(c * int(h) for c, h in terms)
+        nrd, coord, mult, swap = _z_bins(params, i, first)
+        n = nrd * unit % top
+        n12 = (nrd_b - s * (trace * unit % top * coord % top) + s * s % top * n) % top
+        st, sn = np.broadcast_arrays(s * t, s * (n % pl) % pl * inverse[t])
+        m11, m22 = (b11 - np.where(swap, sn, st)) % pl, (b22 - np.where(swap, st, sn)) % pl
+        found = sum(weight * int(counts.sum(axis=0).astype(object).dot(mult))
+                    for weight, counts in _row_fibres(params, s2, m11, m22, n12, in_radical))
+        total += p ** (3 * ell - 1) * (p + 1) * found // p ** (4 * k)
+    return total
+
+
+def _row_linear_count(params: RingParams, v_beta: int, b, in_radical: bool) -> int:
+    """#{u : A[u] = B} for A = [[0, beta], [beta*, 0]], v = v_Pi(beta), the
+    second column in Pi O if in_radical.  diag(g, beta^-1 g*^-1 beta) fixes A,
+    so |O^x| times the first rows (1, y) and (x, 1), x in Pi O, cover those
+    with a unit entry.  For (1, y) the second row (z, w) needs Trd(beta z) =
+    d1 (p^(3*ell+c) z, c = ceil(v/2)) and beta w = b12 - (beta z)* y mod
+    Pi^(2*ell-1) (p^(2v+2) w if b12 in Pi^v), and then the (2,2) entry is
+    Trd(y* b12) - d1 Nrd y, a value count in y; (x, 1) mirrors it.  First
+    rows in Pi O are those of Pi* beta, p^4 to one; swapping the rows turns
+    a radical second row into a radical first one."""
+    p, ell, pl = params.p, params.ell, params.modulus
+    d1, d2, w = b
+    v_w = 2 * ell if w.pi_valuation() is None else w.pi_valuation()
+    y_count = cache(lambda radical: _read_bin(_coordinate_histograms(
+        params, -d1, w.coords(), radical, pl), d2))
+    x_count = cache(lambda: _read_bin(_coordinate_histograms(
+        params, -d2, w.conj().coords(), True, pl), d1))
+
+    def count(v, rad1, rad2):
+        if v >= 2 * ell:
+            return (d1 == d2 == 0 and v_w >= 2 * ell - 1) * p ** (16 * ell - 2 * (rad1 + rad2))
+        c, mu = min((v + 1) // 2, ell), min(v + rad2, 2 * ell - 1)
+        found = (d1 % p**c == 0 and v_w >= mu) * p ** (2 * (mu - rad2) + 2) * y_count(rad1)
+        if not rad1 and d2 % p**c == 0 and v_w >= v:
+            found += p ** (2 * v + 2) * x_count()
+        return p ** (7 * ell - 2 + c) * (p * p - 1) * found + count(v + 1, rad2, False) // p**4
+
+    return count(v_beta, in_radical, in_radical)
 
 
 def count_matrix_pair(b: HermMatrix, a: HermMatrix, primitive: bool = False,
                       budget: int = DEFAULT_BUDGET) -> int:
     """Count 2x2 u with A[u] = B, A diagonal or [[0, beta], [beta*, 0]] (as
-    every size-2 Gram representative is).  diag(s1, s2)[u] = s1 r1*r1 +
-    s2 r2*r2 over the rows r_k, so the count is bin B of the convolution of
-    two row histograms over G_2, read in Python ints (int64 partial sums of
-    at most 2^63 // p^(8*ell) bins).  Rank <= 1 means u v_L = 0 for one of
-    the p^2 + 1 residue lines L; with g_L = I or [[0, 1], [1, lambda]],
-    N_pr(B) = N(B) - sum_L N_rad(g_L* B g_L) + p^2 N_Pi(B), where N_rad
-    puts the second column in Pi O and N_Pi (u in Pi O) is p^-8 N(Pi* A Pi)."""
+    every size-2 Gram representative is), in closed form.  Rank <= 1 means
+    u v_L = 0 for one of the p^2 + 1 residue lines L; with g_L = I or
+    [[0, 1], [1, lambda]], N_pr(B) = N(B) - sum_L N_rad(g_L* B g_L) +
+    p^2 N_Pi(B): N_rad puts the second column in Pi O, and N_Pi (u in Pi O)
+    is p^-8 N(Pi* A Pi)."""
     pm = a.params
     if b.params != pm:
         raise ValueError("B and A must share ring parameters")
     if a.rows != 2 or b.rows != 2 or a.entries[0][1] and (a.entries[0][0] or a.entries[1][1]):
         raise ValueError("count_matrix_pair needs a diagonal or zero-diagonal 2x2 form")
-    p, ell = pm.p, pm.ell
-    check_cost("count_matrix_pair", partial(cost_matrix_pair, p, bool(a.entries[0][1]), primitive),
+    p, ell, pl, beta = pm.p, pm.ell, pm.modulus, a.entries[0][1]
+    check_cost("count_matrix_pair", partial(cost_matrix_pair, p, bool(beta), primitive),
                p, ell, budget)
-    step = max(1, 2**63 // p ** (8 * ell))
-    histogram = cache(partial(_row_histogram, pm))
 
-    def count(form, rhs, in_radical=False):
-        target = (rhs.entries[0][0].a, rhs.entries[1][1].a, rhs.entries[0][1].coords())
-        if form.entries[0][1]:
-            return _alternating_pair_count(form, target, in_radical)
-        hist, total = histogram(form.entries[0][0].a, in_radical), 0
-        for keys, weight, divisor in _row_keys(pm, -form.entries[1][1].a, target, in_radical):
-            found = sum(int(hist[keys[i:i + step]].sum()) for i in range(0, len(keys), step))
-            total += found * weight // divisor
-        return total
+    def count(target, in_radical=False, shift=0):  # shift = 1 counts by Pi* A Pi
+        if beta:
+            return _row_linear_count(pm, beta.pi_valuation() + 2 * shift, target, in_radical)
+        return _diagonal_pair_count(pm, a.entries[0][0].a * (-p) ** shift % pl,
+                                    a.entries[1][1].a * (-p) ** shift % pl, target, in_radical)
 
-    total = count(a, b)
+    target = b11, b22, w = b.entries[0][0].a, b.entries[1][1].a, b.entries[0][1]
     if not primitive:
-        return total
-    one, zero, pi = QuatElem.one(pm), QuatElem.zero(pm), QuatElem.pi(pm)
-    lines = [QuatMatrix.identity(2, pm)] + [
-        QuatMatrix([[zero, one], [one, QuatElem(l0, l1, 0, 0, pm)]], pm)
-        for l0 in range(p) for l1 in range(p)]
-    a_pi = HermMatrix([[pi.conj() * x * pi for x in row] for row in a.entries], pm)
-    return (total - sum(count(a, herm_apply(b, g), True) for g in lines)
-            + p * p * (count(a_pi, b) // p**8))
+        return count(target)
+    lines = ((b22, (b11 + (w * lam).trd() + b22 * lam.nrd()) % pl,  # g* B g
+              w.conj() + QuatElem.scalar(b22, pm) * lam)
+             for lam in (QuatElem(l0, l1, 0, 0, pm) for l0 in range(p) for l1 in range(p)))
+    return (count(target) - count(target, True) - sum(count(line, True) for line in lines)
+            + p * p * (count(target, shift=1) // p**8))

@@ -340,7 +340,9 @@ def delta_series_weights(alpha, vmax: int):
 
 
 def cost_delta_oracle(p: int, ell: int):
-    """(ops, peak bytes) of delta_oracle: p^(4*ell-2) points, three products each."""
+    """(ops, peak bytes) of delta_oracle: p^(4*ell-2) points, three products each.
+    Its int64 values stay below the index p^(4*ell-2) and, for a quaternion
+    product before its reduction mod p^ell, (p+1)(eps^2+1) p^(2*ell)."""
     points = p ** (4 * ell - 2)
     return 12 * points, min(points, _CHUNK) * 8 * 32
 

@@ -232,8 +232,9 @@ def check_sz_convert(results):
 
 DENSITY_CASES_N1 = [(3, 2, (0,)), (3, 2, (2,)), (5, 1, (0,))]
 DENSITY_CASES_N2 = [(3, 1, (0, 0)), (3, 1, (1, 1)), (3, 1, (2, 0))]
-# level 2 is the first where (2,0) and (1,1) are stable at p=3
-DENSITY_CASES_N2_STABLE = [(3, 2, (0, 0)), (3, 2, (2, 0)), (3, 2, (1, 1))]
+# level 2 is the first where (2,0) and (1,1) are stable at p=3; p3.l3 and p5.l2 witness it
+DENSITY_CASES_N2_STABLE = [(p, ell, alpha) for p, ell in ((3, 2), (3, 3), (5, 2))
+                           for alpha in ((0, 0), (2, 0), (1, 1))]
 
 
 def check_density_oracle(results, cases, budget):

@@ -264,10 +264,10 @@ def test_alternating_deep_level(capsys):
 
 
 def test_over_budget_error(capsys):
-    # level 4 is the first the size-2 count refuses at p=3
-    err = run_error(capsys, "density", "--ell", "4", "--alpha", "2,0")
+    # level 5 is the first the size-2 count refuses at p=3
+    err = run_error(capsys, "density", "--ell", "5", "--alpha", "2,0")
     assert "count_matrix_pair needs" in err and "budget" in err
-    assert err.rstrip().endswith("the highest feasible level at p=3 is 3")
+    assert err.rstrip().endswith("the highest feasible level at p=3 is 4")
 
 
 def test_density_size2_default_levels(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -164,8 +165,6 @@ def test_matrix_pair_level2(alpha, primitive):
     assert counting.count_matrix_pair(a, a, primitive) == MATRIX_PAIR_LEVEL2[(alpha, primitive)]
 
 
-@pytest.mark.skipif(not os.environ.get("QUATHERM_SLOW_TESTS"),
-                    reason="level 3 takes up to 20 s and 1.1 GiB; set QUATHERM_SLOW_TESTS=1")
 @pytest.mark.parametrize(("alpha", "count"), [
     ((0, 0), 2196172075676256), ((2, 0), 9882774340543152), ((1, 1), 148241615108147280)])
 def test_matrix_pair_level3_stable(alpha, count):
@@ -174,6 +173,56 @@ def test_matrix_pair_level3_stable(alpha, count):
     got = counting.count_matrix_pair(a, a)
     assert got == count
     assert Fraction(got, 3**32) == density_self_closed(alpha).eval_at(3)
+
+
+# (p, level, alpha, primitive) -> count, frozen from the kernel the closed
+# counts replaced (a G_2 row histogram for diagonal targets, one 6 x 8 linear
+# system per first row for p^e H) before it was deleted.  Its memory limit
+# refused the level-3 primitive counts of (0,0) and (2,0) at p=3.
+MATRIX_PAIR_PREVIOUS_KERNEL = {
+    (5, 2, (0, 0), False): 2746582031250000,
+    (5, 2, (0, 0), True): 2746582031250000,
+    (5, 2, (2, 0), False): 17166137695312500,
+    (5, 2, (2, 0), True): 17166137695312500,
+    (5, 2, (1, 1), False): 1487731933593750000,
+    (5, 2, (1, 1), True): 1487731933593750000,
+    (5, 2, (3, 3), False): 23283064365386962890625,
+    (5, 2, (3, 3), True): 22315979003906250000000,
+    (7, 1, (0, 0), False): 15495785088,
+    (7, 1, (0, 0), True): 15495785088,
+    (7, 1, (2, 0), False): 110730297608,
+    (7, 1, (2, 0), True): 108470495616,
+    (7, 1, (1, 1), False): 33232930569601,
+    (7, 1, (1, 1), True): 32541148684800,
+    (7, 1, (3, 3), False): 33232930569601,
+    (7, 1, (3, 3), True): 32541148684800,
+    (3, 3, (1, 1), True): 148241615108147280,
+    (3, 3, (3, 3), True): 108068137413839367120,
+}
+
+
+@pytest.mark.parametrize(("p", "ell", "alpha", "primitive"), list(MATRIX_PAIR_PREVIOUS_KERNEL))
+def test_matrix_pair_previous_kernel(p, ell, alpha, primitive):
+    a = build_gram(alpha, RingParams(p, ell))
+    assert counting.count_matrix_pair(a, a, primitive) == \
+        MATRIX_PAIR_PREVIOUS_KERNEL[(p, ell, alpha, primitive)]
+
+
+@pytest.mark.parametrize(("p", "ell"), [(3, 1), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("alpha", [(0, 0), (1, 1)])
+@pytest.mark.parametrize("primitive", [False, True])
+def test_matrix_pair_cost_bounds_peak(p, ell, alpha, primitive):
+    # the modelled peak bounds what the kernel holds, its cached tables included
+    counting._z_bins.cache_clear()
+    counting._residue_tables.cache_clear()
+    a = build_gram(alpha, RingParams(p, ell))
+    tracemalloc.start()
+    try:
+        counting.count_matrix_pair(a, a, primitive)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counting.cost_matrix_pair(p, alpha == (1, 1), primitive, ell)[1]
 
 
 def test_matrix_pair_exact_past_int64():
@@ -191,6 +240,15 @@ def test_matrix_pair_rejects_non_block_form():
         counting.count_matrix_pair(a, a)
 
 
+def _g2_key(d1, d2, q, params):
+    """Index in G_2 = Herm_2 mod the level-ell congruence set (p^(6*ell-2)
+    classes) of the class with diagonal (d1, d2) and upper entry q."""
+    pl, pl1 = params.modulus, params.modulus // params.p
+    a, b, c, d = q
+    return d1 % pl + pl * (d2 % pl + pl * (a % pl + pl * (b % pl + pl * (
+        c % pl1 + pl1 * (d % pl1)))))
+
+
 def _direct_row_histogram(params, s, in_radical):
     """Reference: every row (x, y) of O/Pi^(2*ell), y in Pi O when in_radical,
     keyed by s * (Nrd x, Nrd y, x* y) in G_2."""
@@ -199,17 +257,31 @@ def _direct_row_histogram(params, s, in_radical):
         [np.arange(pl)] * 2
     coords = [c.ravel() for c in np.meshgrid(*axes, indexing="ij")]
     x, y = tuple(coords[:4]), tuple(coords[4:])
-    keys = counting._g2_key(s * qnrd(x, p, e2, pl), s * qnrd(y, p, e2, pl),
-                            tuple(s * v for v in qmul(qconj(x, pl), y, p, e2, pl)), params)
+    keys = _g2_key(s * qnrd(x, p, e2, pl), s * qnrd(y, p, e2, pl),
+                   tuple(s * v for v in qmul(qconj(x, pl), y, p, e2, pl)), params)
     return np.bincount(keys, minlength=pl**4 * (pl // p) ** 2)
 
 
+def _closed_row_histogram(params, s, in_radical):
+    """The closed row count h_s on every class of G_2, in _g2_key order."""
+    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
+    m11, m22, a, b, c, d = (g.ravel() for g in np.meshgrid(
+        *[np.arange(pl)] * 4, *[np.arange(pl // p)] * 2, indexing="ij"))
+    n12 = (a * a - e2 * b * b - p * c * c + p * e2 * d * d) % (pl * pl // p)
+    h = sum(weight * found for weight, found in
+            counting._row_fibres(params, s, m11, m22, n12, in_radical))
+    hist = np.zeros(pl**4 * (pl // p) ** 2, dtype=np.int64)
+    hist[_g2_key(m11, m22, (a, b, c, d), params)] = h
+    return hist
+
+
 @pytest.mark.parametrize("params", [PM1, PM5], ids=["p3", "p5"])
-@pytest.mark.parametrize("scale", ["1", "p"])
+@pytest.mark.parametrize("scale", ["1", "p", "pl"])
 @pytest.mark.parametrize("in_radical", [False, True])
 def test_row_histogram_matches_rows(params, scale, in_radical):
-    s = params.p if scale == "p" else 1
-    assert np.array_equal(counting._row_histogram(params, s, in_radical),
+    # "pl": p^ell divides s, the base case where every row gives 0
+    s = {"1": 1, "p": params.p, "pl": params.modulus}[scale]
+    assert np.array_equal(_closed_row_histogram(params, s, in_radical),
                           _direct_row_histogram(params, s, in_radical))
 
 
@@ -379,13 +451,13 @@ def test_budget_error():
 
 def test_cost_guard_message():
     # the shared guard names the kernel, the estimate, both limits and the
-    # deepest level that fits at p; level 4 is the first the size-2 count refuses
-    a = build_gram((0, 0), RingParams(3, 4))
+    # deepest level that fits at p; level 5 is the first the size-2 count refuses
+    a = build_gram((0, 0), RingParams(3, 5))
     with pytest.raises(counting.InfeasibleSizeError) as exc:
         counting.count_matrix_pair(a, a)
     msg = str(exc.value)
-    assert msg.startswith("count_matrix_pair needs ~2.339e+12 ops and ")
-    assert "at p=3, level 4 (budget 6.872e+10 ops, limit 1.611e+09 bytes)" in msg
-    assert msg.endswith("; the highest feasible level at p=3 is 3")
+    assert msg.startswith("count_matrix_pair needs ~3.174e+12 ops and ")
+    assert "at p=3, level 5 (budget 6.872e+10 ops, limit 1.611e+09 bytes)" in msg
+    assert msg.endswith("; the highest feasible level at p=3 is 4")
     with pytest.raises(counting.InfeasibleSizeError, match="no level is feasible at p=3$"):
         counting.count_generic(a, a, budget=10**6)
