@@ -21,8 +21,9 @@ the pairs it runs, per side and one process at a time:
     seconds under `verify_seconds`;
   - the tier-1 suite once (ROADMAP's command, `python -m pytest -q
     --continue-on-collection-errors`, with `-p no:cacheprovider` so that no
-    `.pytest_cache` is left in the tree), keeping its wall seconds and its
-    passed, failed, skipped and error counts under `tier1`.
+    `.pytest_cache` is left in the tree, and `--durations=20`), keeping its
+    wall seconds, its passed, failed, skipped and error counts and its
+    twenty slowest test phases under `tier1`.
 `--reuse` keeps both from the file.
 """
 
@@ -87,9 +88,10 @@ def verify_seconds(tree: Path) -> dict:
 
 def tier1(tree: Path) -> dict:
     """Wall seconds and outcome counts of one tier-1 run in tree, read from
-    pytest's closing summary line ("2 failed, 447 passed, 18 skipped in ...")."""
+    pytest's closing summary line ("2 failed, 447 passed, 18 skipped in ..."),
+    and its `--durations` lines ("3.91s call     tests/...") as printed."""
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-           "-p", "no:cacheprovider"]
+           "-p", "no:cacheprovider", "--durations=20"]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=_env(tree))
     seconds = time.perf_counter() - t0
@@ -101,7 +103,9 @@ def tier1(tree: Path) -> dict:
     counts = dict.fromkeys(("passed", "failed", "skipped", "error"), 0)
     for n, outcome in found:
         counts[outcome] += int(n)
-    return {"seconds": seconds, **counts}
+    durations = [line for line in proc.stdout.splitlines()
+                 if re.match(r"\d+\.\d+s (setup|call|teardown) ", line)]
+    return {"seconds": seconds, **counts, "durations": durations}
 
 
 def read_run(tree: Path, workload: str, seed: int, side: str, position: int) -> dict:

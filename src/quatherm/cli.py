@@ -11,6 +11,7 @@ import json
 import sys
 
 from . import counting, density, elemsym, plancherel, spherical, verify
+from .laurent import map_distinct
 from .quatring import RingParams
 from .ratfunc import format_fraction
 
@@ -102,10 +103,8 @@ def cmd_density(args) -> int:
 
 
 def _terms_payload(poly) -> dict:
-    return {
-        ",".join(map(str, e)): str(c)
-        for e, c in sorted(poly.terms.items(), reverse=True)
-    }
+    text = map_distinct(poly.terms, str)
+    return {",".join(map(str, e)): text[e] for e in sorted(text, reverse=True)}
 
 
 def cmd_spherical(args) -> int:

@@ -10,10 +10,12 @@ verification suite reports.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
+from operator import ge, le, sub
 
-from .laurent import LaurentPoly, elementary_symmetric
+from .laurent import LaurentPoly, elementary_symmetric, sub_scaled
 from .ratfunc import IntLaurent, RatFuncQ
 
 
@@ -76,12 +78,7 @@ class ElemSymExpr:
     def leading_normalized(self, q0, order: str = "grevlex") -> dict:
         """Specialized coefficients scaled so the order-leading one equals 1."""
         spec = {e: c for e, c in self.specialize(q0).items() if c}
-        if not spec:
-            return {}
-        key = _ORDER_KEYS[order]
-        lead = max(spec, key=key)
-        lc = spec[lead]
-        return {e: c / lc for e, c in spec.items()}
+        return _monic(spec, _ORDER_KEYS[order])[1] if spec else {}
 
     def __str__(self):
         if not self.terms:
@@ -115,7 +112,7 @@ def to_elementary(f: LaurentPoly) -> ElemSymExpr:
     n = f.n
     k = max(0, -f.min_exponent())
     work = dict(f.translate_all(k).terms)
-    out = {}
+    out, zero = {}, (0,) * n
     guard = 0
     while work:
         guard += 1
@@ -126,14 +123,7 @@ def to_elementary(f: LaurentPoly) -> ElemSymExpr:
         if any(lead[i] < lead[i + 1] for i in range(n - 1)):
             raise NotSymmetric("leading exponent is not a partition")
         sexp = tuple(lead[i] - lead[i + 1] for i in range(n - 1)) + (lead[-1],)
-        for e, mult in _elementary_product(n, sexp).items():
-            d = coef * mult
-            v = work.get(e)
-            v = -d if v is None else v - d
-            if v:
-                work[e] = v
-            else:
-                work.pop(e, None)
+        sub_scaled(work, _elementary_product(n, sexp), coef, zero)
         out[sexp] = coef
     return ElemSymExpr(n, out, shift=k)
 
@@ -171,144 +161,94 @@ _ORDER_KEYS = {"grevlex": _grevlex_key, "lex": _lex_key}
 class GroebnerBasis:
     """Reduced Groebner basis of an ideal in Q[s_1..s_n] at fixed q.
 
-    polys: list of dicts exponent -> Fraction, monic, inter-reduced, sorted.
+    polys: list of dicts exponent -> Fraction, monic, inter-reduced, sorted by
+    leading monomial; leads: their leading monomials.
     """
 
-    __slots__ = ("n", "order", "polys")
+    __slots__ = ("n", "order", "leads", "polys")
 
-    def __init__(self, n: int, order: str, polys):
+    def __init__(self, n: int, order: str, leads, polys):
         self.n = n
         self.order = order
+        self.leads = leads
         self.polys = polys
 
     def key(self):
         return _ORDER_KEYS[self.order]
 
 
-def _lead(poly, key):
-    return max(poly, key=key)
+def _monic(poly, key):
+    """(leading monomial, poly scaled so that its coefficient there is 1)."""
+    lead = max(poly, key=key)
+    lc = poly[lead]
+    return lead, {e: c / lc for e, c in poly.items()}
 
 
-def _poly_sub_scaled(a, b, factor, expo_shift):
-    """a - factor * x^expo_shift * b, all dicts over Fraction."""
-    out = dict(a)
-    for e, c in b.items():
-        ee = tuple(x + y for x, y in zip(e, expo_shift))
-        v = out.get(ee, Fraction(0)) - factor * c
-        if v:
-            out[ee] = v
-        else:
-            out.pop(ee, None)
-    return out
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _reduce_full(poly, basis, key):
-    """Normal form of poly modulo the basis (list of monic dicts)."""
-    poly = dict(poly)
+def _reduce_full(poly, leads, polys, key):
+    """Normal form of poly, which is consumed, modulo the monic polys with
+    leading monomials leads."""
     result = {}
     while poly:
-        lead = _lead(poly, key)
-        reduced = False
-        for g in basis:
-            glead = _lead(g, key)
-            if _divides(glead, lead):
-                shift = tuple(x - y for x, y in zip(lead, glead))
-                poly = _poly_sub_scaled(poly, g, poly[lead], shift)
-                reduced = True
+        lead = max(poly, key=key)
+        for glead, g in zip(leads, polys):
+            if all(map(ge, lead, glead)):
+                sub_scaled(poly, g, poly[lead], tuple(map(sub, lead, glead)))
                 break
-        if not reduced:
+        else:
             result[lead] = poly.pop(lead)
     return result
-
-
-def _monic(poly, key):
-    lc = poly[_lead(poly, key)]
-    return {e: c / lc for e, c in poly.items()}
-
-
-def _spoly(f, g, key):
-    lf, lg = _lead(f, key), _lead(g, key)
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    sf = tuple(a - b for a, b in zip(lcm, lf))
-    sg = tuple(a - b for a, b in zip(lcm, lg))
-    out = {}
-    for e, c in f.items():
-        ee = tuple(x + y for x, y in zip(e, sf))
-        out[ee] = out.get(ee, Fraction(0)) + c / f[lf]
-    for e, c in g.items():
-        ee = tuple(x + y for x, y in zip(e, sg))
-        v = out.get(ee, Fraction(0)) - c / g[lg]
-        if v:
-            out[ee] = v
-        else:
-            out.pop(ee, None)
-    return {e: c for e, c in out.items() if c}
 
 
 def buchberger(gens, n: int, order: str = "grevlex") -> GroebnerBasis:
     """Reduced Groebner basis from generator dicts (exponent -> Fraction).
 
-    Normal pair selection: pairs are processed by increasing lcm of leading
-    monomials; coprime leading monomials are skipped.
+    Normal pair selection: pairs are taken from a heap by increasing lcm of
+    their leading monomials; pairs with coprime leading monomials are never
+    pushed.  Each member's leading monomial is found once, when it joins.
     """
+    gens = [g for g in gens if g]
+    if any(len(e) != n for g in gens for e in g):
+        raise ValueError("arity mismatch")
     key = _ORDER_KEYS[order]
-    basis = [_monic(dict(g), key) for g in gens if g]
-    if not basis:
-        return GroebnerBasis(n, order, [])
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    leads, polys, pairs = [], [], []
 
-    def lcm_of(i, j):
-        return tuple(max(a, b) for a, b in zip(_lead(basis[i], key), _lead(basis[j], key)))
+    def join(poly):
+        lead, poly = _monic(poly, key)
+        for i, other in enumerate(leads):
+            if any(map(min, lead, other)):
+                heapq.heappush(pairs, (key(tuple(map(max, lead, other))), i, len(leads)))
+        leads.append(lead)
+        polys.append(poly)
 
+    for g in gens:
+        join(g)
     while pairs:
-        pairs.sort(key=lambda ij: key(lcm_of(*ij)), reverse=True)
-        i, j = pairs.pop()
-        li, lj = _lead(basis[i], key), _lead(basis[j], key)
-        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
-            continue  # coprime leading monomials
-        s = _spoly(basis[i], basis[j], key)
-        r = _reduce_full(s, basis, key)
+        _, i, j = heapq.heappop(pairs)
+        lcm = tuple(map(max, leads[i], leads[j]))
+        s = sub_scaled({}, polys[i], -1, tuple(map(sub, lcm, leads[i])))
+        sub_scaled(s, polys[j], 1, tuple(map(sub, lcm, leads[j])))
+        r = _reduce_full(s, leads, polys, key)
         if r:
-            basis.append(_monic(r, key))
-            new = len(basis) - 1
-            pairs.extend((t, new) for t in range(new))
+            join(r)
     # minimalize: drop members whose leading monomial another one divides
-    keep = []
-    leads = [_lead(g, key) for g in basis]
-    for i, g in enumerate(basis):
-        if any(
-            j != i and _divides(leads[j], leads[i])
-            and (key(leads[j]) != key(leads[i]) or j < i)
-            for j in range(len(basis))
-        ):
-            continue
-        keep.append(g)
-    # inter-reduce tails
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = _reduce_full(g, others, key) if others else dict(g)
-        if r:
-            reduced.append(_monic(r, key))
-    reduced.sort(key=lambda g: key(_lead(g, key)))
-    return GroebnerBasis(n, order, reduced)
+    # (of equal leading monomials the first stays)
+    keep = [i for i, lead in enumerate(leads)
+            if not any(j != i and all(map(le, other, lead)) and (other != lead or j < i)
+                       for j, other in enumerate(leads))]
+    keep.sort(key=lambda i: key(leads[i]))
+    # inter-reduce tails; no other leading monomial divides a kept one, so
+    # each stays monic with its leading monomial
+    reduced = [_reduce_full(dict(polys[i]), [leads[j] for j in keep if j != i],
+                            [polys[j] for j in keep if j != i], key) for i in keep]
+    return GroebnerBasis(n, order, [leads[i] for i in keep], reduced)
 
 
 def ideal_member(poly, basis: GroebnerBasis) -> bool:
     """Zero normal form against the reduced basis."""
     poly = {e: Fraction(c) for e, c in poly.items() if c}
-    if not poly:
-        return True
-    for e in poly:
-        if len(e) != basis.n:
-            raise ValueError("arity mismatch")
-    if not basis.polys:
-        return False
-    return not _reduce_full(poly, basis.polys, basis.key())
+    if any(len(e) != basis.n for e in poly):
+        raise ValueError("arity mismatch")
+    return not _reduce_full(poly, basis.leads, basis.polys, basis.key())
 
 
 # -- displayed generators of the transform-image ideal ---------------------------

@@ -54,6 +54,22 @@ def map_distinct(terms: dict, fn) -> dict:
     return out
 
 
+def sub_scaled(a: dict, b: dict, factor, shift) -> dict:
+    """a -= factor * x^shift * b in place, for dicts from exponent tuples to
+    coefficients (Fraction, int, IntLaurent or RatFuncQ); zeros are dropped.
+    Returns a."""
+    for e, c in b.items():
+        e = tuple(map(add, e, shift))
+        d = factor * c
+        v = a.get(e)
+        v = -d if v is None else v - d
+        if v:
+            a[e] = v
+        else:
+            a.pop(e, None)
+    return a
+
+
 class LaurentPoly:
     """Laurent polynomial in n variables with RatFuncQ (or IntLaurent) coefficients.
 
@@ -133,21 +149,13 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, RatFuncQ)):
+        if isinstance(other, (int, RatFuncQ, IntLaurent)):
             return self.scale(other)
         if self.n != other.n:
             raise ValueError("arity mismatch")
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+        for e, c in self.terms.items():
+            sub_scaled(out, other.terms, -c, e)
         res = LaurentPoly(self.n)
         res.terms = out
         return res
@@ -155,7 +163,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
-        c = _coerce_scalar(c)
+        c = RatFuncQ(c) if isinstance(c, IntLaurent) else _coerce_scalar(c)
         res = LaurentPoly(self.n)
         res.terms = map_distinct(self.terms, lambda cc: cc * c)
         return res
@@ -388,11 +396,9 @@ def _blocks(n: int, pairs: dict) -> list:
 def _mul_poly(a: dict, b: dict) -> dict:
     """a * b for dicts from exponent tuples to ints."""
     out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
+    for e, c in a.items():
+        sub_scaled(out, b, -c, e)
+    return out
 
 
 @lru_cache(maxsize=1024)

@@ -298,6 +298,8 @@ class IntLaurent:
             res = IntLaurent()
             res.lo, res.coeffs = self.lo, tuple(other * c for c in self.coeffs)
             return res
+        if not isinstance(other, IntLaurent):
+            return NotImplemented
         if not self.coeffs or not other.coeffs:
             return IntLaurent()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -449,7 +451,10 @@ class RatFuncQ:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFuncQ(-self.num, self.orders, self.content)
+        # negation keeps the canonical form: no trial division, no gcd
+        res = object.__new__(RatFuncQ)
+        res.num, res.orders, res.content = -self.num, self.orders, self.content
+        return res
 
     def __sub__(self, other):
         other = _coerce(other)

@@ -109,6 +109,11 @@ def test_buchberger_unit_ideal():
     assert ideal_member(_p({(3, 1): 7}), gb)
 
 
+def test_buchberger_rejects_arity_mismatch():
+    with pytest.raises(ValueError, match="arity mismatch"):
+        buchberger([_p({(1, 0): 1}), _p({(1, 0, 0): 1})], 2)
+
+
 def test_membership_basics():
     g = _p({(2, 0): 1, (0, 1): -3})
     gb = buchberger([g], 2)
@@ -215,7 +220,9 @@ def test_ideal_verdicts_ignore_the_prefactor(monkeypatch):
 @pytest.mark.parametrize("q0", [2, 3, 5])
 @pytest.mark.parametrize("n", [3, 4])
 def test_image_ideal_basis_against_sympy(n, q0, order):
-    """The reduced basis equals sympy's reduced Groebner basis over QQ."""
+    """The reduced basis equals sympy's reduced Groebner basis over QQ, with
+    the generators in either order, and its stored leading monomials are
+    those of its members."""
     sympy = pytest.importorskip("sympy")
     s = sympy.symbols(f"s1:{n + 1}")
 
@@ -227,10 +234,11 @@ def test_image_ideal_basis_against_sympy(n, q0, order):
     def as_set(dicts):
         return {frozenset(d.items()) for d in dicts}
 
-    gens = [to_sympy(g.specialize(q0)) for g in schwartz_image_generators(n)]
-    expected = sympy.groebner(gens, *s, order=order, domain="QQ")
+    gens = [g.specialize(q0) for g in schwartz_image_generators(n)]
+    expected = sympy.groebner([to_sympy(g) for g in gens], *s, order=order, domain="QQ")
     expected = [{e: Fraction(int(c.p), int(c.q)) for e, c in g.as_dict().items()}
                 for g in expected.polys]
-    got = image_ideal_basis(n, q0, order).polys
-    assert len(got) == len(expected)
-    assert as_set(got) == as_set(expected)
+    for gb in (image_ideal_basis(n, q0, order), buchberger(gens[::-1], n, order)):
+        assert len(gb.polys) == len(expected)
+        assert as_set(gb.polys) == as_set(expected)
+        assert gb.leads == [max(g, key=gb.key()) for g in gb.polys]

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from quatherm.laurent import (
     alternant_sum,
     elementary_symmetric,
     orbit_sum,
+    sub_scaled,
     symmetric_sum,
 )
 from quatherm.ratfunc import ONE, Q, IntLaurent, RatFuncQ, qpow
@@ -27,6 +29,23 @@ def test_ring_basics():
     p = LaurentPoly.binomial(2, 0, 1, Q)
     assert p.coefficient((0, 1)) == -Q
     assert (p ** 2).coefficient((1, 1)) == -2 * Q
+
+
+def test_scale_by_intlaurent_in_either_order():
+    one_plus_q = IntLaurent([1, 1])
+    want = LaurentPoly.constant(2, RatFuncQ(one_plus_q))
+    assert LaurentPoly.constant(2, 1) * one_plus_q == want
+    assert one_plus_q * LaurentPoly.constant(2, 1) == want
+
+
+@pytest.mark.parametrize("unit", [1, Fraction(1), IntLaurent([1]), ONE])
+def test_sub_scaled_in_place(unit):
+    # (x0 + x1) - x0 * (1 + 2 x1 / x0 + x0): x0 cancels and is dropped, x1
+    # is updated, x0^2 enters negated; the coefficients keep the unit's type
+    a = {(1, 0): unit, (0, 1): unit}
+    out = sub_scaled(a, {(0, 0): unit, (-1, 1): unit * 2, (1, 0): unit}, unit, (1, 0))
+    assert out is a and a == {(0, 1): -unit, (2, 0): -unit}
+    assert all(type(c) is type(unit) for c in a.values())
 
 
 def test_permute_and_symmetry():

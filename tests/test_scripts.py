@@ -102,20 +102,24 @@ def test_bench_pairs_tier1(monkeypatch):
     # a replayed pytest run: the counts come from its closing summary line
     bench_pairs = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
     seen = []
+    slowest = ["3.91s call     tests/test_density.py::test_count_reps_matches_generic",
+               "0.12s setup    tests/test_cli.py::test_verify[json]"]
 
     def replay(cmd, **kwargs):
         seen.append((cmd, kwargs))
-        out = "..F.s\n[100%]\n2 failed, 447 passed, 18 skipped, 1 error in 35.28s\n"
+        out = ("..F.s\n[100%]\n" + "=" * 10 + " slowest 20 durations " + "=" * 10 + "\n"
+               + "".join(line + "\n" for line in slowest)
+               + "2 failed, 447 passed, 18 skipped, 1 error in 35.28s\n")
         return subprocess.CompletedProcess(cmd, 1, out, "")
 
     monkeypatch.setattr(subprocess, "run", replay)
     got = bench_pairs["tier1"](SCRIPTS.parent)
     seconds = got.pop("seconds")
-    assert got == {"passed": 447, "failed": 2, "skipped": 18, "error": 1}
+    assert got == {"passed": 447, "failed": 2, "skipped": 18, "error": 1, "durations": slowest}
     assert isinstance(seconds, float) and seconds >= 0
     (cmd, kwargs), = seen
     assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors",
-                       "-p", "no:cacheprovider"]
+                       "-p", "no:cacheprovider", "--durations=20"]
     assert kwargs["cwd"] == SCRIPTS.parent
     assert kwargs["env"]["PYTHONPATH"] == str(SCRIPTS.parent / "src")
 
