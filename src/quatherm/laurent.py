@@ -163,9 +163,19 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
-        c = RatFuncQ(c) if isinstance(c, IntLaurent) else _coerce_scalar(c)
+        """Multiply by the scalar c.  An IntLaurent coefficient stays one when
+        c is an int or an IntLaurent, and is lifted to RatFuncQ otherwise; a
+        RatFuncQ coefficient meets c as a RatFuncQ."""
+        lifted = RatFuncQ(c) if isinstance(c, IntLaurent) else _coerce_scalar(c)
+        integral = isinstance(c, (int, IntLaurent))
+
+        def times(cc):
+            if type(cc) is not IntLaurent:
+                return cc * lifted
+            return cc * c if integral else RatFuncQ(cc) * lifted
+
         res = LaurentPoly(self.n)
-        res.terms = map_distinct(self.terms, lambda cc: cc * c)
+        res.terms = map_distinct(self.terms, times)
         return res
 
     def shift(self, expo) -> "LaurentPoly":

@@ -1,14 +1,16 @@
-"""Size-2 harmonic analysis: orthogonal family, exact residue pairing,
+"""Size-2 harmonic analysis: orthogonal family, exact moment pairing,
 transforms of orbit indicators, and the Plancherel / inversion checks.
 
 Coordinates: x = (z1 + z2)/2, y = (z2 - z1)/2, Y = q^y, W = Y^2.  The weight
 
     w = (1 - W)(1 - 1/W) / prod_i (1 - u_i W)(1 - u_i / W)
 
-is paired on the unit circle; the integral is evaluated as an exact residue
-sum at the poles W in {0, u1, u2}, the configuration fixed once for
-0 < u_i < 1 and carried unchanged to the specialization u1 = q > 1 (the
-contour deformation exists precisely so the residue set never changes).
+is paired on the unit circle, with the poles W in {0, u1, u2} inside: the
+configuration fixed once for 0 < u_i < 1 and carried unchanged to the
+specialization u1 = q > 1 (the contour deformation exists precisely so the
+residue set never changes).  The integral is a linear functional fixed by
+its moments m_k (the integral of W^k), and these have a closed form; the
+residue sum itself is the tests' oracle (tests/oracles.py).
 
 The family and the integral take any exact coefficients: Fraction (int weight
 parameters become Fractions, floats are refused), RatFuncQ, or BivarRat in
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .density import check_orbit_label
-from .ratfunc import ONE, Q, ZERO, RatFuncQ
+from .ratfunc import ONE, Q, ZERO, RatFuncQ, qpow
 
 
 class UncataloguedPole(ArithmeticError):
@@ -36,36 +38,13 @@ def _one_of(u):
 
 
 def _exact(u):
-    """Ints become Fractions (u**-k and the final /2 stay exact); floats are refused."""
+    """Ints become Fractions (the division by D stays exact); floats are refused."""
     if isinstance(u, float):
         raise TypeError("weight parameters must be exact, not float")
     return Fraction(u) if isinstance(u, int) else u
 
 
-# -- Laurent dictionaries in Y -------------------------------------------------
-
-
-def y_conj(f: dict) -> dict:
-    """Complex conjugation on |Y| = 1 maps Y to 1/Y; coefficients are real."""
-    return {-k: c for k, c in f.items()}
-
-
-def y_mul(f: dict, g: dict) -> dict:
-    out = {}
-    for k1, c1 in f.items():
-        for k2, c2 in g.items():
-            k = k1 + k2
-            v = out.get(k)
-            v = c1 * c2 if v is None else v + c1 * c2
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
-
-
-def y_symmetric(f: dict) -> bool:
-    return f == y_conj(f)
+# -- the orthogonal family -------------------------------------------------------
 
 
 def _divide_one_minus_y2(num: dict, one):
@@ -117,112 +96,63 @@ def h_poly(ell: int, u1, u2) -> dict:
     return _divide_one_minus_y2(num, one)
 
 
-@dataclass(frozen=True)
-class WeightW:
-    """The weight in the variable W = Y^2:
+# -- exact integration by the closed moments ---------------------------------------
 
-        w = (1 - W)(1 - 1/W) / prod_i (1 - u_i W)(1 - u_i / W),
 
-    with the contour rule fixing {W = 0, u1, u2} as the residue set.
+def _moment_sum(c: dict, u1, u2):
+    """sum_k c_k * m_k over a dict k -> c_k, where m_k is the integral of W^k.
+
+    For k >= 0 only the poles W = u1, u2 contribute, so m_k = A u1^k + B u2^k
+    with A = -(1-u1)^2 / (2(1-u1^2)(1-u1 u2)(u1-u2)) and B the same with u1
+    and u2 swapped; the weight is invariant under W -> 1/W, so m_-k = m_k.
+    Hence the sum is (P1 S(u1) + P2 S(u2)) / D with S(u) = sum c_k u^|k|,
+    P1 = -(1-u1)^2 (1-u2^2), P2 = (1-u2)^2 (1-u1^2) and the one denominator
+    D = 2(1-u1^2)(1-u2^2)(1-u1 u2)(u1-u2).  D is left unsimplified: it
+    vanishes exactly where a pole leaves the catalogue (u_i = +-1,
+    u1 u2 = 1), and a nonzero sum then raises the division-by-zero error of
+    the coefficients, as the residue sum does.
     """
-
-    u1: object
-    u2: object
-
-    poles_inside = ("W = 0", "W = u1", "W = u2")
-
-    def value(self, w):
-        """Exact evaluation at an invertible point."""
-        u1, u2, w = _exact(self.u1), _exact(self.u2), _exact(w)
-        one = _one_of(u1)
-        winv = one / w
-        num = (one - w) * (one - winv)
-        den = ((one - u1 * w) * (one - u1 * winv)
-               * (one - u2 * w) * (one - u2 * winv))
-        return num / den
-
-
-def weight_w(u1, u2) -> WeightW:
-    return WeightW(u1, u2)
-
-
-# -- exact contour integration ---------------------------------------------------
-
-
-def _poly_eval(coeffs: dict, point, one):
-    """Evaluate a W-polynomial dict at a point (nonnegative powers only)."""
-    acc = one - one
-    for k, c in coeffs.items():
-        acc = acc + c * point**k
-    return acc
+    u1, u2 = _exact(u1), _exact(u2)
+    one = _one_of(u1)
+    if u1 == u2 or not u1 or not u2:
+        raise UncataloguedPole("weight parameters must be distinct and nonzero")
+    if not any(c.values()):
+        return one - one
+    folded = {}
+    for k, v in c.items():
+        k = abs(k)
+        folded[k] = folded[k] + v if k in folded else v
+    # Horner in u1 and u2 at once
+    top = max(folded)
+    s1 = s2 = folded[top]
+    for k in range(top - 1, -1, -1):
+        s1, s2 = s1 * u1, s2 * u2
+        if k in folded:
+            s1, s2 = s1 + folded[k], s2 + folded[k]
+    a1, a2 = one - u1 * u1, one - u2 * u2
+    p1 = -(one - u1) * (one - u1) * a2
+    p2 = (one - u2) * (one - u2) * a1
+    return (p1 * s1 + p2 * s2) / (2 * a1 * a2 * (one - u1 * u2) * (u1 - u2))
 
 
 def y_integral(f: dict, u1, u2):
     """Integral of a Y-Laurent dict against the weight over the unit circle.
 
-    Odd powers vanish by parity; the even part G(W) contributes
-
-        (1/2) * sum of residues of -G(W)(1 - W)^2 / ((1-u1 W)(1-u2 W)(W-u1)(W-u2))
-
-    over W in {0, u1, u2}.
+    Odd powers of Y vanish by parity; Y^(2k) = W^k integrates to m_k.
     """
-    u1, u2 = _exact(u1), _exact(u2)
-    one = _one_of(u1)
-    zero = one - one
-    if u1 == u2 or not u1 or not u2:
-        raise UncataloguedPole("weight parameters must be distinct and nonzero")
-    geven = {k // 2: c for k, c in f.items() if k % 2 == 0}
-    if not geven:
-        return zero
-    # numerator M(W) = -G(W) (1 - W)^2
-    m = {}
-    for k, c in geven.items():
-        for dk, dc in ((0, -1), (1, 2), (2, -1)):
-            v = m.get(k + dk, zero) + c * dc
-            if v:
-                m[k + dk] = v
-            else:
-                m.pop(k + dk, None)
-    if not m:
-        return zero
-    shift = -min(min(m), 0)
-    n0 = {k + shift: c for k, c in m.items()}
-
-    # simple poles at u1, u2
-    total = zero
-    for u, other in ((u1, u2), (u2, u1)):
-        val = _poly_eval(n0, u, one)
-        den = u**shift * (one - u1 * u) * (one - u2 * u) * (u - other)
-        total = total + val / den
-    # pole of order `shift` at W = 0: coefficient of W^(shift-1) of
-    # N0(W) / ((1-u1 W)(1-u2 W)(W-u1)(W-u2))
-    if shift > 0:
-        k = shift - 1
-        series = {0: one}
-
-        def mul_series(s, factor_coeffs):
-            out = {}
-            for d1, c1 in s.items():
-                for d2, c2 in factor_coeffs.items():
-                    if d1 + d2 <= k:
-                        out[d1 + d2] = out.get(d1 + d2, zero) + c1 * c2
-            return out
-
-        geo1 = {j: u1**j for j in range(k + 1)}
-        geo2 = {j: u2**j for j in range(k + 1)}
-        inv1 = {j: -(u1 ** (-j - 1)) for j in range(k + 1)}   # 1/(W - u1)
-        inv2 = {j: -(u2 ** (-j - 1)) for j in range(k + 1)}
-        series = mul_series(series, {d: c for d, c in n0.items() if d <= k})
-        for fac in (geo1, geo2, inv1, inv2):
-            series = mul_series(series, fac)
-        total = total + series.get(k, zero)
-    # the y-measure is half the W-residue sum
-    return total / 2
+    return _moment_sum({k // 2: c for k, c in f.items() if not k % 2}, u1, u2)
 
 
 def y_inner(f: dict, g: dict, u1, u2):
-    """<f, g> = integral of f * conj(g) * w over the circle."""
-    return y_integral(y_mul(f, y_conj(g)), u1, u2)
+    """<f, g> = integral of f * conj(g) * w over the circle: conj maps Y to
+    1/Y, so c_k collects f_i * g_j over i - j = 2k."""
+    c = {}
+    for i, a in f.items():
+        for j, b in g.items():
+            if not (i - j) % 2:
+                k = (i - j) // 2
+                c[k] = c[k] + a * b if k in c else a * b
+    return _moment_sum(c, u1, u2)
 
 
 # -- transforms of orbit indicators ----------------------------------------------
@@ -237,19 +167,35 @@ class TransformValue:
     h_index: int | None
 
 
+@lru_cache(maxsize=None)
+def _scalar_factors() -> tuple:
+    """The fixed transform scalars, built once: 1/(1 + q^-2) (equal even
+    pair), (1 - q^-1)/(1 + q^-2) (unequal even pair, times q^(l1 - l2)) and
+    (1 - q^-2)/(1 + q^-2) (odd pair)."""
+    inv = ONE / (ONE + qpow(-2))
+    return inv, (ONE - qpow(-1)) * inv, (ONE - qpow(-2)) * inv
+
+
+@lru_cache(maxsize=None)
+def _volume_factors() -> tuple:
+    """The fixed volume factors, built once: 1 - q^-1 (unequal even pair,
+    times q^(2(l1 - l2))) and q^-1 (1 + q^-1)/(1 + q^-2) (odd pair)."""
+    return ONE - qpow(-1), qpow(-1) * (ONE + qpow(-1)) / (ONE + qpow(-2))
+
+
 def f_hat_size2(alpha) -> TransformValue:
     """Transform of the inverted-orbit indicator for a size-2 label."""
     alpha = check_orbit_label(alpha)
     if len(alpha) != 2:
         raise ValueError("size-2 labels only")
+    equal, unequal, odd = _scalar_factors()
     if alpha[0] % 2 == 0:
         l1, l2 = alpha[0] // 2, alpha[1] // 2
         if l1 == l2:
-            return TransformValue(ONE / (ONE + Q**-2), l1 + l2 + 1, 1)
-        scalar = Q ** (l1 - l2) * (ONE - Q**-1) / (ONE + Q**-2)
-        return TransformValue(scalar, l1 + l2 + 1, l1 - l2 + 1)
+            return TransformValue(equal, l1 + l2 + 1, 1)
+        return TransformValue(qpow(l1 - l2) * unequal, l1 + l2 + 1, l1 - l2 + 1)
     e = (alpha[0] + 1) // 2
-    return TransformValue((ONE - Q**-2) / (ONE + Q**-2), 2 * e, None)
+    return TransformValue(odd, 2 * e, None)
 
 
 def orbit_volume(alpha) -> RatFuncQ:
@@ -257,18 +203,19 @@ def orbit_volume(alpha) -> RatFuncQ:
     alpha = check_orbit_label(alpha)
     if len(alpha) != 2:
         raise ValueError("size-2 labels only")
+    unequal, odd = _volume_factors()
     if alpha[0] % 2 == 0:
         l1, l2 = alpha[0] // 2, alpha[1] // 2
         if l1 == l2:
             return ONE
-        return Q ** (2 * (l1 - l2)) * (ONE - Q**-1)
-    return Q**-1 * (ONE + Q**-1) / (ONE + Q**-2)
+        return qpow(2 * (l1 - l2)) * unequal
+    return odd
 
 
 @lru_cache(maxsize=None)
 def norm_constant() -> RatFuncQ:
     """Global normalization (1 + q^-2)^2 / (1 - q^-1) for the pairing."""
-    return (ONE + Q**-2) ** 2 / (ONE - Q**-1)
+    return (ONE + qpow(-2)) ** 2 / (ONE - qpow(-1))
 
 
 def _y_part(tv: TransformValue, u1, u2):
@@ -276,6 +223,13 @@ def _y_part(tv: TransformValue, u1, u2):
     if tv.h_index is None:
         return {0: one}
     return h_poly(tv.h_index, u1, u2)
+
+
+@lru_cache(maxsize=None)
+def _y_part_at_q(h_index) -> dict:
+    """The y-part of a transform at (u1, u2) = (q, q^-2), built once per
+    h_index (None means 1); the dict is shared, and nothing mutates it."""
+    return {0: ONE} if h_index is None else h_poly(h_index, Q, qpow(-2))
 
 
 def transform_pairing(alpha, beta) -> RatFuncQ:
@@ -287,8 +241,7 @@ def transform_pairing(alpha, beta) -> RatFuncQ:
     fa, fb = f_hat_size2(alpha), f_hat_size2(beta)
     if fa.x_exp != fb.x_exp:
         return ZERO
-    u1, u2 = Q, Q**-2
-    inner = y_inner(_y_part(fa, u1, u2), _y_part(fb, u1, u2), u1, u2)
+    inner = y_inner(_y_part_at_q(fa.h_index), _y_part_at_q(fb.h_index), Q, qpow(-2))
     return fa.scalar * fb.scalar * inner * norm_constant()
 
 

@@ -280,11 +280,19 @@ class IntLaurent:
             out[i] += sign * c
         return IntLaurent(out, lo)
 
+    # a foreign operand has no coeffs; catching that costs nothing on the
+    # IntLaurent path, where a type check would cost every call
     def __add__(self, other: "IntLaurent") -> "IntLaurent":
-        return self._combine(other, 1)
+        try:
+            return self._combine(other, 1)
+        except AttributeError:
+            return NotImplemented
 
     def __sub__(self, other: "IntLaurent") -> "IntLaurent":
-        return self._combine(other, -1)
+        try:
+            return self._combine(other, -1)
+        except AttributeError:
+            return NotImplemented
 
     def __neg__(self) -> "IntLaurent":
         res = IntLaurent()

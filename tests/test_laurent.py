@@ -38,6 +38,20 @@ def test_scale_by_intlaurent_in_either_order():
     assert one_plus_q * LaurentPoly.constant(2, 1) == want
 
 
+
+def test_scale_keeps_intlaurent_coefficients():
+    # orbit sums have IntLaurent coefficients; int and IntLaurent scalars keep
+    # them, other scalars lift them to Q(q)
+    p = LaurentPoly(2, {(1, 0): IntLaurent([1]), (0, 1): IntLaurent([2, -1], -1)})
+    assert (p * 2).terms == {(1, 0): IntLaurent([2]), (0, 1): IntLaurent([4, -2], -1)}
+    assert (3 * p).terms == (p * 3).terms and (p * 0).terms == {}
+    got = (p * IntLaurent([1, 1])).terms
+    assert got == {(1, 0): IntLaurent([1, 1]), (0, 1): IntLaurent([2, 1, -1], -1)}
+    assert all(type(c) is IntLaurent for c in got.values())
+    assert p.scale(Fraction(1, 2)).terms == {(1, 0): RatFuncQ.const(Fraction(1, 2)),
+                                             (0, 1): (qpow(-1) * 2 - 1) / 2}
+    assert (p * Q).terms == {(1, 0): Q, (0, 1): 2 - Q}
+
 @pytest.mark.parametrize("unit", [1, Fraction(1), IntLaurent([1]), ONE])
 def test_sub_scaled_in_place(unit):
     # (x0 + x1) - x0 * (1 + 2 x1 / x0 + x0): x0 cancels and is dropped, x1

@@ -1,13 +1,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    WeightW,
+    residue_inner,
+    residue_integral,
+    weight_w,
+    y_conj,
+    y_mul,
+    y_symmetric,
+)
 from quatherm.bivar import BivarPoly, BivarRat
 from quatherm import ratfunc
 from quatherm.plancherel import (
     TransformValue,
     UncataloguedPole,
-    WeightW,
     _y_part,
     f_hat_size2,
     h_poly,
@@ -16,11 +26,8 @@ from quatherm.plancherel import (
     orbit_volume,
     plancherel_check,
     transform_pairing,
-    y_conj,
     y_inner,
     y_integral,
-    y_mul,
-    y_symmetric,
 )
 from quatherm.density import density_self_closed
 from quatherm.ratfunc import ONE, Q, RatFuncQ, qpow
@@ -73,8 +80,6 @@ def test_weight_mass():
 
 
 def test_weight_object():
-    from quatherm.plancherel import weight_w
-
     w = weight_w(Fraction(1, 2), Fraction(1, 3))
     # invariant under W -> 1/W, vanishes at W = 1 (points away from poles)
     for pt in (Fraction(5), Fraction(5, 7), Fraction(-3)):
@@ -299,3 +304,84 @@ def test_bivar_division_parity():
     assert BivarRat.const(Fraction(2, 3)) / Fraction(4, 9) == Fraction(3, 2)
     with pytest.raises(TypeError):
         BivarPoly({(0, 0): 0.5})
+
+
+# -- the closed moments against the residue oracle ------------------------------------
+
+MOMENT_POINTS = {
+    "small": (Fraction(1, 3), Fraction(1, 5)),
+    "mixed": (Fraction(5, 2), Fraction(-2, 7)),
+    "q": (Q, qpow(-2)),
+    "bivariate": (U1, U2),
+}
+
+
+@pytest.mark.parametrize("point", MOMENT_POINTS)
+def test_moments_match_residue_oracle(point):
+    # m_k for |k| <= 12 (W^k = Y^(2k)); odd powers of Y integrate to zero
+    u1, u2 = MOMENT_POINTS[point]
+    one = u1**0
+    for k in range(-12, 13):
+        f = {2 * k: one}
+        assert y_integral(f, u1, u2) == residue_integral(f, u1, u2), k
+        assert y_integral({2 * k + 1: one}, u1, u2) == 0, k
+
+
+def test_plancherel_set_pairings_match_residue_oracle():
+    u1, u2 = Q, qpow(-2)
+    for a in PLANCHEREL_SET:
+        for b in PLANCHEREL_SET:
+            fa, fb = f_hat_size2(a), f_hat_size2(b)
+            ya, yb = _y_part(fa, u1, u2), _y_part(fb, u1, u2)
+            inner = residue_inner(ya, yb, u1, u2)
+            assert y_inner(ya, yb, u1, u2) == inner, (a, b)
+            want = (fa.scalar * fb.scalar * inner * norm_constant()
+                    if fa.x_exp == fb.x_exp else RatFuncQ.const(0))
+            got = transform_pairing(a, b)
+            assert got == want and str(got) == str(want), (a, b)
+
+
+y_dicts = st.dictionaries(st.integers(-9, 9), st.fractions(max_denominator=12), max_size=7)
+weight_parameters = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@given(f=y_dicts, g=y_dicts, u1=weight_parameters, u2=weight_parameters)
+@settings(max_examples=80, deadline=None)
+def test_integral_and_inner_match_residue_oracle(f, g, u1, u2):
+    assume(u1 and u2 and u1 != u2 and abs(u1) != 1 and abs(u2) != 1 and u1 * u2 != 1)
+    assert y_integral(f, u1, u2) == residue_integral(f, u1, u2)
+    assert y_inner(f, g, u1, u2) == residue_inner(f, g, u1, u2)
+
+
+POLE_CASES = [
+    ("equal", Fraction(1, 3), Fraction(1, 3), UncataloguedPole),
+    ("zero-u1", 0, Fraction(1, 3), UncataloguedPole),
+    ("zero-u2", Fraction(1, 3), Fraction(0), UncataloguedPole),
+    ("u1-one", 1, Fraction(1, 3), ZeroDivisionError),
+    ("u2-minus-one", Fraction(1, 3), -1, ZeroDivisionError),
+    ("product-one", Fraction(3), Fraction(1, 3), ZeroDivisionError),
+    ("float", 0.5, Fraction(1, 3), TypeError),
+    ("float-equal", 0.5, 0.5, TypeError),
+    ("bivariate-equal", U1, U1, UncataloguedPole),
+    ("bivariate-one", ONEB, U2, ZeroDivisionError),
+    ("bivariate-product-one", U1, 1 / U1, ZeroDivisionError),
+]
+
+
+@pytest.mark.parametrize("case", POLE_CASES, ids=[c[0] for c in POLE_CASES])
+def test_weight_parameter_errors(case):
+    _, u1, u2, exc = case
+    one = u1**0 if not isinstance(u1, float) else 1
+    for integral in (y_integral, residue_integral):
+        with pytest.raises(exc):
+            integral({-2: one, 0: one, 4: one}, u1, u2)
+    for inner in (y_inner, residue_inner):
+        with pytest.raises(exc):
+            inner({1: one}, {-1: one, 3: one}, u1, u2)
+    if exc is not ZeroDivisionError:
+        with pytest.raises(exc):
+            y_integral({}, u1, u2)
+    else:
+        # no even power, nothing to divide: the integral is zero
+        assert y_integral({1: one}, u1, u2) == residue_integral({1: one}, u1, u2) == 0
+        assert y_integral({0: one - one}, u1, u2) == 0

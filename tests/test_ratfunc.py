@@ -397,6 +397,22 @@ def test_compares_and_hashes_with_foreign_operands():
         1.5 + ONE
 
 
+
+def test_intlaurent_add_and_sub_refuse_foreign_operands():
+    # IntLaurent and RatFuncQ do not mix: both orders raise TypeError, and
+    # the IntLaurent side says NotImplemented as its __mul__ does
+    one = IntLaurent([1])
+    for op in ("__add__", "__sub__", "__mul__"):
+        assert getattr(one, op)(ONE) is NotImplemented
+        assert getattr(one, op)(object()) is NotImplemented
+    for a, b in ((one, ONE), (ONE, one)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+    assert one + IntLaurent([0, 1]) == IntLaurent([1, 1])
+    assert one - one == IntLaurent()
+
 def test_cyclo_canonical_form():
     x = (1 - Q**4) / (2 - 2 * Q)
     assert (x.num, x.orders, x.content) == (IntLaurent([1, 1, 1, 1]), (), 2)
@@ -422,8 +438,11 @@ def test_cyclo_refuses_non_cyclotomic_divisors():
 
 def test_inverse_round_trips_on_symbolic_suite_values(monkeypatch):
     # the inverses one `verify --suite symbolic` takes, each through the cached
-    # factorisation, and the powers of q it inverts most
-    from quatherm import verify
+    # factorisation, and the powers of q it inverts most; with them those of
+    # the residue oracle over the suite's pairings, which the suite took while
+    # the pairing was a residue sum (the closed moments take fewer)
+    from oracles import residue_inner
+    from quatherm import plancherel, verify
 
     for k in range(-6, 7):
         assert qpow(k) ** -1 == qpow(-k)
@@ -431,6 +450,13 @@ def test_inverse_round_trips_on_symbolic_suite_values(monkeypatch):
     real = RatFuncQ.inverse
     monkeypatch.setattr(RatFuncQ, "inverse", lambda x: inverted.append(x) or real(x))
     verify.run_suite("symbolic")
+    for a in verify.PLANCHEREL_SET:
+        for b in verify.PLANCHEREL_SET:
+            fa, fb = plancherel.f_hat_size2(a), plancherel.f_hat_size2(b)
+            if fa.x_exp == fb.x_exp:
+                ya = plancherel._y_part(fa, Q, qpow(-2))
+                yb = plancherel._y_part(fb, Q, qpow(-2))
+                residue_inner(ya, yb, Q, qpow(-2))
     monkeypatch.undo()
     assert len(set(inverted)) >= 10
     for x in set(inverted):

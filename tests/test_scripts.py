@@ -159,3 +159,26 @@ def test_tracer_binds_every_target():
     finally:
         tracer.uninstall()
     assert bindings() == before
+
+
+def test_plancherel_jobs_match_expected_outputs():
+    # every guarded `light-mix` plancherel and plancherel-u job, and
+    # `verify --suite symbolic`, in process against the benchmark's expected
+    # exit codes and output digests
+    path = SCRIPTS.parent / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+
+    pools = {c["name"]: c["pool"] for c in jobs.load_workloads()["light-mix"]["classes"]}
+    argvs = [argv for name in ("plancherel", "plancherel-u") for argv in pools[name]
+             if jobs.guard_ok(argv)]
+    argvs += [argv for argv in pools["verify"] if argv[-1] == "symbolic"]
+    expected = jobs.load_expected()
+    bad = []
+    for argv in argvs:
+        rc, out = jobs.run_job(argv)
+        want = expected[jobs.job_key(argv)]
+        if (rc, jobs.digest(out)) != (want["rc"], want["sha256"]):
+            bad.append(jobs.job_key(argv))
+    assert len(argvs) == 162 and bad == []
