@@ -6,8 +6,7 @@ Usage: python scripts/spherical_table.py --n 3 --alpha "2,0,0;1,1,0"
 
 import argparse
 
-from quatherm.elemsym import to_elementary
-from quatherm.spherical import psi_explicit
+from quatherm.spherical import psi_elementary, psi_explicit
 
 
 def main():
@@ -18,11 +17,9 @@ def main():
     args = ap.parse_args()
     for chunk in args.alpha.split(";"):
         alpha = tuple(int(x) for x in chunk.split(","))
-        psi = psi_explicit(alpha, args.n)
         print(f"alpha = {alpha}")
-        print(f"  Psi = {psi}")
-        if psi.is_symmetric():
-            print(f"  elementary form = {to_elementary(psi)}")
+        print(f"  Psi = {psi_explicit(alpha, args.n)}")
+        print(f"  elementary form = {psi_elementary(alpha, args.n)}")
         print()
 
 

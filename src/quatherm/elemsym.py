@@ -106,6 +106,12 @@ def to_elementary(f: LaurentPoly) -> ElemSymExpr:
     that leading monomial.  The loop only subtracts integer multiples of
     coefficients, so it runs unchanged over RatFuncQ or IntLaurent
     coefficients and keeps their type.
+
+    The library reaches elementary coordinates through
+    `spherical.main_term_elementary`, whose Schur terms come from the dual
+    Jacobi-Trudi determinant; this rewrite is the tests' reference for that
+    path.  It stays here, with `_elementary_product` and `NotSymmetric`,
+    because the benchmark's tracer binds it by this name.
     """
     if not f.is_symmetric():
         raise NotSymmetric("input is not S_n-invariant")

@@ -149,7 +149,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, RatFuncQ, IntLaurent)):
+        if not isinstance(other, LaurentPoly):
             return self.scale(other)
         if self.n != other.n:
             raise ValueError("arity mismatch")

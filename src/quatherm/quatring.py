@@ -180,10 +180,6 @@ class QuatElem:
     def pi(params: RingParams) -> "QuatElem":
         return QuatElem(0, 0, 1, 0, params)
 
-    @staticmethod
-    def pi_eps(params: RingParams) -> "QuatElem":
-        return QuatElem(0, 0, 0, 1, params)
-
     # -- structure ------------------------------------------------------
 
     def coords(self):

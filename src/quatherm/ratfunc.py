@@ -181,13 +181,6 @@ class QPoly:
             k >>= 1
         return out
 
-    def evaluate(self, q0) -> Fraction:
-        q0 = _frac(q0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return acc
-
     def shift(self, k: int) -> "QPoly":
         """Multiply by q**k, k >= 0."""
         if k < 0:

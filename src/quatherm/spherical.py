@@ -16,19 +16,17 @@ its finite oracle, and the truncated induction identity all live here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
 from . import counting, density
 from .counting import _CHUNK, _decode_digits
 from .density import build_gram, check_orbit_label
-from .elemsym import ElemSymExpr, to_elementary
-from .laurent import (LaurentPoly, _kostka_row, alternant_sum, map_distinct, orbit_sum,
-                      symmetric_sum)
+from .elemsym import ElemSymExpr
+from .laurent import LaurentPoly, alternant_sum, map_distinct, orbit_sum, symmetric_sum
 from .quatring import RingParams, qadd, qconj, qmul
 from .ratfunc import ONE, Q, IntLaurent, RatFuncQ, ZERO, qpow, w_factor
 
@@ -172,11 +170,33 @@ def psi_explicit(alpha, n: int | None = None) -> LaurentPoly:
 @lru_cache(maxsize=4096)
 def _schur_elementary(lam: tuple) -> tuple:
     """((s-exponent, int), ...): the Schur polynomial s_lam of a partition lam
-    in elementary coordinates, by `to_elementary` on its Kostka expansion."""
-    schur = LaurentPoly(len(lam))
-    for mu, k in _kostka_row(lam):
-        schur.terms.update(dict.fromkeys(set(itertools.permutations(mu)), IntLaurent([k])))
-    return tuple((e, c.coeffs[0]) for e, c in to_elementary(schur).terms.items())
+    in elementary coordinates, by the dual Jacobi-Trudi identity
+    s_lam = det(e_(lam'_i - i + j)), 1 <= i, j <= lam_1, with lam' the
+    conjugate partition, e_0 = 1 and e_k = 0 outside [0, n] (Macdonald,
+    Symmetric Functions and Hall Polynomials, I (3.5)), expanded along
+    rows."""
+    n = len(lam)
+    conj = [sum(a > i for a in lam) for i in range(max(lam, default=0))]
+
+    @cache
+    def minor(row: int, free: int) -> dict:
+        # rows row.. on the columns in the bitmask free
+        if row == len(conj):
+            return {(0,) * n: 1}
+        out, sign = {}, 1
+        for j in range(len(conj)):
+            if not free >> j & 1:
+                continue
+            k = conj[row] - row + j
+            if 0 <= k <= n:
+                for e, c in minor(row + 1, free & ~(1 << j)).items():
+                    if k:
+                        e = e[:k - 1] + (e[k - 1] + 1,) + e[k:]
+                    out[e] = out.get(e, 0) + sign * c
+            sign = -sign
+        return out
+
+    return tuple((e, c) for e, c in minor(0, (1 << len(conj)) - 1).items() if c)
 
 
 def main_term_elementary(alpha, n: int | None = None) -> ElemSymExpr:

@@ -38,6 +38,13 @@ def test_scale_by_intlaurent_in_either_order():
     assert one_plus_q * LaurentPoly.constant(2, 1) == want
 
 
+def test_scale_by_fraction_in_either_order():
+    # every operand that is not a LaurentPoly is a scalar
+    half = Fraction(1, 2)
+    want = LaurentPoly.constant(2, RatFuncQ.const(half))
+    assert LaurentPoly.constant(2, 1) * half == want
+    assert half * LaurentPoly.constant(2, 1) == want
+
 
 def test_scale_keeps_intlaurent_coefficients():
     # orbit sums have IntLaurent coefficients; int and IntLaurent scalars keep

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from quatherm.elemsym import to_elementary
+from quatherm.spherical import psi_explicit
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -32,6 +35,12 @@ def test_spherical_table(monkeypatch, capsys):
     out = run_script(monkeypatch, capsys, "spherical_table.py")
     assert out.count("alpha = ") == 3
     assert out.count("elementary form = ") == 3
+    size3 = run_script(monkeypatch, capsys, "spherical_table.py", "--n", "3", "--alpha", "2,1,1")
+    # each printed form is the elementary rewrite of Psi
+    got = [line.split(" = ", 1)[1] for text in (out, size3) for line in text.splitlines()
+           if line.startswith("  elementary form = ")]
+    assert got == [str(to_elementary(psi_explicit(alpha, len(alpha))))
+                   for alpha in [(0, 0), (2, 0), (1, 1), (2, 1, 1)]]
 
 
 def _canned_result(tree, seed, jobs_per_s, commit):
@@ -161,19 +170,17 @@ def test_tracer_binds_every_target():
     assert bindings() == before
 
 
-def test_plancherel_jobs_match_expected_outputs():
-    # every guarded `light-mix` plancherel and plancherel-u job, and
-    # `verify --suite symbolic`, in process against the benchmark's expected
-    # exit codes and output digests
+def _perfbench_jobs():
     path = SCRIPTS.parent / "perfbench" / "jobs.py"
     spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
     jobs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(jobs)
+    return jobs
 
-    pools = {c["name"]: c["pool"] for c in jobs.load_workloads()["light-mix"]["classes"]}
-    argvs = [argv for name in ("plancherel", "plancherel-u") for argv in pools[name]
-             if jobs.guard_ok(argv)]
-    argvs += [argv for argv in pools["verify"] if argv[-1] == "symbolic"]
+
+def _mismatched_jobs(jobs, argvs):
+    """Keys of the jobs, run in process, whose exit code or output digest
+    differs from the benchmark's expected table."""
     expected = jobs.load_expected()
     bad = []
     for argv in argvs:
@@ -181,4 +188,24 @@ def test_plancherel_jobs_match_expected_outputs():
         want = expected[jobs.job_key(argv)]
         if (rc, jobs.digest(out)) != (want["rc"], want["sha256"]):
             bad.append(jobs.job_key(argv))
-    assert len(argvs) == 162 and bad == []
+    return bad
+
+
+def test_plancherel_jobs_match_expected_outputs():
+    # every guarded `light-mix` plancherel and plancherel-u job, and
+    # `verify --suite symbolic`
+    jobs = _perfbench_jobs()
+    pools = {c["name"]: c["pool"] for c in jobs.load_workloads()["light-mix"]["classes"]}
+    argvs = [argv for name in ("plancherel", "plancherel-u") for argv in pools[name]
+             if jobs.guard_ok(argv)]
+    argvs += [argv for argv in pools["verify"] if argv[-1] == "symbolic"]
+    assert len(argvs) == 162 and _mismatched_jobs(jobs, argvs) == []
+
+
+def test_ideal_jobs_match_expected_outputs():
+    # every guarded `symbolic` job of the ideal classes: Psi through the
+    # alternant sum, the Schur terms and Buchberger
+    jobs = _perfbench_jobs()
+    argvs = [argv for c in jobs.load_workloads()["symbolic"]["classes"]
+             if c["name"].startswith("ideal") for argv in c["pool"] if jobs.guard_ok(argv)]
+    assert len(argvs) == 96 and _mismatched_jobs(jobs, argvs) == []

@@ -1,4 +1,5 @@
 import itertools
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from quatherm.counting import InfeasibleSizeError
 from quatherm.density import is_orbit_label
 from quatherm.elemsym import ElemSymExpr, to_elementary
 from quatherm.laurent import LaurentPoly, _kostka_row
-from quatherm.ratfunc import ONE, Q, QPoly, RatFuncQ, format_fraction, poly_gcd, qpow, w_factor
+from quatherm.ratfunc import (ONE, Q, IntLaurent, QPoly, RatFuncQ, format_fraction, poly_gcd,
+                              qpow, w_factor)
 from quatherm.spherical import (
     _schur_elementary,
     delta_closed,
@@ -121,6 +123,29 @@ def test_schur_elementary_expands_to_the_schur_polynomial():
     # s_(1,1,0) = e_2 and s_(2,0,0) = e_1^2 - e_2
     assert dict(_schur_elementary((1, 1, 0))) == {(0, 1, 0): 1}
     assert dict(_schur_elementary((2, 0, 0))) == {(2, 0, 0): 1, (0, 1, 0): -1}
+
+
+def _schur_by_rewrite(lam):
+    """The reference: s_lam expanded to monomials through its Kostka row and
+    rewritten by `to_elementary`."""
+    schur = LaurentPoly(len(lam))
+    for mu, k in _kostka_row(lam):
+        schur.terms.update(dict.fromkeys(set(itertools.permutations(mu)), IntLaurent([k])))
+    return {e: c.coeffs[0] for e, c in to_elementary(schur).terms.items()}
+
+
+_SLOW = pytest.mark.skipif(not os.environ.get("QUATHERM_SLOW_TESTS"),
+                           reason="the reference takes about 50 s at length 6; "
+                                  "set QUATHERM_SLOW_TESTS=1")
+
+
+@pytest.mark.parametrize("length, top", [(1, 5), (2, 5), (3, 5), (4, 5), (5, 3), (6, 2),
+                                         pytest.param(5, 5, marks=_SLOW),
+                                         pytest.param(6, 5, marks=_SLOW)])
+def test_schur_elementary_is_the_kostka_rewrite(length, top):
+    # every partition of this length with parts <= top
+    for lam in itertools.combinations_with_replacement(range(top, -1, -1), length):
+        assert dict(_schur_elementary(lam)) == _schur_by_rewrite(lam), lam
 
 
 def test_main_term_values():
