@@ -66,6 +66,9 @@ def cmd_density(args) -> int:
             levels = [below, levels[0]]
 
     if args.method == "closed":
+        if args.primitive:
+            raise ValueError("no closed primitive density: drop --primitive, or count it "
+                             "with --method enumerate")
         if beta != alpha:
             raise ValueError("closed formula available for the self-density only")
         RingParams(p, 1)   # p must be an odd prime, as for the counts

@@ -1,4 +1,4 @@
-"""Exhaustive and convolution-accelerated counting of congruent representations.
+"""Exhaustive and closed counting of congruent representations.
 
 Counts
 
@@ -6,13 +6,16 @@ Counts
                  A[u] - B lies in the level-ell congruence set }
 
 optionally restricted to primitive u (full rank over the residue field).
-Everything is exact integer arithmetic on residues; numpy is used purely as a
-vectorization layer, with deterministic chunked reduction.
+Everything is exact integer arithmetic on residues.  A 1x1 source is counted
+in the valuation algebra, on ell + 1 Python ints per block; the alternating
+column count is closed; numpy is a vectorization layer, with deterministic
+chunked reduction, for direct enumeration and the size-2 counts.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import cache, partial, reduce
 
 import numpy as np
@@ -41,24 +44,29 @@ def _sci(x: int) -> str:
 
 def check_cost(kernel: str, cost, p: int, ell: int, budget: int = DEFAULT_BUDGET):
     """Raise InfeasibleSizeError, before a kernel allocates anything, when its
-    cost(level) = (ops, peak bytes) at level ell exceeds the budget or
-    MAX_PEAK_BYTES.  Costs grow with the level; the error names the kernel,
-    the estimate, both limits and the highest level at p that fits."""
+    cost(level) = (ops, peak bytes[, decimal digits of the count]) at level
+    ell exceeds the budget, MAX_PEAK_BYTES or Python's int-to-str limit (a
+    count past it could not be printed).  Costs grow with the level; the
+    error names the kernel, the estimate, the limits and the highest level at
+    p that fits."""
+    limits = (budget, MAX_PEAK_BYTES, sys.get_int_max_str_digits() or math.inf)
+
     def fits(level):
-        ops, nbytes = cost(level)
-        return ops <= budget and nbytes <= MAX_PEAK_BYTES
+        return all(x <= limit for x, limit in zip(cost(level), limits))
 
     if fits(ell):
         return
-    ops, nbytes = cost(ell)
+    ops, nbytes, *digits = cost(ell)
     top = 0
     while top + 1 < ell and fits(top + 1):
         top += 1
     feasible = (f"the highest feasible level at p={p} is {top}" if top
                 else f"no level is feasible at p={p}")
+    count = f" for a count of up to {digits[0]} digits" if digits else ""
+    digit_limit = f", {limits[2]} digits" if digits else ""
     raise InfeasibleSizeError(
-        f"{kernel} needs ~{_sci(ops)} ops and ~{_sci(nbytes)} bytes at p={p}, level {ell} "
-        f"(budget {_sci(budget)} ops, limit {_sci(MAX_PEAK_BYTES)} bytes); {feasible}"
+        f"{kernel} needs ~{_sci(ops)} ops and ~{_sci(nbytes)} bytes{count} at p={p}, level {ell} "
+        f"(budget {_sci(budget)} ops, limit {_sci(MAX_PEAK_BYTES)} bytes{digit_limit}); {feasible}"
     )
 
 
@@ -179,107 +187,119 @@ def _rank_mask(res, p, e2):
     raise NotImplementedError("vectorized rank mask implemented for n <= 2")
 
 
-# -- convolution path: n = 1, block-diagonal A --------------------------------
+# -- 1x1 counts: n = 1, block-diagonal A, in the valuation algebra -------------
 
 
-# Budget ops charged per multiply-add of Python-int bins in np.convolve on
-# object arrays: ~80 ns (p=3, levels 6-8) against ~1.4 ns per element of an
-# int64 add, multiply, remainder or compare on 2^20-element arrays (mean of
-# the four), on a 2-core VM with Python 3.11 and numpy 2.4.
-OBJECT_MULADD_OPS = 64
-
-# Budget ops per element and term of count_matrix_pair's arrays: ~110 ns per
-# element held (p=3 level 3, p=7 level 2), the bound charged is 2-3x that.
-PAIR_ELEMENT_OPS = 64
+# Budget ops charged per unit of cost_valuation's two terms, ~1.4 ns each as
+# for count_generic's int64 elements: one count_column_pair term, per limb,
+# measured at 60-180 ns (p = 3, 5, 101, levels 50-200); one entry of a
+# product, per limb and block squared, 12-45 ns (p = 3 to 10007, levels
+# 30-400, 3 to 20 blocks); on a 2-core VM with Python 3.11.
+COLUMN_PAIR_TERM_OPS = 128
+PRODUCT_TERM_OPS = 32
 
 
-def cost_convolutions(p: int, factors: int, totals: int, ell: int):
-    """(ops, peak bytes) of `totals` reductions of `factors` length-p^ell
-    histograms: p^(2*ell) multiply-adds per cyclic convolution, p^ell writes
-    per histogram.  The peak, 4 KiB + 32 * (8 + factors) bytes per bin, bounds
-    tracemalloc at p=3, levels 2-6, up to 32 factors; int64 squares < p^(2*ell)."""
-    pl = p**ell
-    return (totals * ((factors - 1) * pl + factors) * pl * OBJECT_MULADD_OPS,
-            4096 + 32 * (8 + factors) * pl)
+def cost_valuation(p: int, size: int, alternating: int, primitive: bool, ell: int):
+    """(ops, peak bytes, decimal digits) of count_diagonal_convolved for a
+    target of `size` rows, `alternating` of its blocks p^e H: each p^e H block
+    reads count_column_pair at ell + 1 values, O(ell) terms each, three times
+    if primitive; each pass (two if primitive) multiplies ell + 1 entries of
+    ints below p^(4*ell*size) by ints below p^(4*ell), size times.  Both are
+    counted in 30-bit limbs of an int below p^(4*ell).  The ints held are three
+    such vectors; every count is below p^(4*ell*size), the number of columns."""
+    limbs = 1 + 4 * ell * math.log2(p) / 30
+    ops = (ell + 1) * limbs * (
+        (1 + 2 * primitive) * COLUMN_PAIR_TERM_OPS * alternating * (2 * ell + 1)
+        + (1 + primitive) * PRODUCT_TERM_OPS * size * size)
+    return (math.ceil(ops), math.ceil(12 * (ell + 1) * (size * limbs + 8)),
+            math.floor(4 * ell * size * math.log10(p)) + 1)
 
 
-def _cyclic_convolve(h1, h2):
-    """Exact cyclic convolution of two equal-length histograms of Python ints."""
-    pl = len(h1)
-    full = np.convolve(np.asarray(h1, dtype=object), np.asarray(h2, dtype=object))
-    full[: pl - 1] += full[pl:]
-    return full[:pl]
+def _block_profile(blk, params: RingParams, in_radical: bool) -> list:
+    """g_k = #{x : blk[x] = t mod p^ell} for v_p(t) = k, k = 0..ell (k = ell
+    for t = 0), x in O/Pi^(2*ell) (Pi O if in_radical; both entries for a p^e H
+    block).  For a scalar p^e u it is 0 below e and p^(4e) times the norm
+    profile at level ell - e: #{x : Nrd x = t} is p^(3*ell-k-1)(p+1) for
+    k < ell, p^(2*ell) for t = 0.  In Pi O the units, where k = e, drop out."""
+    p, ell = params.p, params.ell
+    if isinstance(blk, HermMatrix):
+        return [count_column_pair(p**k, blk)
+                - (count_column_pair(p**k, blk, True) if in_radical else 0)
+                for k in range(ell + 1)]
+    e = params.val_p(blk)
+    g = [0] * e + [p ** (3 * ell + 2 * e - k - 1) * (p + 1) for k in range(e, ell)]
+    g.append(p ** (2 * ell + 2 * e))
+    if in_radical:
+        g[e] = 0 if e < ell else p ** (4 * ell - 2)
+    return g
 
 
-def _coordinate_histograms(params: RingParams, scale: int, linear, in_radical: bool, modulus: int):
-    """Per coordinate v of y = a + b*eps + c*Pi + d*Pi*eps in O/Pi^(2*ell)
-    (Pi O if in_radical: a, b in p), the histogram of k*(scale*v^2 + 2*l*v)
-    mod modulus for Nrd's coefficients k = 1, -eps^2, -p, p*eps^2 and the
-    coordinates l of w; convolved, that of scale*Nrd(y) + Trd(y* w)."""
-    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
-    t = np.arange(pl, dtype=np.int64)
-    ab = t[: p ** (ell - 1)] * p if in_radical else t
-    return [np.bincount((v * v % modulus * (k * scale % modulus) + v * (2 * k * l % modulus))
-                        % modulus, minlength=modulus).astype(object)
-            for k, l, v in zip((1, -e2, -p, p * e2), linear, (ab, ab, t, t))]
-
-
-def _read_bin(histograms, value: int) -> int:
-    """Bin `value` of the cyclic convolution of the histograms; the last
-    convolution is one dot product."""
-    *rest, last = histograms
-    pl = len(last)
-    if not rest:
-        return int(last[value % pl])
-    head = np.asarray(reduce(_cyclic_convolve, rest), dtype=object)
-    return int(head.dot(np.asarray(last, dtype=object)[(value - np.arange(pl)) % pl]))
+def _ideal_product(c, d, p: int, ell: int) -> list:
+    """The convolution of two functions of v_p(t) on Z/p^ell in the basis of
+    ideal indicators I_a = 1[p^a | t], where I_a * I_b = p^(ell-max(a,b))
+    I_min(a,b): coefficient k takes the pairs with min(a, b) = k, the larger
+    index summed in the tails sum_{a > k} c_a p^(ell-a)."""
+    out, tail_c, tail_d = [0] * (ell + 1), 0, 0
+    for k in range(ell, -1, -1):
+        w = p ** (ell - k)
+        out[k] = c[k] * (d[k] * w + tail_d) + d[k] * tail_c
+        tail_c += c[k] * w
+        tail_d += d[k] * w
+    return out
 
 
 def nrd_histogram(params: RingParams, scale: int = 1, in_radical: bool = False,
                   budget: int = DEFAULT_BUDGET):
-    """Histogram over x of scale * Nrd(x) mod p^ell.
-
-    x runs over O/Pi^(2*ell), or over the maximal ideal Pi/Pi^(2*ell) when
-    in_radical is set (coordinates a, b then lie in p).  Nrd(a + b*eps + c*Pi
-    + d*Pi*eps) = a^2 - eps^2*b^2 - p*c^2 + p*eps^2*d^2, so the histogram is
-    the cyclic convolution of four 1-D histograms of scaled squares.
-    """
+    """Histogram over x of scale * Nrd(x) mod p^ell, x in O/Pi^(2*ell) (Pi O
+    if in_radical): the closed profile of _block_profile, written to the p^ell
+    bins t by v_p(t)."""
     p, ell, pl = params.p, params.ell, params.modulus
-    check_cost("nrd_histogram", partial(cost_convolutions, p, 4, 1), p, ell, budget)
-    squares = _coordinate_histograms(params, scale, (0, 0, 0, 0), in_radical, pl)
-    return reduce(_cyclic_convolve, squares).tolist()
+    # ~2 ops and one 8-byte list slot per bin
+    check_cost("nrd_histogram", lambda level: (2 * p**level, 8 * p**level + 4096), p, ell, budget)
+    g = _block_profile(scale, params, in_radical)
+    hist = [g[0]] * pl
+    for k in range(1, ell + 1):
+        hist[:: p**k] = [g[k]] * p ** (ell - k)
+    return hist
 
 
 def count_diagonal_convolved(b_value: int, diag_scalars, params: RingParams,
                              primitive: bool = False,
                              budget: int = DEFAULT_BUDGET) -> int:
-    """Count columns u with A[u] = b mod p^ell for a block-diagonal A by
-    histogram convolution.  diag_scalars lists the blocks: an int a contributes
-    the histogram of a * Nrd, a zero-diagonal 2x2 HermMatrix that of
-    count_column_pair.  Each distinct histogram is built once and only bin b of
-    the last convolution is read; the primitive count subtracts the subtotal
-    with every entry in the radical.  One cost check covers every convolution.
+    """Count columns u with A[u] = b mod p^ell for a block-diagonal A, whose
+    blocks diag_scalars lists: an int a contributes a * Nrd(x), a zero-diagonal
+    2x2 HermMatrix its count_column_pair form.  The count is the convolution on
+    Z/p^ell of the blocks' value counts, read at b.
+
+    Each value count is a function of v_p(t).  Nrd maps O^x onto Z_p^x with
+    equal fibres and v_p(Nrd x) = v_Pi(x), so a scalar block's count depends
+    on t only through v_p(t) (_block_profile); a p^e H block's does by
+    count_column_pair.  Such functions are closed under convolution: if f and
+    g are invariant under t -> u t for every unit u, so is f * g.  Each block
+    is thus ell + 1 ints g_k, taken to the ideal-indicator basis c_0 = g_0,
+    c_a = g_a - g_(a-1), multiplied there by I_a * I_b = p^(ell-max(a,b))
+    I_min(a,b) (_ideal_product), and the count is sum_{a <= v_p(b)} c_a.  The
+    primitive count subtracts the same with every entry in Pi O.
+
+    The ints grow like p^(4*ell*m) for m rows, and they stay cheap while
+    that is a few thousand digits: for <1> in (0, 0, 0) at p = 3 level 200
+    takes ~5 ms and level 751, the last whose count prints, ~0.13 s.  Past
+    that check_cost refuses the level, as a count past Python's int-to-str
+    limit (4300 digits by default) could not be printed.  A p^e H block
+    costs O(ell^2) column-pair terms (~0.25 s at p = 3, level 200), which
+    the budget charges.
     """
-    p, ell, pl = params.p, params.ell, params.modulus
-    factors = sum(1 if isinstance(blk, HermMatrix) else 4 for blk in diag_scalars)
+    p, ell = params.p, params.ell
+    alternating = sum(isinstance(blk, HermMatrix) for blk in diag_scalars)
     check_cost("count_diagonal_convolved",
-               partial(cost_convolutions, p, factors, 2 if primitive else 1), p, ell, budget)
-
-    @cache
-    def histogram(blk, in_radical):
-        if not isinstance(blk, HermMatrix):
-            return nrd_histogram(params, blk, in_radical, budget)
-        # the count depends on b only through v_p(b): ell + 1 counts fill the bins
-        hist = np.empty(pl, dtype=object)
-        for v in range(ell + 1):
-            count = count_column_pair(p**v, blk, budget=budget)
-            if in_radical:
-                count -= count_column_pair(p**v, blk, True, budget)
-            hist[:: p**v] = count
-        return hist
-
-    counts = [_read_bin([histogram(blk, in_radical) for blk in diag_scalars], b_value)
-              for in_radical in (False, True)[: 1 + primitive]]
+               partial(cost_valuation, p, len(diag_scalars) + alternating, alternating, primitive),
+               p, ell, budget)
+    v_b = params.val_p(b_value)
+    counts = []
+    for in_radical in (False, True)[: 1 + primitive]:
+        ideal = ([g[0]] + [g[a] - g[a - 1] for a in range(1, ell + 1)]
+                 for g in (_block_profile(blk, params, in_radical) for blk in diag_scalars))
+        counts.append(sum(reduce(partial(_ideal_product, p=p, ell=ell), ideal)[: v_b + 1]))
     return counts[0] - sum(counts[1:])
 
 
@@ -319,6 +339,49 @@ def count_column_pair(b_value: int, a: HermMatrix, primitive: bool = False,
 
 
 # -- size-2 Gram pairs: m = n = 2, A diagonal or p^e * H ----------------------
+
+
+# Budget ops charged per multiply-add of Python-int bins in np.convolve on
+# object arrays: ~80 ns (p=3, levels 6-8) against ~1.4 ns per element of an
+# int64 add, multiply, remainder or compare on 2^20-element arrays (mean of
+# the four), on a 2-core VM with Python 3.11 and numpy 2.4.
+OBJECT_MULADD_OPS = 64
+
+# Budget ops per element and term of count_matrix_pair's arrays: ~110 ns per
+# element held (p=3 level 3, p=7 level 2), the bound charged is 2-3x that.
+PAIR_ELEMENT_OPS = 64
+
+
+def _cyclic_convolve(h1, h2):
+    """Exact cyclic convolution of two equal-length histograms of Python ints."""
+    pl = len(h1)
+    full = np.convolve(np.asarray(h1, dtype=object), np.asarray(h2, dtype=object))
+    full[: pl - 1] += full[pl:]
+    return full[:pl]
+
+
+def _coordinate_histograms(params: RingParams, scale: int, linear, in_radical: bool, modulus: int):
+    """Per coordinate v of y = a + b*eps + c*Pi + d*Pi*eps in O/Pi^(2*ell)
+    (Pi O if in_radical: a, b in p), the histogram of k*(scale*v^2 + 2*l*v)
+    mod modulus for Nrd's coefficients k = 1, -eps^2, -p, p*eps^2 and the
+    coordinates l of w; convolved, that of scale*Nrd(y) + Trd(y* w)."""
+    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
+    t = np.arange(pl, dtype=np.int64)
+    ab = t[: p ** (ell - 1)] * p if in_radical else t
+    return [np.bincount((v * v % modulus * (k * scale % modulus) + v * (2 * k * l % modulus))
+                        % modulus, minlength=modulus).astype(object)
+            for k, l, v in zip((1, -e2, -p, p * e2), linear, (ab, ab, t, t))]
+
+
+def _read_bin(histograms, value: int) -> int:
+    """Bin `value` of the cyclic convolution of the histograms; the last
+    convolution is one dot product."""
+    *rest, last = histograms
+    pl = len(last)
+    if not rest:
+        return int(last[value % pl])
+    head = np.asarray(reduce(_cyclic_convolve, rest), dtype=object)
+    return int(head.dot(np.asarray(last, dtype=object)[(value - np.arange(pl)) % pl]))
 
 
 def cost_matrix_pair(p: int, alternating: bool, primitive: bool, ell: int):

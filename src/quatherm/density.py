@@ -132,9 +132,10 @@ def gram_blocks(h: HermMatrix):
 def count_reps(b: HermMatrix, a: HermMatrix, primitive: bool = False,
                budget: int = counting.DEFAULT_BUDGET) -> int:
     """N_ell(B, A).  The only place that picks a counting kernel, by shape
-    alone: a 1x1 source in a block-diagonal target is convolved, a 2x2 source
-    in a 2x2 Gram-block target (diagonal or p^e * H) goes to the size-2
-    count, all else is enumerated; each kernel checks its own cost."""
+    alone: a 1x1 source in a block-diagonal target goes to the valuation
+    algebra (count_diagonal_convolved), a 2x2 source in a 2x2 Gram-block
+    target (diagonal or p^e * H) goes to the size-2 count, all else is
+    enumerated; each kernel checks its own cost."""
     m, n = a.rows, b.rows
     if m < n:
         raise ValueError("need A at least as large as B")

@@ -351,6 +351,32 @@ def check_induction(results, budget):
                str(lhs), str(rhs), t0=t0)
 
 
+def check_unit_vector_and_zero_ht(results, budget):
+    """The two closed 1x1 densities against counts at p = 3, 5, 7, 11: <1> in
+    the identity form of size m = 1..6, and primitive 0 in t = 1..3 alternating
+    blocks.  At level ell the label (2*ell) is the zero form: p^ell = 0."""
+    # level 1 is already stable for the source <1> (its first stable level is
+    # beta_1/2 + 1 = 1); level 2 also exercises the congruences mod p^2
+    level = 2
+    for p in (3, 5, 7, 11):
+        t0 = time.monotonic()
+        bad = [m for m in range(1, 7)
+               if density.density_levels((0,), (0,) * m, p, [level], budget=budget)[0][0]
+               .normalized != density.density_unit_vector(m).eval_at(p)]
+        _check(results, f"density.unit-vector.p{p}",
+               f"normalized count of <1> in the identity form of size m = 1..6 at p={p}, "
+               f"level {level} equals 1 - (-1/q)^m", "[]", str(bad), t0=t0)
+    for p in (3, 5, 7, 11):
+        t0 = time.monotonic()
+        bad = [t for t in range(1, 4)
+               if density.density_levels((2 * level,), (1,) * (2 * t), p, [level], primitive=True,
+                                         budget=budget)[0][0]
+               .normalized != density.density_zero_ht(t).eval_at(p)]
+        _check(results, f"density.zero-ht.p{p}",
+               f"normalized primitive count of 0 by t = 1..3 alternating blocks at p={p}, "
+               f"level {level} equals q(1 - q^(-4t))", "[]", str(bad), t0=t0)
+
+
 IDEAL_LABELS = {
     3: [(0, 0, 0), (0, -1, -1), (2, 0, 0), (1, 1, 0), (2, 2, 0), (2, 1, 1)],
     4: [(0, 0, 0, 0), (-1, -1, -1, -1), (2, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0)],
@@ -440,4 +466,5 @@ def run_suite(tier: str = "all", budget: int = counting.DEFAULT_BUDGET):
         check_key_lemma(results, budget)
         check_density_oracle(results, DENSITY_CASES_N2, budget)
         check_density_oracle(results, DENSITY_CASES_N2_STABLE, budget)
+        check_unit_vector_and_zero_ht(results, budget)
     return results

@@ -3,14 +3,20 @@
 The size-2 weight integral as an exact residue sum at W in {0, u1, u2}, the
 reference for the closed moments of `plancherel`, with the Y-Laurent helpers
 (product, conjugation, symmetry) and the weight object that only the tests
-read.
+read.  The 1x1 counts by convolving length-p^ell histograms, the reference for
+the valuation algebra of `counting.count_diagonal_convolved`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 
+import numpy as np
+
+from quatherm.counting import _coordinate_histograms, _cyclic_convolve, count_column_pair
 from quatherm.plancherel import UncataloguedPole, _exact, _one_of
+from quatherm.quatring import HermMatrix, RingParams
 
 
 # -- Laurent dictionaries in Y -------------------------------------------------
@@ -148,3 +154,38 @@ def residue_integral(f: dict, u1, u2):
 def residue_inner(f: dict, g: dict, u1, u2):
     """<f, g> = integral of f * conj(g) * w, by the residue sum."""
     return residue_integral(y_mul(f, y_conj(g)), u1, u2)
+
+
+# -- 1x1 counts by histogram convolution ------------------------------------------
+
+
+@cache
+def _block_histogram(blk, params: RingParams, in_radical: bool):
+    """Over x in O/Pi^(2*ell) (Pi O if in_radical), the histogram mod p^ell of
+    blk * Nrd(x) for an int blk, the cyclic convolution of four histograms of
+    scaled squares; for a p^e H block that of count_column_pair, which depends
+    on b only through v_p(b)."""
+    p, ell, pl = params.p, params.ell, params.modulus
+    if not isinstance(blk, HermMatrix):
+        return reduce(_cyclic_convolve,
+                      _coordinate_histograms(params, blk, (0, 0, 0, 0), in_radical, pl))
+    hist = np.empty(pl, dtype=object)
+    for v in range(ell + 1):
+        count = count_column_pair(p**v, blk)
+        if in_radical:
+            count -= count_column_pair(p**v, blk, True)
+        hist[:: p**v] = count
+    return hist
+
+
+def histogram_counts(diag_scalars, params: RingParams, primitive: bool = False) -> list:
+    """[N(<b>, A) for b in Z/p^ell] for the block-diagonal A whose blocks
+    diag_scalars lists, as in count_diagonal_convolved: the cyclic convolution
+    of the blocks' histograms; the primitive counts subtract the convolution
+    with every entry in Pi O.  O(p^(2*ell)) multiply-adds per convolution."""
+    def convolved(in_radical):
+        return reduce(_cyclic_convolve,
+                      [_block_histogram(blk, params, in_radical) for blk in diag_scalars])
+
+    counts = convolved(False)
+    return [int(x) for x in (counts - convolved(True) if primitive else counts)]

@@ -299,17 +299,44 @@ def test_convolve_deep_level(capsys):
 
 
 def test_convolve_memory_limit_error(capsys):
-    # level 9 at p=3 is the first past the convolution cost limit; refused
-    # before allocating
+    # level 2254 at p=3 is the first the 1x1 count refuses: its count may pass
+    # 4300 digits, Python's int-to-str limit; refused before computing
     tracemalloc.start()
     try:
         err = run_error(capsys, "density", "--method", "convolve", "--p", "3",
-                        "--ell", "9", "--alpha", "0", "--beta", "0")
+                        "--ell", "2254", "--alpha", "0", "--beta", "0")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "count_diagonal_convolved" in err and "highest feasible level at p=3 is 8" in err
+    assert "count_diagonal_convolved" in err and "highest feasible level at p=3 is 2253" in err
     assert peak < 16 * 2**20
+
+
+def test_convolve_deep_levels_any_p(capsys):
+    # the valuation algebra has no level ceiling: 4/3 = w_1(-1/q) at q = 3, and
+    # 10200/10201 = 1 - q^-2, the density of <1> in the identity form of size 2,
+    # at q = 101
+    for argv, value in ((("--method", "convolve", "--p", "3", "--ell", "8,9", "--alpha", "0"),
+                         "4/3"),
+                        (("--p", "101", "--ell", "5,6", "--alpha", "0,0"), "10200/10201")):
+        code, data = run_json(capsys, "density", *argv, "--beta", "0")
+        assert code == 0
+        assert data["stable"] is True and data["normalized"] == value
+
+
+def test_unprintable_count_refused_before_computing(capsys):
+    # <1> in (0,0,0) at level 1000 has a count of about 5,250 digits
+    err = run_error(capsys, "density", "--p", "3", "--alpha", "0,0,0", "--beta", "0",
+                    "--ell", "1000")
+    assert "for a count of up to 5726 digits" in err and "4300 digits" in err
+    assert err.rstrip().endswith("the highest feasible level at p=3 is 751")
+
+
+def test_closed_primitive_refused(capsys):
+    # the closed formula is the plain self-density; --primitive used to be ignored
+    err = run_error(capsys, "density", "--method", "closed", "--primitive", "--alpha", "0,0")
+    assert err == ("quatherm: error: no closed primitive density: drop --primitive, "
+                   "or count it with --method enumerate\n")
 
 
 def test_ideal_and_symbolic_u_reuse_verify_checks(capsys):

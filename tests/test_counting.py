@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatherm import counting
-from quatherm.density import build_gram, density_self_closed, density_zero_ht
+from quatherm.density import build_gram, density_self_closed, density_zero_ht, gram_blocks
 from quatherm.quatring import (
     HermMatrix, QuatElem, QuatMatrix, RingParams, qconj, qmul, qnrd, residue_rank,
 )
+
+from oracles import histogram_counts
 
 PM1 = RingParams(3, 1)
 PM5 = RingParams(5, 1)
@@ -379,7 +381,9 @@ def test_kernels_at_p5():
     assert direct == conv
 
 
-def test_convolution_builds_each_histogram_once(monkeypatch):
+def test_convolution_builds_no_histogram(monkeypatch):
+    # the valuation algebra reads ell + 1 ints per block, never a p^ell histogram;
+    # block order does not change the count
     calls = []
     build = counting.nrd_histogram
     monkeypatch.setattr(counting, "nrd_histogram",
@@ -387,7 +391,41 @@ def test_convolution_builds_each_histogram_once(monkeypatch):
     pm = RingParams(3, 2)
     assert counting.count_diagonal_convolved(0, [1, 1, 1, 3], pm) == \
         counting.count_diagonal_convolved(0, [3, 1, 1, 1], pm)
-    assert calls == [1, 3, 3, 1]
+    assert calls == []
+
+
+def _reference_targets(p, ell):
+    """Block lists for the histogram reference: Gram targets, p^e H blocks
+    included, and scalars 0, units, nonresidues and multiples of p."""
+    pm = RingParams(p, ell)
+    labels = [(0,), (2,), (1, 1), (0, 0), (2, 0), (3, 3), (1, 1, 0), (4, 2, 0), (2, 1, 1)]
+    e2 = pm.eps2
+    scalars = [[0], [e2], [p, 2 * p], [1, e2 * p], [p * p, 0, 1], [e2, e2 * p * p, p + 1]]
+    return [gram_blocks(build_gram(alpha, pm)) for alpha in labels] + scalars
+
+
+@pytest.mark.parametrize(("p", "ell"), [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5),
+                                        (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)])
+def test_valuation_matches_histogram_reference(p, ell):
+    pm = RingParams(p, ell)
+    for blocks in _reference_targets(p, ell):
+        for primitive in (False, True):
+            assert [counting.count_diagonal_convolved(b, blocks, pm, primitive)
+                    for b in range(pm.modulus)] == histogram_counts(blocks, pm, primitive), \
+                (blocks, primitive)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 5]), st.lists(st.integers(0, 8), min_size=1, max_size=2),
+       st.integers(0, 8), st.booleans())
+def test_valuation_vs_generic_level1(p, scalars, b_value, primitive):
+    pm = RingParams(p, 1)
+    scalars = scalars[:1] if p == 5 else scalars   # 5^8 matrices for two rows
+    z = QuatElem.zero(pm)
+    a = HermMatrix([[QuatElem.scalar(s, pm) if i == j else z for j in range(len(scalars))]
+                    for i, s in enumerate(scalars)], pm)
+    assert counting.count_diagonal_convolved(b_value, scalars, pm, primitive) == \
+        counting.count_generic(_scalar(b_value, pm), a, primitive=primitive)
 
 
 def test_histogram_total_mass():

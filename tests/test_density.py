@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -292,3 +293,21 @@ def test_primitive_at_most_total():
     b = build_gram((0,), PM2)
     a = build_gram((2, 0), PM2)
     assert count_reps(b, a, primitive=True) <= count_reps(b, a)
+
+
+# every orbit label of size 1-3 with entries in [0, 4]: 3 + 8 + 16 targets
+STABLE_LEVEL_TARGETS = [alpha for m in (1, 2, 3)
+                        for alpha in itertools.product(range(4, -1, -1), repeat=m)
+                        if is_orbit_label(alpha)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("beta", [(0,), (2,), (4,), (6,)])
+def test_first_stable_level_of_1x1_counts(p, beta):
+    # the normalized counts at levels 1..l0+3 agree exactly from l0 = beta_1/2 + 1 on
+    l0 = beta[0] // 2 + 1
+    assert len(STABLE_LEVEL_TARGETS) == 27
+    for alpha in STABLE_LEVEL_TARGETS:
+        values = [r.normalized for r in density_levels(beta, alpha, p, range(1, l0 + 4))[0]]
+        first = next(ell for ell in range(1, l0 + 4) if len(set(values[ell - 1:])) == 1)
+        assert first == l0, (alpha, values)

@@ -209,3 +209,16 @@ def test_ideal_jobs_match_expected_outputs():
     argvs = [argv for c in jobs.load_workloads()["symbolic"]["classes"]
              if c["name"].startswith("ideal") for argv in c["pool"] if jobs.guard_ok(argv)]
     assert len(argvs) == 96 and _mismatched_jobs(jobs, argvs) == []
+
+
+def test_counting_jobs_match_expected_outputs():
+    # every guarded `counting` job, every `light-mix` convolve-shallow job and
+    # `verify --suite counting`: the 1x1, size-2 and direct counts
+    jobs = _perfbench_jobs()
+    workloads = jobs.load_workloads()
+    pools = {c["name"]: c["pool"] for c in workloads["light-mix"]["classes"]}
+    argvs = [argv for c in workloads["counting"]["classes"] for argv in c["pool"]
+             if jobs.guard_ok(argv)]
+    argvs += pools["convolve-shallow"]
+    argvs += [argv for argv in pools["verify"] if argv[-1] == "counting"]
+    assert len(argvs) == 309 and _mismatched_jobs(jobs, argvs) == []
