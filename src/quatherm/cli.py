@@ -62,7 +62,8 @@ def cmd_density(args) -> int:
     if len(levels) == 1 and levels[0] > 1:
         # add the level below for the stability flag when it is cheap
         below = levels[0] - 1
-        if p ** (4 * below * m * n) <= (1 << 24):
+        exponent = 4 * below * m * n
+        if exponent <= 24 and p**exponent <= 1 << 24:
             levels = [below, levels[0]]
 
     if args.method == "closed":

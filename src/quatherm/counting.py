@@ -8,8 +8,9 @@ Counts
 optionally restricted to primitive u (full rank over the residue field).
 Everything is exact integer arithmetic on residues.  A 1x1 source is counted
 in the valuation algebra, on ell + 1 Python ints per block; the alternating
-column count is closed; numpy is a vectorization layer, with deterministic
-chunked reduction, for direct enumeration and the size-2 counts.
+column count and the size-2 count in a p^e H target are closed, in Python
+ints; numpy is a vectorization layer, with deterministic chunked reduction,
+for direct enumeration and the size-2 counts in a diagonal target.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from __future__ import annotations
 import math
 import sys
 from functools import cache, partial, reduce
+from itertools import accumulate
 
 import numpy as np
 
-from .quatring import HermMatrix, QuatElem, RingParams, fmul, qadd, qconj, qmul, qresidue
+from .quatring import HermMatrix, QuatElem, RingParams, fmul, qadd, qconj, qmul, qnrd, qresidue
 
 
 class InfeasibleSizeError(RuntimeError):
@@ -191,26 +193,27 @@ def _rank_mask(res, p, e2):
 
 
 # Budget ops charged per unit of cost_valuation's two terms, ~1.4 ns each as
-# for count_generic's int64 elements: one count_column_pair term, per limb,
-# measured at 60-180 ns (p = 3, 5, 101, levels 50-200); one entry of a
+# for count_generic's int64 elements: one term of a p^e H profile, per limb,
+# measured at 70-130 ns (p = 3 to 10007, levels 30-1000); one entry of a
 # product, per limb and block squared, 12-45 ns (p = 3 to 10007, levels
-# 30-400, 3 to 20 blocks); on a 2-core VM with Python 3.11.
+# 30-400, 3 to 20 blocks), also charged per limb for each valuation of a p^e H
+# size-2 count, 18-24 ns (p = 3 to 10007, levels 30-563); on a 2-core VM
+# with Python 3.11.
 COLUMN_PAIR_TERM_OPS = 128
 PRODUCT_TERM_OPS = 32
 
 
 def cost_valuation(p: int, size: int, alternating: int, primitive: bool, ell: int):
     """(ops, peak bytes, decimal digits) of count_diagonal_convolved for a
-    target of `size` rows, `alternating` of its blocks p^e H: each p^e H block
-    reads count_column_pair at ell + 1 values, O(ell) terms each, three times
-    if primitive; each pass (two if primitive) multiplies ell + 1 entries of
-    ints below p^(4*ell*size) by ints below p^(4*ell), size times.  Both are
-    counted in 30-bit limbs of an int below p^(4*ell).  The ints held are three
-    such vectors; every count is below p^(4*ell*size), the number of columns."""
+    target of `size` rows, `alternating` of its blocks p^e H.  Each pass (two
+    if primitive) reads each p^e H block's profile, 2*ell + 1 terms, and
+    multiplies ell + 1 entries of ints below p^(4*ell*size) by ints below
+    p^(4*ell), size times.  Both are counted in 30-bit limbs of an int below
+    p^(4*ell).  The ints held are three such vectors; every count is below
+    p^(4*ell*size), the number of columns."""
     limbs = 1 + 4 * ell * math.log2(p) / 30
-    ops = (ell + 1) * limbs * (
-        (1 + 2 * primitive) * COLUMN_PAIR_TERM_OPS * alternating * (2 * ell + 1)
-        + (1 + primitive) * PRODUCT_TERM_OPS * size * size)
+    ops = (1 + primitive) * limbs * (COLUMN_PAIR_TERM_OPS * alternating * (2 * ell + 1)
+                                     + PRODUCT_TERM_OPS * (ell + 1) * size * size)
     return (math.ceil(ops), math.ceil(12 * (ell + 1) * (size * limbs + 8)),
             math.floor(4 * ell * size * math.log10(p)) + 1)
 
@@ -220,12 +223,27 @@ def _block_profile(blk, params: RingParams, in_radical: bool) -> list:
     for t = 0), x in O/Pi^(2*ell) (Pi O if in_radical; both entries for a p^e H
     block).  For a scalar p^e u it is 0 below e and p^(4e) times the norm
     profile at level ell - e: #{x : Nrd x = t} is p^(3*ell-k-1)(p+1) for
-    k < ell, p^(2*ell) for t = 0.  In Pi O the units, where k = e, drop out."""
+    k < ell, p^(2*ell) for t = 0.  In Pi O the units, where k = e, drop out.
+
+    For A = [[0, beta], [beta*, 0]], A[(x, y)] = Trd(x* beta y).  If x has
+    Pi-valuation j (x = 0 counts as j = 2*ell), x* beta O = Pi^i O with
+    i = j + v_Pi(beta).  As Trd(Pi O) = pZ_p, y -> Trd(x* beta y) maps
+    O/Pi^(2*ell) onto p^c Z/p^ell, c = min(ceil(i/2), ell), with equal fibres
+    p^(3*ell + c); in Pi O, i gains one and the y space is p^(4*ell - 2).  So
+    the x of valuation j count at every k >= c: one sweep buckets the terms
+    by c, and g is their prefix sums."""
     p, ell = params.p, params.ell
     if isinstance(blk, HermMatrix):
-        return [count_column_pair(p**k, blk)
-                - (count_column_pair(p**k, blk, True) if in_radical else 0)
-                for k in range(ell + 1)]
+        shift = int(in_radical)
+        v_beta = blk.entries[0][1].pi_valuation()
+        v_beta = 2 * ell if v_beta is None else v_beta
+        by_c = [0] * (ell + 1)
+        for j in range(shift, 2 * ell + 1):
+            c = min((j + v_beta + shift + 1) // 2, ell)
+            # p^(4*ell - 2j) - p^(4*ell - 2j - 2) x of valuation j (one x = 0)
+            by_c[c] += (1 if j == 2 * ell else p ** (4 * ell - 2 * j - 2) * (p * p - 1)) \
+                * p ** (3 * ell - 2 * shift + c)
+        return list(accumulate(by_c))
     e = params.val_p(blk)
     g = [0] * e + [p ** (3 * ell + 2 * e - k - 1) * (p + 1) for k in range(e, ell)]
     g.append(p ** (2 * ell + 2 * e))
@@ -286,8 +304,8 @@ def count_diagonal_convolved(b_value: int, diag_scalars, params: RingParams,
     takes ~5 ms and level 751, the last whose count prints, ~0.13 s.  Past
     that check_cost refuses the level, as a count past Python's int-to-str
     limit (4300 digits by default) could not be printed.  A p^e H block
-    costs O(ell^2) column-pair terms (~0.25 s at p = 3, level 200), which
-    the budget charges.
+    costs one sweep of 2*ell + 1 terms: <1> in (1,1) at p = 3, level 200
+    takes ~3 ms, ~5 ms primitive.
     """
     p, ell = params.p, params.ell
     alternating = sum(isinstance(blk, HermMatrix) for blk in diag_scalars)
@@ -309,33 +327,15 @@ def count_diagonal_convolved(b_value: int, diag_scalars, params: RingParams,
 def count_column_pair(b_value: int, a: HermMatrix, primitive: bool = False,
                       budget: int = DEFAULT_BUDGET) -> int:
     """Count u = (x, y)^T with A[u] = Trd(x* beta y) = b mod p^ell in closed
-    form, for A = [[0, beta], [beta*, 0]].  O(ell) steps: the budget never binds.
-
-    If x has Pi-valuation j (x = 0 counts as j = 2*ell), x* beta O = Pi^k O
-    with k = j + v_Pi(beta).  As Trd(Pi O) = pZ_p, y -> Trd(x* beta y) maps
-    O/Pi^(2*ell) onto p^c Z/p^ell, c = min(ceil(k/2), ell), with equal fibres
-    p^(3*ell + c).  The primitive count subtracts the same sum over x, y in
-    Pi O, where k gains one and the y space is p^(4*ell - 2).
-    """
+    form, for A = [[0, beta], [beta*, 0]]: the block's profile (_block_profile)
+    read at v_p(b), less the same with x and y in Pi O if primitive.  O(ell)
+    steps: the budget never binds."""
     pm = a.params
-    p, ell = pm.p, pm.ell
     if a.rows != 2 or a.entries[0][0] or a.entries[1][1]:
         raise ValueError("count_column_pair needs a zero-diagonal 2x2 form")
-    v_beta = a.entries[0][1].pi_valuation()
-    v_beta = 2 * ell if v_beta is None else v_beta
     v_b = pm.val_p(b_value)
-
-    def fibre_sum(shift):
-        total = 0
-        for j in range(shift, 2 * ell + 1):
-            xs = 1 if j == 2 * ell else p ** (4 * ell - 2 * j) - p ** (4 * ell - 2 * j - 2)
-            c = min((j + v_beta + shift + 1) // 2, ell)
-            if v_b >= c:
-                total += xs * p ** (3 * ell - 2 * shift + c)
-        return total
-
-    total = fibre_sum(0)
-    return total - fibre_sum(1) if primitive else total
+    radical = _block_profile(a, pm, True)[v_b] if primitive else 0
+    return _block_profile(a, pm, False)[v_b] - radical
 
 
 # -- size-2 Gram pairs: m = n = 2, A diagonal or p^e * H ----------------------
@@ -373,30 +373,25 @@ def _coordinate_histograms(params: RingParams, scale: int, linear, in_radical: b
             for k, l, v in zip((1, -e2, -p, p * e2), linear, (ab, ab, t, t))]
 
 
-def _read_bin(histograms, value: int) -> int:
-    """Bin `value` of the cyclic convolution of the histograms; the last
-    convolution is one dot product."""
-    *rest, last = histograms
-    pl = len(last)
-    if not rest:
-        return int(last[value % pl])
-    head = np.asarray(reduce(_cyclic_convolve, rest), dtype=object)
-    return int(head.dot(np.asarray(last, dtype=object)[(value - np.arange(pl)) % pl]))
-
-
 def cost_matrix_pair(p: int, alternating: bool, primitive: bool, ell: int):
-    """(ops, peak bytes) of count_matrix_pair's 1 (p^2 + 3 if primitive)
-    counts.  p^e H: <= 3 value counts, 3 convolutions of p^ell bins each.
-    Diagonal: <= ell first-row levels, each an array of phi(p^ell) norms by
-    <= 2 p^(3*ell-1) bins of z read by <= ell + 1 terms, and cached
-    convolutions of length p^(2*ell-1).  The largest int64 value, a product
-    of two residues mod p^(2*ell-1), is below 2^63 while p^(2*ell-1) < 3e9.
-    48 bytes per array element (128 KiB + 256 per bin for p^e H) bound
-    tracemalloc at p=3, levels 1-3, and p=5, level 2."""
-    pl, top = p**ell, p ** (2 * ell - 1)
+    """(ops, peak bytes[, decimal digits]) of count_matrix_pair's 1 (p^2 + 3
+    if primitive) counts.  p^e H: <= 2*ell valuations, each a few products of
+    ints below p^(16*ell), and <= 3 value counts, each a scalar profile of
+    ell + 1 ints, charged as 2*ell + 1 product entries per count, in 30-bit
+    limbs of p^(16*ell); the ints held are about one such profile, and every
+    count is below p^(16*ell), the number of 2x2 matrices.  Diagonal: <= ell
+    first-row levels, each an array of phi(p^ell) norms by <= 2 p^(3*ell-1)
+    bins of z read by <= ell + 1 terms, and cached convolutions of length
+    p^(2*ell-1).  The largest int64 value, a product of two residues mod
+    p^(2*ell-1), is below 2^63 while p^(2*ell-1) < 3e9.  48 bytes per array
+    element bound tracemalloc at p=3, levels 1-3, and p=5, level 2."""
     counts = p * p + 3 if primitive else 1
     if alternating:
-        return counts * 9 * pl * pl * OBJECT_MULADD_OPS, 2**17 + 256 * pl
+        limbs = 1 + 16 * ell * math.log2(p) / 30
+        return (math.ceil(counts * (2 * ell + 1) * limbs * PRODUCT_TERM_OPS),
+                math.ceil(2**13 + 4 * (ell + 1) * limbs),
+                math.floor(16 * ell * math.log10(p)) + 1)
+    pl, top = p**ell, p ** (2 * ell - 1)
     elements = 2 * (pl - pl // p) * pl * top
     return (counts * ell * (ell + 1) * elements * PAIR_ELEMENT_OPS
             + 8 * top * top * OBJECT_MULADD_OPS, 2**20 + 48 * elements)
@@ -493,6 +488,34 @@ def _diagonal_pair_count(params: RingParams, s1: int, s2: int, b, in_radical: bo
     return total
 
 
+def _value_count(params: RingParams, scale: int, w: QuatElem, t: int, in_radical: bool) -> int:
+    """#{y : scale Nrd y + Trd(y* w) = t mod p^ell}, y in O/Pi^(2*ell) (Pi O if
+    in_radical), with s = v_p(scale).
+
+    If v_Pi(w) >= 2s and p^ell does not divide scale, w/scale is integral and
+    the square completes: scale Nrd y + Trd(y* w) = scale Nrd(y + w/scale) -
+    Nrd(w)/scale.  The shift y -> y + w/scale is a bijection, so the count is
+    the scalar profile of scale (_block_profile) read at v_p(t + Nrd(w)/scale);
+    Nrd(w)/scale = (Nrd(w)/p^s)(scale/p^s)^-1 mod p^ell, taken from Nrd(w) mod
+    p^(ell+s), does not depend on the lifts.  Otherwise v_Pi(w) < 2s and the
+    linear term dominates: every value in p^c Z/p^ell, c = min(ceil(v_Pi(w)/2),
+    ell), has p^(3*ell + c) preimages, as for a p^e H block (_block_profile).
+    In Pi O, y = Pi z with Nrd Pi = -p and y* = z* Pi*: the count of
+    (-p scale, Pi* w) over O, p^2 to one."""
+    p, ell, pl = params.p, params.ell, params.modulus
+    if in_radical:
+        pi_w = QuatElem.pi(params).conj() * w
+        return _value_count(params, -p * scale, pi_w, t, False) // (p * p)
+    s, v_w = params.val_p(scale), w.pi_valuation()
+    v_w = 2 * ell if v_w is None else v_w
+    if s < ell and v_w >= 2 * s:
+        unit = scale % pl // p**s
+        shift = qnrd(w.coords(), p, params.eps2, pl * p**s) // p**s * pow(unit, -1, pl)
+        return _block_profile(scale, params, False)[params.val_p(t + shift)]
+    c = min((v_w + 1) // 2, ell)
+    return p ** (3 * ell + c) if params.val_p(t) >= c else 0
+
+
 def _row_linear_count(params: RingParams, v_beta: int, b, in_radical: bool) -> int:
     """#{u : A[u] = B} for A = [[0, beta], [beta*, 0]], v = v_Pi(beta), the
     second column in Pi O if in_radical.  diag(g, beta^-1 g*^-1 beta) fixes A,
@@ -500,27 +523,30 @@ def _row_linear_count(params: RingParams, v_beta: int, b, in_radical: bool) -> i
     with a unit entry.  For (1, y) the second row (z, w) needs Trd(beta z) =
     d1 (p^(3*ell+c) z, c = ceil(v/2)) and beta w = b12 - (beta z)* y mod
     Pi^(2*ell-1) (p^(2v+2) w if b12 in Pi^v), and then the (2,2) entry is
-    Trd(y* b12) - d1 Nrd y, a value count in y; (x, 1) mirrors it.  First
-    rows in Pi O are those of Pi* beta, p^4 to one; swapping the rows turns
-    a radical second row into a radical first one."""
-    p, ell, pl = params.p, params.ell, params.modulus
+    Trd(y* b12) - d1 Nrd y, a value count in y (_value_count); (x, 1) mirrors
+    it.  First rows in Pi O are those of Pi* beta, p^4 to one; swapping the
+    rows turns a radical second row into a radical first one.  So the count
+    at v is its unit-row term plus p^-4 times the count at v + 1, a loop over
+    the valuations up to 2*ell, where only B = 0 is left."""
+    p, ell = params.p, params.ell
     d1, d2, w = b
     v_w = 2 * ell if w.pi_valuation() is None else w.pi_valuation()
-    y_count = cache(lambda radical: _read_bin(_coordinate_histograms(
-        params, -d1, w.coords(), radical, pl), d2))
-    x_count = cache(lambda: _read_bin(_coordinate_histograms(
-        params, -d2, w.conj().coords(), True, pl), d1))
-
-    def count(v, rad1, rad2):
-        if v >= 2 * ell:
-            return (d1 == d2 == 0 and v_w >= 2 * ell - 1) * p ** (16 * ell - 2 * (rad1 + rad2))
+    y_count = cache(lambda radical: _value_count(params, -d1, w, d2, radical))
+    x_count = cache(lambda: _value_count(params, -d2, w.conj(), d1, True))
+    levels, rad1, rad2 = [], in_radical, in_radical
+    for v in range(v_beta, 2 * ell):
+        levels.append((v, rad1, rad2))
+        rad1, rad2 = rad2, False
+    total = (d1 == d2 == 0 and v_w >= 2 * ell - 1) * p ** (16 * ell - 2 * (rad1 + rad2))
+    for v, rad1, rad2 in reversed(levels):
         c, mu = min((v + 1) // 2, ell), min(v + rad2, 2 * ell - 1)
-        found = (d1 % p**c == 0 and v_w >= mu) * p ** (2 * (mu - rad2) + 2) * y_count(rad1)
+        found = 0
+        if d1 % p**c == 0 and v_w >= mu:
+            found = p ** (2 * (mu - rad2) + 2) * y_count(rad1)
         if not rad1 and d2 % p**c == 0 and v_w >= v:
             found += p ** (2 * v + 2) * x_count()
-        return p ** (7 * ell - 2 + c) * (p * p - 1) * found + count(v + 1, rad2, False) // p**4
-
-    return count(v_beta, in_radical, in_radical)
+        total = p ** (7 * ell - 2 + c) * (p * p - 1) * found + total // p**4
+    return total
 
 
 def count_matrix_pair(b: HermMatrix, a: HermMatrix, primitive: bool = False,

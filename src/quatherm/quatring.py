@@ -19,6 +19,7 @@ which is what the valuation predicate below tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class ParamMismatch(ValueError):
@@ -129,7 +130,7 @@ class RingParams:
         if e == 0 or e in residues:
             raise ValueError(f"eps2 = {self.eps2} is not a nonresidue mod {self.p}")
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.p**self.ell
 

@@ -235,6 +235,10 @@ DENSITY_CASES_N2 = [(3, 1, (0, 0)), (3, 1, (1, 1)), (3, 1, (2, 0))]
 # level 2 is the first where (2,0) and (1,1) are stable at p=3; p3.l3 and p5.l2 witness it
 DENSITY_CASES_N2_STABLE = [(p, ell, alpha) for p, ell in ((3, 2), (3, 3), (5, 2))
                            for alpha in ((0, 0), (2, 0), (1, 1))]
+# the alternating self pairs at their first stable level ceil(beta_1/2) + 1;
+# p5.l2.1-1 is in the list above
+DENSITY_CASES_ALTERNATING = [(p, (alpha[0] + 1) // 2 + 1, alpha) for p in (5, 7, 11)
+                             for alpha in ((1, 1), (3, 3), (5, 5)) if (p, alpha) != (5, (1, 1))]
 
 
 def check_density_oracle(results, cases, budget):
@@ -466,5 +470,6 @@ def run_suite(tier: str = "all", budget: int = counting.DEFAULT_BUDGET):
         check_key_lemma(results, budget)
         check_density_oracle(results, DENSITY_CASES_N2, budget)
         check_density_oracle(results, DENSITY_CASES_N2_STABLE, budget)
+        check_density_oracle(results, DENSITY_CASES_ALTERNATING, budget)
         check_unit_vector_and_zero_ht(results, budget)
     return results

@@ -4,7 +4,11 @@ The size-2 weight integral as an exact residue sum at W in {0, u1, u2}, the
 reference for the closed moments of `plancherel`, with the Y-Laurent helpers
 (product, conjugation, symmetry) and the weight object that only the tests
 read.  The 1x1 counts by convolving length-p^ell histograms, the reference for
-the valuation algebra of `counting.count_diagonal_convolved`.
+the valuation algebra of `counting.count_diagonal_convolved`; the alternating
+column count as a sum over the Pi-valuation of x, for each b, the reference
+for the one-pass p^e H profile of `counting._block_profile`; and the value
+counts of the p^e H size-2 count read from convolved coordinate histograms,
+the reference for `counting._value_count`.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from functools import cache, reduce
 
 import numpy as np
 
-from quatherm.counting import _coordinate_histograms, _cyclic_convolve, count_column_pair
+from quatherm.counting import _coordinate_histograms, _cyclic_convolve
 from quatherm.plancherel import UncataloguedPole, _exact, _one_of
-from quatherm.quatring import HermMatrix, RingParams
+from quatherm.quatring import HermMatrix, QuatElem, RingParams
 
 
 # -- Laurent dictionaries in Y -------------------------------------------------
@@ -159,21 +163,46 @@ def residue_inner(f: dict, g: dict, u1, u2):
 # -- 1x1 counts by histogram convolution ------------------------------------------
 
 
+def column_pair_reference(b_value: int, a: HermMatrix, primitive: bool = False) -> int:
+    """#{(x, y) : Trd(x* beta y) = b mod p^ell} for A = [[0, beta], [beta*, 0]]:
+    over the Pi-valuation j of x (x = 0 counts as j = 2*ell), y -> Trd(x* beta
+    y) maps onto p^c Z/p^ell with fibres p^(3*ell + c), c = min(ceil((j +
+    v_Pi(beta))/2), ell); the primitive count subtracts the same sum over x,
+    y in Pi O, where the valuation gains one and the y space is p^(4*ell - 2)."""
+    pm = a.params
+    p, ell = pm.p, pm.ell
+    v_beta = a.entries[0][1].pi_valuation()
+    v_beta = 2 * ell if v_beta is None else v_beta
+    v_b = pm.val_p(b_value)
+
+    def fibre_sum(shift):
+        total = 0
+        for j in range(shift, 2 * ell + 1):
+            xs = 1 if j == 2 * ell else p ** (4 * ell - 2 * j) - p ** (4 * ell - 2 * j - 2)
+            c = min((j + v_beta + shift + 1) // 2, ell)
+            if v_b >= c:
+                total += xs * p ** (3 * ell - 2 * shift + c)
+        return total
+
+    total = fibre_sum(0)
+    return total - fibre_sum(1) if primitive else total
+
+
 @cache
 def _block_histogram(blk, params: RingParams, in_radical: bool):
     """Over x in O/Pi^(2*ell) (Pi O if in_radical), the histogram mod p^ell of
     blk * Nrd(x) for an int blk, the cyclic convolution of four histograms of
-    scaled squares; for a p^e H block that of count_column_pair, which depends
-    on b only through v_p(b)."""
+    scaled squares; for a p^e H block that of column_pair_reference, which
+    depends on b only through v_p(b)."""
     p, ell, pl = params.p, params.ell, params.modulus
     if not isinstance(blk, HermMatrix):
         return reduce(_cyclic_convolve,
                       _coordinate_histograms(params, blk, (0, 0, 0, 0), in_radical, pl))
     hist = np.empty(pl, dtype=object)
     for v in range(ell + 1):
-        count = count_column_pair(p**v, blk)
+        count = column_pair_reference(p**v, blk)
         if in_radical:
-            count -= count_column_pair(p**v, blk, True)
+            count -= column_pair_reference(p**v, blk, True)
         hist[:: p**v] = count
     return hist
 
@@ -189,3 +218,26 @@ def histogram_counts(diag_scalars, params: RingParams, primitive: bool = False) 
 
     counts = convolved(False)
     return [int(x) for x in (counts - convolved(True) if primitive else counts)]
+
+
+# -- value counts of the p^e H size-2 count ------------------------------------------
+
+
+def read_bins(histograms, values) -> list:
+    """Bins `values` of the cyclic convolution of the histograms; all but the
+    last are convolved once, and each bin is then one dot product."""
+    *rest, last = histograms
+    pl = len(last)
+    if not rest:
+        return [int(last[value % pl]) for value in values]
+    head = np.asarray(reduce(_cyclic_convolve, rest), dtype=object)
+    last = np.asarray(last, dtype=object)
+    return [int(head.dot(last[(value - np.arange(pl)) % pl])) for value in values]
+
+
+def value_counts(params: RingParams, scale: int, w: QuatElem, in_radical: bool) -> list:
+    """[#{y : scale Nrd y + Trd(y* w) = t mod p^ell} for t in Z/p^ell], y in
+    O/Pi^(2*ell) (Pi O if in_radical): per coordinate of y, the histogram of
+    its term, and their convolution read at every t."""
+    pl = params.modulus
+    return read_bins(_coordinate_histograms(params, scale, w.coords(), in_radical, pl), range(pl))

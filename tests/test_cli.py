@@ -1,10 +1,13 @@
 import hashlib
 import json
+import time
 import tracemalloc
 
 import pytest
 
 from quatherm.cli import main
+from quatherm.density import density_self_closed
+from quatherm.ratfunc import format_fraction
 
 
 def run_cli(capsys, *argv):
@@ -330,6 +333,38 @@ def test_unprintable_count_refused_before_computing(capsys):
                     "--ell", "1000")
     assert "for a count of up to 5726 digits" in err and "4300 digits" in err
     assert err.rstrip().endswith("the highest feasible level at p=3 is 751")
+
+
+def test_huge_level_refused_cheaply(capsys):
+    # the level-below test and RingParams.modulus stay off p^1000000-sized
+    # work: one p**ell, then the guard refuses
+    start = time.process_time()
+    err = run_error(capsys, "density", "--p", "3", "--alpha", "0", "--ell", "1000000")
+    assert time.process_time() - start < 0.3
+    assert err.rstrip().endswith("the highest feasible level at p=3 is 2253")
+
+
+def test_alternating_deep_levels_any_p(capsys):
+    # the p^e H size-2 count has no level ceiling of its own: (3,3) at p=11 and
+    # (1,1) at p=101 are stable from level 3 and 2, at the closed values
+    for argv, alpha in ((("--p", "11", "--ell", "3,4", "--alpha", "3,3"), (3, 3)),
+                        (("--p", "101", "--ell", "2,3", "--alpha", "1,1"), (1, 1))):
+        start = time.process_time()
+        code, data = run_json(capsys, "density", *argv)
+        assert time.process_time() - start < 0.1
+        assert code == 0 and data["stable"] is True
+        assert data["normalized"] == format_fraction(
+            density_self_closed(alpha).eval_at(data["p"]))
+
+
+def test_alternating_highest_printable_level(capsys):
+    # a size-2 count is below p^(16*ell): level 563 is the last at p=3 whose
+    # count fits Python's 4300-digit int-to-str limit, and it runs
+    code, data = run_json(capsys, "density", "--p", "3", "--ell", "563", "--alpha", "1,1")
+    assert code == 0 and data["normalized"] == "80"
+    err = run_error(capsys, "density", "--p", "3", "--ell", "564", "--alpha", "1,1")
+    assert "count_matrix_pair needs" in err and "for a count of up to 4306 digits" in err
+    assert err.rstrip().endswith("the highest feasible level at p=3 is 563")
 
 
 def test_closed_primitive_refused(capsys):

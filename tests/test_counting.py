@@ -16,7 +16,7 @@ from quatherm.quatring import (
     HermMatrix, QuatElem, QuatMatrix, RingParams, qconj, qmul, qnrd, residue_rank,
 )
 
-from oracles import histogram_counts
+from oracles import column_pair_reference, histogram_counts, value_counts
 
 PM1 = RingParams(3, 1)
 PM5 = RingParams(5, 1)
@@ -285,6 +285,67 @@ def test_row_histogram_matches_rows(params, scale, in_radical):
     s = {"1": 1, "p": params.p, "pl": params.modulus}[scale]
     assert np.array_equal(_closed_row_histogram(params, s, in_radical),
                           _direct_row_histogram(params, s, in_radical))
+
+
+def _value_count_cases(params):
+    """Scales 0, +-1, a nonresidue, p, p + 1 and p^(ell-1), and w = 0 and
+    p^k or p^k Pi times two units, for every Pi-valuation 2k or 2k + 1 below
+    2*ell."""
+    p, ell, e2 = params.p, params.ell, params.eps2
+    scales = sorted({0, 1, -1 % params.modulus, e2, p, p + 1, p ** (ell - 1)})
+    units = [QuatElem(1, 1, 1, 0, params), QuatElem(2, 0, 0, 1, params)]
+    pi = QuatElem.pi(params)
+    ws = [QuatElem.zero(params)] + [
+        QuatElem.scalar(p ** (v // 2), params) * (pi * u if v % 2 else u)
+        for v in range(2 * ell) for u in units]
+    return scales, ws
+
+
+@pytest.mark.parametrize(("p", "ell"), [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_value_count_matches_histogram_read(p, ell):
+    # the completed square, the linear-dominant fibres and y = Pi z against the
+    # convolved coordinate histograms, at every t
+    pm = RingParams(p, ell)
+    scales, ws = _value_count_cases(pm)
+    for scale in scales:
+        for w in ws:
+            for in_radical in (False, True):
+                assert [counting._value_count(pm, scale, w, t, in_radical)
+                        for t in range(pm.modulus)] == value_counts(pm, scale, w, in_radical), \
+                    (scale, w.coords(), in_radical)
+
+
+@pytest.mark.parametrize(("p", "ell"), [(3, ell) for ell in range(1, 7)]
+                         + [(5, ell) for ell in range(1, 5)])
+def test_column_pair_matches_fibre_sum(p, ell):
+    # the one-pass profile read at v_p(b) against the per-b fibre sum
+    pm = RingParams(p, ell)
+    for alpha in ((1, 1), (3, 3), (5, 5), (9, 9)):
+        a = build_gram(alpha, pm)
+        for b_value in range(pm.modulus):
+            for primitive in (False, True):
+                assert counting.count_column_pair(b_value, a, primitive) == \
+                    column_pair_reference(b_value, a, primitive), (alpha, b_value, primitive)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy used: np.{name}")
+
+
+def test_closed_routes_use_no_numpy(monkeypatch):
+    # the 1x1 counts and the p^e H size-2 counts are pure Python ints; at
+    # level 2, p Pi is not 0, so (3,3) is a p^e H block
+    monkeypatch.setattr(counting, "np", _NoNumpy())
+    for p in (3, 5):
+        for ell in (2, 3):
+            pm = RingParams(p, ell)
+            blocks = [1, p, build_gram((1, 1), pm), build_gram((3, 3), pm)]
+            for primitive in (False, True):
+                counting.count_diagonal_convolved(1, blocks, pm, primitive)
+                for alpha in ((1, 1), (3, 3)):
+                    a = build_gram(alpha, pm)
+                    counting.count_matrix_pair(a, a, primitive)
 
 
 @pytest.mark.parametrize("beta,alpha", [((2,), (1, 1)), ((0,), (3, 3)), ((0,), (1, 1))])
