@@ -8,16 +8,16 @@ Counts
 optionally restricted to primitive u (full rank over the residue field).
 Everything is exact integer arithmetic on residues.  A 1x1 source is counted
 in the valuation algebra, on ell + 1 Python ints per block; the alternating
-column count and the size-2 count in a p^e H target are closed, in Python
-ints; numpy is a vectorization layer, with deterministic chunked reduction,
-for direct enumeration and the size-2 counts in a diagonal target.
+column count and the size-2 counts, in a diagonal or a p^e H target, are
+closed, in Python ints; numpy serves direct enumeration only, as a
+vectorization layer with deterministic chunked reduction.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from itertools import accumulate
 
 import numpy as np
@@ -218,12 +218,21 @@ def cost_valuation(p: int, size: int, alternating: int, primitive: bool, ell: in
             math.floor(4 * ell * size * math.log10(p)) + 1)
 
 
+def _scalar_fibre(p: int, ell: int, e: int, k: int) -> int:
+    """#{x in O/Pi^(2*ell) : scale Nrd x = t mod p^ell} for v_p(scale) = e
+    and v_p(t) = k (k = ell for t = 0): p^(4e) times the level-(ell - e) norm
+    count, as Nrd maps O^x onto Z_p^x with equal fibres, so 0 below e,
+    p^(3*ell+2e-k-1)(p+1) for e <= k < ell and p^(2*ell+2e) at t = 0."""
+    if k < e:
+        return 0
+    return p ** (2 * ell + 2 * e) if k == ell else p ** (3 * ell + 2 * e - k - 1) * (p + 1)
+
+
 def _block_profile(blk, params: RingParams, in_radical: bool) -> list:
     """g_k = #{x : blk[x] = t mod p^ell} for v_p(t) = k, k = 0..ell (k = ell
     for t = 0), x in O/Pi^(2*ell) (Pi O if in_radical; both entries for a p^e H
-    block).  For a scalar p^e u it is 0 below e and p^(4e) times the norm
-    profile at level ell - e: #{x : Nrd x = t} is p^(3*ell-k-1)(p+1) for
-    k < ell, p^(2*ell) for t = 0.  In Pi O the units, where k = e, drop out.
+    block).  For a scalar it is _scalar_fibre; in Pi O the units, where k = e,
+    drop out.
 
     For A = [[0, beta], [beta*, 0]], A[(x, y)] = Trd(x* beta y).  If x has
     Pi-valuation j (x = 0 counts as j = 2*ell), x* beta O = Pi^i O with
@@ -245,8 +254,7 @@ def _block_profile(blk, params: RingParams, in_radical: bool) -> list:
                 * p ** (3 * ell - 2 * shift + c)
         return list(accumulate(by_c))
     e = params.val_p(blk)
-    g = [0] * e + [p ** (3 * ell + 2 * e - k - 1) * (p + 1) for k in range(e, ell)]
-    g.append(p ** (2 * ell + 2 * e))
+    g = [_scalar_fibre(p, ell, e, k) for k in range(ell + 1)]
     if in_radical:
         g[e] = 0 if e < ell else p ** (4 * ell - 2)
     return g
@@ -341,150 +349,116 @@ def count_column_pair(b_value: int, a: HermMatrix, primitive: bool = False,
 # -- size-2 Gram pairs: m = n = 2, A diagonal or p^e * H ----------------------
 
 
-# Budget ops charged per multiply-add of Python-int bins in np.convolve on
-# object arrays: ~80 ns (p=3, levels 6-8) against ~1.4 ns per element of an
-# int64 add, multiply, remainder or compare on 2^20-element arrays (mean of
-# the four), on a 2-core VM with Python 3.11 and numpy 2.4.
-OBJECT_MULADD_OPS = 64
-
-# Budget ops per element and term of count_matrix_pair's arrays: ~110 ns per
-# element held (p=3 level 3, p=7 level 2), the bound charged is 2-3x that.
-PAIR_ELEMENT_OPS = 64
-
-
-def _cyclic_convolve(h1, h2):
-    """Exact cyclic convolution of two equal-length histograms of Python ints."""
-    pl = len(h1)
-    full = np.convolve(np.asarray(h1, dtype=object), np.asarray(h2, dtype=object))
-    full[: pl - 1] += full[pl:]
-    return full[:pl]
-
-
-def _coordinate_histograms(params: RingParams, scale: int, linear, in_radical: bool, modulus: int):
-    """Per coordinate v of y = a + b*eps + c*Pi + d*Pi*eps in O/Pi^(2*ell)
-    (Pi O if in_radical: a, b in p), the histogram of k*(scale*v^2 + 2*l*v)
-    mod modulus for Nrd's coefficients k = 1, -eps^2, -p, p*eps^2 and the
-    coordinates l of w; convolved, that of scale*Nrd(y) + Trd(y* w)."""
-    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
-    t = np.arange(pl, dtype=np.int64)
-    ab = t[: p ** (ell - 1)] * p if in_radical else t
-    return [np.bincount((v * v % modulus * (k * scale % modulus) + v * (2 * k * l % modulus))
-                        % modulus, minlength=modulus).astype(object)
-            for k, l, v in zip((1, -e2, -p, p * e2), linear, (ab, ab, t, t))]
+# Budget ops charged per size-2 count, at ~1.4 ns an op: its fixed cost (a
+# residue line's g*Bg and key, the calls of one chain or row count), ~16 us;
+# and per term of a sum over valuations, its Python steps, ~1-3 us, besides
+# PRODUCT_TERM_OPS per limb of its products.
+PAIR_COUNT_OPS = 2**14
+PAIR_TERM_OPS = 2**11
 
 
 def cost_matrix_pair(p: int, alternating: bool, primitive: bool, ell: int):
-    """(ops, peak bytes[, decimal digits]) of count_matrix_pair's 1 (p^2 + 3
-    if primitive) counts.  p^e H: <= 2*ell valuations, each a few products of
-    ints below p^(16*ell), and <= 3 value counts, each a scalar profile of
-    ell + 1 ints, charged as 2*ell + 1 product entries per count, in 30-bit
-    limbs of p^(16*ell); the ints held are about one such profile, and every
-    count is below p^(16*ell), the number of 2x2 matrices.  Diagonal: <= ell
-    first-row levels, each an array of phi(p^ell) norms by <= 2 p^(3*ell-1)
-    bins of z read by <= ell + 1 terms, and cached convolutions of length
-    p^(2*ell-1).  The largest int64 value, a product of two residues mod
-    p^(2*ell-1), is below 2^63 while p^(2*ell-1) < 3e9.  48 bytes per array
-    element bound tracemalloc at p=3, levels 1-3, and p=5, level 2."""
+    """(ops, peak bytes, decimal digits) of count_matrix_pair's 1 (p^2 + 3
+    if primitive) counts: each a fixed cost and 2*ell + 1 terms per row of
+    sums (one for p^e H, its valuations; four for a diagonal target, the
+    pivots that sum over the valuations of x2), each a few products of ints
+    below p^(16*ell), in 30-bit limbs.  The ints held are about one term
+    each; every count is below p^(16*ell), the number of 2x2 matrices."""
     counts = p * p + 3 if primitive else 1
-    if alternating:
-        limbs = 1 + 16 * ell * math.log2(p) / 30
-        return (math.ceil(counts * (2 * ell + 1) * limbs * PRODUCT_TERM_OPS),
-                math.ceil(2**13 + 4 * (ell + 1) * limbs),
-                math.floor(16 * ell * math.log10(p)) + 1)
-    pl, top = p**ell, p ** (2 * ell - 1)
-    elements = 2 * (pl - pl // p) * pl * top
-    return (counts * ell * (ell + 1) * elements * PAIR_ELEMENT_OPS
-            + 8 * top * top * OBJECT_MULADD_OPS, 2**20 + 48 * elements)
-
-
-@cache
-def _residue_tables(p: int, ell: int):
-    """v_p on Z/p^(2*ell-1), capped there (v_Pi of an off-diagonal entry from
-    its norm), and the inverses mod p^ell of the units (0 at the rest)."""
-    top, pl = p ** (2 * ell - 1), p**ell
-    vals = sum((np.arange(top) % p**v == 0).astype(np.int64) for v in range(1, 2 * ell))
-    return vals, np.array([pow(t, -1, pl) if t % p else 0 for t in range(pl)], dtype=np.int64)
-
-
-def _row_fibres(params: RingParams, s: int, m11, m22, n12, in_radical: bool):
-    """h_s(M) = #{rows r = (x, y) : s r*r = M}, y in Pi O if in_radical, as
-    (weight, count) terms; M is m11, m22 and n12 = Nrd(m12), a lift's norm
-    mod p^(2*ell-1).  For s = p^v sigma, a unit x of norm t (p^(3*ell-1)(p+1)
-    of them) and z = x* y need s t = m11 and z = m12/s mod Pi^(2*ell-1-2v)
-    (p^(4v+2) z, if v_Pi(m12) >= 2v), and then s Nrd(z)/t = Nrd(m12)/s.  x in
-    Pi O and a unit y swap m11 and m22 and need z in Pi O; rows in Pi O are
-    those of -p*s, p^4 to one, and all give 0 once p^ell | s."""
-    p, ell, pl = params.p, params.ell, params.modulus
-    vals, inverse = _residue_tables(p, ell)
-
-    def units(first, second):
-        # #{t : p^v sigma t = first, t second = q}, over the p^v lifts of t0 mod p^(ell-v)
-        mu, t0 = vals[second], first // p**v * sigma_inv % pl
-        ok = (vals[first] == v) & (vals[(q - t0 * second) % pl] >= np.minimum(ell - v + mu, ell))
-        return ok * p ** np.minimum(mu, v)
-
-    for k in range(ell + 1):
-        top, s_k = in_radical and k == 0, s * (-p) ** k % pl
-        if s_k == 0:
-            yield p ** (8 * ell - 2 * top - 4 * k), (m11 == 0) & (m22 == 0) & (n12 == 0)
-            return
-        v = int(vals[s_k])
-        sigma_inv = int(inverse[s_k // p**v])
-        q = n12 // p**v * sigma_inv % pl
-        found = (vals[n12] >= 2 * v + top) * units(m11, m22)
-        yield p ** (3 * ell + 4 * (v - k) + 1) * (p + 1), (
-            found if top else found + (vals[n12] > 2 * v) * units(m22, m11))
-
-
-@cache
-def _z_bins(params: RingParams, i: int, in_radical: bool):
-    """First rows as flat arrays (Nrd y mod p^(2*ell-1), coordinate i of y,
-    multiplicity, swapped): a unit x with y in O (Pi O if in_radical) and,
-    unless in_radical, a unit y with x in Pi O, swapped.  y is binned by the
-    norm of its other coordinates: square histograms convolved mod p^(2*ell-1)."""
-    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
-    groups = []
-    for radical in (True,) if in_radical else (False, True):
-        squares = _coordinate_histograms(params, 1, (0, 0, 0, 0), radical, pl * pl // p)
-        rest = np.array(reduce(_cyclic_convolve, squares[:i] + squares[i + 1:]), dtype=np.int64)
-        norms = np.flatnonzero(rest)
-        y = np.arange(0, pl, p if radical and i < 2 else 1)[:, None]
-        nrd = ((1, -e2, -p, p * e2)[i] * y * y + norms).ravel() % (pl * pl // p)
-        groups.append((nrd, np.repeat(y, len(norms)), np.tile(rest[norms], len(y)),
-                       np.full(nrd.size, radical and not in_radical)))
-    nrd, coord, mult, swap = (np.concatenate(g) for g in zip(*groups))
-    return nrd, coord, mult.astype(object), swap
+    limbs = 1 + 16 * ell * math.log2(p) / 30
+    terms = (2 * ell + 1) * (1 if alternating else 4)
+    per_term = PAIR_TERM_OPS + limbs * PRODUCT_TERM_OPS
+    return (math.ceil(counts * (PAIR_COUNT_OPS + terms * per_term)),
+            math.ceil(2**13 + 4 * (ell + 1) * limbs),
+            math.floor(16 * ell * math.log10(p)) + 1)
 
 
 def _diagonal_pair_count(params: RingParams, s1: int, s2: int, b, in_radical: bool) -> int:
     """#{u : s1 r1*r1 + s2 r2*r2 = B}, rows r_k = (x_k, y_k), y_k in Pi O if
-    in_radical: the sum over first rows, grouped as in _row_fibres, of
-    h_s2(B - s1 r1*r1).  h reads m12 = b12 - s1 z through Nrd(m12) =
-    Nrd b12 - s1 Trd(b12* z) + s1^2 Nrd z only.  With b12 = w Pi^k (w a unit)
-    and z = w y, Trd(b12* z) = Nrd(w) Trd(Pi*^k y), which is 2 p^(k/2) a or
-    -2 p^((k+1)/2) c for y = a + b eps + c Pi + d Pi eps: so z enters through
-    one coordinate of y and the norm of the rest (_z_bins)."""
-    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
-    top, (b11, b22, w) = pl * pl // p, b
-    inverse = _residue_tables(p, ell)[1]
-    t = np.flatnonzero(inverse)[:, None]
-    nrd_b, k_w = w.a**2 - e2 * w.b**2 - p * w.c**2 + p * e2 * w.d**2, w.pi_valuation()
-    i, unit, trace = (0, 1, 0) if k_w is None else (
-        k_w % 2 * 2, nrd_b // (-p) ** k_w % top, (-1) ** k_w * 2 * p ** ((k_w + 1) // 2) % top)
-    total = 0
-    for k in range(ell + 1):
-        first, s = in_radical and k == 0, s1 * (-p) ** k % pl
-        if s == 0:
-            terms = _row_fibres(params, s2, b11, b22, nrd_b % top, in_radical)
-            return total + p ** (8 * ell - 2 * first - 4 * k) * sum(c * int(h) for c, h in terms)
-        nrd, coord, mult, swap = _z_bins(params, i, first)
-        n = nrd * unit % top
-        n12 = (nrd_b - s * (trace * unit % top * coord % top) + s * s % top * n) % top
-        st, sn = np.broadcast_arrays(s * t, s * (n % pl) % pl * inverse[t])
-        m11, m22 = (b11 - np.where(swap, sn, st)) % pl, (b22 - np.where(swap, st, sn)) % pl
-        found = sum(weight * int(counts.sum(axis=0).astype(object).dot(mult))
-                    for weight, counts in _row_fibres(params, s2, m11, m22, n12, in_radical))
-        total += p ** (3 * ell - 1) * (p + 1) * found // p ** (4 * k)
+    in_radical, in closed form.  r -> c r, c a unit of norm sigma, maps the
+    rows of sigma s onto those of s, so only e_k = v_p(s_k) matters.  The
+    count runs down one chain of states (e1 <= e2, the entries of u held in
+    Pi O):
+    - e1 < e2, split on the first row: x1 a unit (pivot); x1 in Pi O and y1
+      a unit (swap the columns: b11 and b22 swap, b12 is conjugated); or the
+      row in Pi O, Pi times a row counted for -p s1, p^4 to one;
+    - e1 = e2, split on the first column: x1 a unit (pivot); x1 in Pi O and
+      x2 a unit (swap the rows); or both in Pi O: swap the columns, and once
+      both columns are in Pi O, u = Pi u' for -p A, p^8 to one;
+    - A = 0 mod p^ell ends it: every u counts if B is in the congruence set.
+    A loop, summed by Horner's rule from the end, so each division is exact.
+
+    The pivot sums over t = Nrd x1 (p^(3*ell-1)(p+1) unit x1 each):
+    - b12 fixes z = y1 + gamma y2, gamma = (s1 x1*)^-1 s2 x2*, mod
+      Pi^(2*ell-1-2*e1): p^(4*e1+2) z if v_Pi(b12) >= 2*e1, or 2*e1 + 1 if
+      y1 is in Pi O, which then holds iff z is (on this chain gamma is a unit
+      only if y2 is in Pi O too);
+    - s2 Nrd x2 = b11 - s1 t: for x2 of valuation j, A(t) = v_p(b11 - s1 t)
+      is e2 + j (p^(3*ell+e2-j-1)(p+1) x2 of that norm) or, past ell, ell;
+    - the (2,2) entry is then kappa Nrd y2 + Trd(y2* w') = b22 - Nrd b12/(s1
+      t), kappa = s2 b11/(s1 t), w' = -s2 x2 b12/(s1 t): a value count
+      (_value_count).  A completed square reads it at b22 - Nrd b12/b11 =
+      det B/b11 whatever t; else it asks C(t) = v_p(b22 - Nrd b12/(s1 t)) >= c.
+    The units with A(t) >= a and C(t) >= c lie in two p-adic balls, which
+    meet iff v_p(det B) reaches e1 + v_p(b22) + the smaller depth."""
+    p, ell, val = params.p, params.ell, params.val_p
+    b11, b22, w = b
+    v_w = 2 * ell if w.pi_valuation() is None else w.pi_valuation()
+    det = b11 * b22 - qnrd(w.coords(), p, params.eps2, p ** (2 * ell))   # of the lifts
+
+    def pivot(e1, e2, f, g, rad_x2, rad_y1, rad_y2):   # f, g = v_p(b11), v_p(b22)
+        h = min(v_w - e1, ell)                            # v_p(Nrd b12 / p^e1)
+        top_a, top_c = ell if f == e1 else min(f, e1), ell if h == g else min(h, g)
+        if v_w < 2 * e1 + rad_y1 or top_a < min(e2 + rad_x2, ell):
+            return 0
+        meet = val(det // p ** (e1 + g)) if f == e1 and h == g else ell
+
+        def units(a, c):   # #{t : A(t) >= a, C(t) >= c}, balls of depths k1, k2
+            k1, k2 = max(a - e1, 0), max(c - g, 0)
+            if a > top_a or c > top_c or min(k1, k2) > meet:
+                return 0
+            return p ** (ell - max(k1, k2)) if k1 or k2 else p ** (ell - 1) * (p - 1)
+
+        s = min(e2 - e1 + f + rad_y2, ell)              # v_p(kappa), times -p if y2 = Pi z
+        read = val(det // p**f) if s < ell else ell     # exact where it counts: v_Pi(b12) >= 2f
+        total = 0
+        for j in range(rad_x2, 2 * ell + 1):
+            a = min(e2 + j, ell)
+            if a > top_a:
+                break
+            xs = p ** (3 * ell + e2 - j - 1) * (p + 1) if a < ell else \
+                1 if j == 2 * ell else p ** (4 * ell - 2 * j - 2) * (p * p - 1)
+            v = min(2 * (e2 - e1) + j + v_w + rad_y2, 2 * ell)   # v_Pi(w')
+            if s < ell and v >= 2 * s:
+                total += xs * _scalar_fibre(p, ell, s, read) * (units(a, 0) - units(a + 1, 0))
+            else:
+                c = min((v + 1) // 2, ell)
+                total += xs * p ** (3 * ell + c) * (units(a, c) - units(a + 1, c))
+        return p ** (3 * ell + 4 * e1 + 1 - 2 * rad_y2) * (p + 1) * total
+
+    rows = [(val(s), False, in_radical) for s in (s1, s2)]   # (e, x in Pi O, y in Pi O)
+    f, g, steps = val(b11), val(b22), []
+    while True:
+        rows.sort()
+        (e1, x1, y1), (e2, x2, y2) = rows
+        if e1 == ell:
+            break
+        found = 0 if x1 else pivot(e1, e2, f, g, x2, y1, y2)
+        if e1 < e2:
+            found += 0 if y1 else pivot(e1, e2, g, f, y2, True, x2)
+            steps.append((found, 4))
+            rows[0] = (e1 + 1, False, False)
+        else:
+            found += 0 if x2 else pivot(e1, e1, f, g, True, y2, y1)
+            steps.append((found, 8 if y1 and y2 else 0))
+            if y1 and y2:
+                rows = [(e1 + 1, False, False)] * 2
+            else:
+                f, g, rows = g, f, [(e, y, True) for e, _, y in rows]
+    held = sum(x + y for _, x, y in rows)
+    total = p ** (16 * ell - 2 * held) if f == g == ell and v_w >= 2 * ell - 1 else 0
+    for found, shift in reversed(steps):
+        total = found + total // p**shift
     return total
 
 
@@ -495,7 +469,7 @@ def _value_count(params: RingParams, scale: int, w: QuatElem, t: int, in_radical
     If v_Pi(w) >= 2s and p^ell does not divide scale, w/scale is integral and
     the square completes: scale Nrd y + Trd(y* w) = scale Nrd(y + w/scale) -
     Nrd(w)/scale.  The shift y -> y + w/scale is a bijection, so the count is
-    the scalar profile of scale (_block_profile) read at v_p(t + Nrd(w)/scale);
+    the scalar profile of scale (_scalar_fibre) read at v_p(t + Nrd(w)/scale);
     Nrd(w)/scale = (Nrd(w)/p^s)(scale/p^s)^-1 mod p^ell, taken from Nrd(w) mod
     p^(ell+s), does not depend on the lifts.  Otherwise v_Pi(w) < 2s and the
     linear term dominates: every value in p^c Z/p^ell, c = min(ceil(v_Pi(w)/2),
@@ -511,7 +485,7 @@ def _value_count(params: RingParams, scale: int, w: QuatElem, t: int, in_radical
     if s < ell and v_w >= 2 * s:
         unit = scale % pl // p**s
         shift = qnrd(w.coords(), p, params.eps2, pl * p**s) // p**s * pow(unit, -1, pl)
-        return _block_profile(scale, params, False)[params.val_p(t + shift)]
+        return _scalar_fibre(p, ell, s, params.val_p(t + shift))
     c = min((v_w + 1) // 2, ell)
     return p ** (3 * ell + c) if params.val_p(t) >= c else 0
 
@@ -531,8 +505,8 @@ def _row_linear_count(params: RingParams, v_beta: int, b, in_radical: bool) -> i
     p, ell = params.p, params.ell
     d1, d2, w = b
     v_w = 2 * ell if w.pi_valuation() is None else w.pi_valuation()
-    y_count = cache(lambda radical: _value_count(params, -d1, w, d2, radical))
-    x_count = cache(lambda: _value_count(params, -d2, w.conj(), d1, True))
+    y_count = {rad: _value_count(params, -d1, w, d2, rad) for rad in {False, in_radical}}
+    x_count = _value_count(params, -d2, w.conj(), d1, True)
     levels, rad1, rad2 = [], in_radical, in_radical
     for v in range(v_beta, 2 * ell):
         levels.append((v, rad1, rad2))
@@ -542,9 +516,9 @@ def _row_linear_count(params: RingParams, v_beta: int, b, in_radical: bool) -> i
         c, mu = min((v + 1) // 2, ell), min(v + rad2, 2 * ell - 1)
         found = 0
         if d1 % p**c == 0 and v_w >= mu:
-            found = p ** (2 * (mu - rad2) + 2) * y_count(rad1)
+            found = p ** (2 * (mu - rad2) + 2) * y_count[rad1]
         if not rad1 and d2 % p**c == 0 and v_w >= v:
-            found += p ** (2 * v + 2) * x_count()
+            found += p ** (2 * v + 2) * x_count
         total = p ** (7 * ell - 2 + c) * (p * p - 1) * found + total // p**4
     return total
 
@@ -556,7 +530,9 @@ def count_matrix_pair(b: HermMatrix, a: HermMatrix, primitive: bool = False,
     u v_L = 0 for one of the p^2 + 1 residue lines L; with g_L = I or
     [[0, 1], [1, lambda]], N_pr(B) = N(B) - sum_L N_rad(g_L* B g_L) +
     p^2 N_Pi(B): N_rad puts the second column in Pi O, and N_Pi (u in Pi O)
-    is p^-8 N(Pi* A Pi)."""
+    is p^-8 N(Pi* A Pi).  Both routes read a target (d1, d2, b12) through d1,
+    d2, v_Pi(b12) and Nrd b12 mod p^(2*ell) only, so lines with the same key
+    are counted once."""
     pm = a.params
     if b.params != pm:
         raise ValueError("B and A must share ring parameters")
@@ -575,8 +551,15 @@ def count_matrix_pair(b: HermMatrix, a: HermMatrix, primitive: bool = False,
     target = b11, b22, w = b.entries[0][0].a, b.entries[1][1].a, b.entries[0][1]
     if not primitive:
         return count(target)
-    lines = ((b22, (b11 + (w * lam).trd() + b22 * lam.nrd()) % pl,  # g* B g
-              w.conj() + QuatElem.scalar(b22, pm) * lam)
-             for lam in (QuatElem(l0, l1, 0, 0, pm) for l0 in range(p) for l1 in range(p)))
-    return (count(target) - count(target, True) - sum(count(line, True) for line in lines)
+    # g* B g = [[b22, b12* + b22 lambda], [., b11 + Trd(b12 lambda) + b22 Nrd lambda]]
+    # for lambda = l0 + l1 eps
+    (w0, w1, w2, w3), e2, lines = w.coords(), pm.eps2, {}
+    for l0 in range(p):
+        for l1 in range(p):
+            d2 = (b11 + 2 * (w0 * l0 + e2 * w1 * l1) + b22 * (l0 * l0 - e2 * l1 * l1)) % pl
+            w12 = QuatElem(w0 + b22 * l0, b22 * l1 - w1, -w2, -w3, pm)
+            key = d2, w12.pi_valuation(), qnrd(w12.coords(), p, e2, pl * pl)
+            lines.setdefault(key, [(b22, d2, w12), 0])[1] += 1
+    return (count(target) - count(target, True)
+            - sum(n * count(line, True) for line, n in lines.values())
             + p * p * (count(target, shift=1) // p**8))

@@ -239,6 +239,11 @@ DENSITY_CASES_N2_STABLE = [(p, ell, alpha) for p, ell in ((3, 2), (3, 3), (5, 2)
 # p5.l2.1-1 is in the list above
 DENSITY_CASES_ALTERNATING = [(p, (alpha[0] + 1) // 2 + 1, alpha) for p in (5, 7, 11)
                              for alpha in ((1, 1), (3, 3), (5, 5)) if (p, alpha) != (5, (1, 1))]
+# the diagonal self pairs at their first stable level beta_1/2 + 1; p5.l2.2-0
+# is in the stable list above
+DENSITY_CASES_DIAGONAL = [(p, alpha[0] // 2 + 1, alpha) for p in (5, 7, 11)
+                          for alpha in ((2, 0), (2, 2), (4, 0), (4, 2), (4, 4))
+                          if (p, alpha) != (5, (2, 0))]
 
 
 def check_density_oracle(results, cases, budget):
@@ -471,5 +476,6 @@ def run_suite(tier: str = "all", budget: int = counting.DEFAULT_BUDGET):
         check_density_oracle(results, DENSITY_CASES_N2, budget)
         check_density_oracle(results, DENSITY_CASES_N2_STABLE, budget)
         check_density_oracle(results, DENSITY_CASES_ALTERNATING, budget)
+        check_density_oracle(results, DENSITY_CASES_DIAGONAL, budget)
         check_unit_vector_and_zero_ht(results, budget)
     return results

@@ -8,7 +8,9 @@ the valuation algebra of `counting.count_diagonal_convolved`; the alternating
 column count as a sum over the Pi-valuation of x, for each b, the reference
 for the one-pass p^e H profile of `counting._block_profile`; and the value
 counts of the p^e H size-2 count read from convolved coordinate histograms,
-the reference for `counting._value_count`.
+the reference for `counting._value_count`.  The size-2 count in a diagonal
+target by first rows binned on numpy arrays (a p^(3*ell) route), the
+reference for the closed chain of `counting._diagonal_pair_count`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from functools import cache, reduce
 
 import numpy as np
 
-from quatherm.counting import _coordinate_histograms, _cyclic_convolve
 from quatherm.plancherel import UncataloguedPole, _exact, _one_of
 from quatherm.quatring import HermMatrix, QuatElem, RingParams
 
@@ -160,6 +161,30 @@ def residue_inner(f: dict, g: dict, u1, u2):
     return residue_integral(y_mul(f, y_conj(g)), u1, u2)
 
 
+# -- histograms of Python ints -------------------------------------------------------
+
+
+def _cyclic_convolve(h1, h2):
+    """Exact cyclic convolution of two equal-length histograms of Python ints."""
+    pl = len(h1)
+    full = np.convolve(np.asarray(h1, dtype=object), np.asarray(h2, dtype=object))
+    full[: pl - 1] += full[pl:]
+    return full[:pl]
+
+
+def _coordinate_histograms(params: RingParams, scale: int, linear, in_radical: bool, modulus: int):
+    """Per coordinate v of y = a + b*eps + c*Pi + d*Pi*eps in O/Pi^(2*ell)
+    (Pi O if in_radical: a, b in p), the histogram of k*(scale*v^2 + 2*l*v)
+    mod modulus for Nrd's coefficients k = 1, -eps^2, -p, p*eps^2 and the
+    coordinates l of w; convolved, that of scale*Nrd(y) + Trd(y* w)."""
+    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
+    t = np.arange(pl, dtype=np.int64)
+    ab = t[: p ** (ell - 1)] * p if in_radical else t
+    return [np.bincount((v * v % modulus * (k * scale % modulus) + v * (2 * k * l % modulus))
+                        % modulus, minlength=modulus).astype(object)
+            for k, l, v in zip((1, -e2, -p, p * e2), linear, (ab, ab, t, t))]
+
+
 # -- 1x1 counts by histogram convolution ------------------------------------------
 
 
@@ -241,3 +266,97 @@ def value_counts(params: RingParams, scale: int, w: QuatElem, in_radical: bool) 
     its term, and their convolution read at every t."""
     pl = params.modulus
     return read_bins(_coordinate_histograms(params, scale, w.coords(), in_radical, pl), range(pl))
+
+
+# -- the size-2 count in a diagonal target on numpy arrays ---------------------------
+
+
+@cache
+def _residue_tables(p: int, ell: int):
+    """v_p on Z/p^(2*ell-1), capped there (v_Pi of an off-diagonal entry from
+    its norm), and the inverses mod p^ell of the units (0 at the rest)."""
+    top, pl = p ** (2 * ell - 1), p**ell
+    vals = sum((np.arange(top) % p**v == 0).astype(np.int64) for v in range(1, 2 * ell))
+    return vals, np.array([pow(t, -1, pl) if t % p else 0 for t in range(pl)], dtype=np.int64)
+
+
+def _row_fibres(params: RingParams, s: int, m11, m22, n12, in_radical: bool):
+    """h_s(M) = #{rows r = (x, y) : s r*r = M}, y in Pi O if in_radical, as
+    (weight, count) terms; M is m11, m22 and n12 = Nrd(m12), a lift's norm
+    mod p^(2*ell-1).  For s = p^v sigma, a unit x of norm t (p^(3*ell-1)(p+1)
+    of them) and z = x* y need s t = m11 and z = m12/s mod Pi^(2*ell-1-2v)
+    (p^(4v+2) z, if v_Pi(m12) >= 2v), and then s Nrd(z)/t = Nrd(m12)/s.  x in
+    Pi O and a unit y swap m11 and m22 and need z in Pi O; rows in Pi O are
+    those of -p*s, p^4 to one, and all give 0 once p^ell | s."""
+    p, ell, pl = params.p, params.ell, params.modulus
+    vals, inverse = _residue_tables(p, ell)
+
+    def units(first, second):
+        # #{t : p^v sigma t = first, t second = q}, over the p^v lifts of t0 mod p^(ell-v)
+        mu, t0 = vals[second], first // p**v * sigma_inv % pl
+        ok = (vals[first] == v) & (vals[(q - t0 * second) % pl] >= np.minimum(ell - v + mu, ell))
+        return ok * p ** np.minimum(mu, v)
+
+    for k in range(ell + 1):
+        top, s_k = in_radical and k == 0, s * (-p) ** k % pl
+        if s_k == 0:
+            yield p ** (8 * ell - 2 * top - 4 * k), (m11 == 0) & (m22 == 0) & (n12 == 0)
+            return
+        v = int(vals[s_k])
+        sigma_inv = int(inverse[s_k // p**v])
+        q = n12 // p**v * sigma_inv % pl
+        found = (vals[n12] >= 2 * v + top) * units(m11, m22)
+        yield p ** (3 * ell + 4 * (v - k) + 1) * (p + 1), (
+            found if top else found + (vals[n12] > 2 * v) * units(m22, m11))
+
+
+@cache
+def _z_bins(params: RingParams, i: int, in_radical: bool):
+    """First rows as flat arrays (Nrd y mod p^(2*ell-1), coordinate i of y,
+    multiplicity, swapped): a unit x with y in O (Pi O if in_radical) and,
+    unless in_radical, a unit y with x in Pi O, swapped.  y is binned by the
+    norm of its other coordinates: square histograms convolved mod p^(2*ell-1)."""
+    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
+    groups = []
+    for radical in (True,) if in_radical else (False, True):
+        squares = _coordinate_histograms(params, 1, (0, 0, 0, 0), radical, pl * pl // p)
+        rest = np.array(reduce(_cyclic_convolve, squares[:i] + squares[i + 1:]), dtype=np.int64)
+        norms = np.flatnonzero(rest)
+        y = np.arange(0, pl, p if radical and i < 2 else 1)[:, None]
+        nrd = ((1, -e2, -p, p * e2)[i] * y * y + norms).ravel() % (pl * pl // p)
+        groups.append((nrd, np.repeat(y, len(norms)), np.tile(rest[norms], len(y)),
+                       np.full(nrd.size, radical and not in_radical)))
+    nrd, coord, mult, swap = (np.concatenate(g) for g in zip(*groups))
+    return nrd, coord, mult.astype(object), swap
+
+
+def diagonal_pair_reference(params: RingParams, s1: int, s2: int, b, in_radical: bool) -> int:
+    """#{u : s1 r1*r1 + s2 r2*r2 = B}, rows r_k = (x_k, y_k), y_k in Pi O if
+    in_radical: the sum over first rows, grouped as in _row_fibres, of
+    h_s2(B - s1 r1*r1).  h reads m12 = b12 - s1 z through Nrd(m12) =
+    Nrd b12 - s1 Trd(b12* z) + s1^2 Nrd z only.  With b12 = w Pi^k (w a unit)
+    and z = w y, Trd(b12* z) = Nrd(w) Trd(Pi*^k y), which is 2 p^(k/2) a or
+    -2 p^((k+1)/2) c for y = a + b eps + c Pi + d Pi eps: so z enters through
+    one coordinate of y and the norm of the rest (_z_bins)."""
+    p, ell, e2, pl = params.p, params.ell, params.eps2, params.modulus
+    top, (b11, b22, w) = pl * pl // p, b
+    inverse = _residue_tables(p, ell)[1]
+    t = np.flatnonzero(inverse)[:, None]
+    nrd_b, k_w = w.a**2 - e2 * w.b**2 - p * w.c**2 + p * e2 * w.d**2, w.pi_valuation()
+    i, unit, trace = (0, 1, 0) if k_w is None else (
+        k_w % 2 * 2, nrd_b // (-p) ** k_w % top, (-1) ** k_w * 2 * p ** ((k_w + 1) // 2) % top)
+    total = 0
+    for k in range(ell + 1):
+        first, s = in_radical and k == 0, s1 * (-p) ** k % pl
+        if s == 0:
+            terms = _row_fibres(params, s2, b11, b22, nrd_b % top, in_radical)
+            return total + p ** (8 * ell - 2 * first - 4 * k) * sum(c * int(h) for c, h in terms)
+        nrd, coord, mult, swap = _z_bins(params, i, first)
+        n = nrd * unit % top
+        n12 = (nrd_b - s * (trace * unit % top * coord % top) + s * s % top * n) % top
+        st, sn = np.broadcast_arrays(s * t, s * (n % pl) % pl * inverse[t])
+        m11, m22 = (b11 - np.where(swap, sn, st)) % pl, (b22 - np.where(swap, st, sn)) % pl
+        found = sum(weight * int(counts.sum(axis=0).astype(object).dot(mult))
+                    for weight, counts in _row_fibres(params, s2, m11, m22, n12, in_radical))
+        total += p ** (3 * ell - 1) * (p + 1) * found // p ** (4 * k)
+    return total

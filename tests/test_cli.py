@@ -267,10 +267,11 @@ def test_alternating_deep_level(capsys):
 
 
 def test_over_budget_error(capsys):
-    # level 5 is the first the size-2 count refuses at p=3
-    err = run_error(capsys, "density", "--ell", "5", "--alpha", "2,0")
+    # level 564 is the first the size-2 count refuses at p=3: its count could
+    # pass Python's 4300-digit int-to-str limit
+    err = run_error(capsys, "density", "--ell", "564", "--alpha", "2,0")
     assert "count_matrix_pair needs" in err and "budget" in err
-    assert err.rstrip().endswith("the highest feasible level at p=3 is 4")
+    assert err.rstrip().endswith("the highest feasible level at p=3 is 563")
 
 
 def test_density_size2_default_levels(capsys):
@@ -365,6 +366,25 @@ def test_alternating_highest_printable_level(capsys):
     err = run_error(capsys, "density", "--p", "3", "--ell", "564", "--alpha", "1,1")
     assert "count_matrix_pair needs" in err and "for a count of up to 4306 digits" in err
     assert err.rstrip().endswith("the highest feasible level at p=3 is 563")
+
+
+def test_diagonal_deep_levels_any_p(capsys):
+    # the size-2 count in a diagonal target has no level ceiling of its own:
+    # (2,0) at p=5 and (4,4) at p=7 are stable from level 2 and 3
+    for argv, normalized in ((("--p", "5", "--ell", "2,3", "--alpha", "2,0"), "36/5"),
+                             (("--p", "7", "--ell", "3,4", "--alpha", "4,4"), "15495785088")):
+        start = time.process_time()
+        code, data = run_json(capsys, "density", *argv)
+        assert time.process_time() - start < 1
+        assert code == 0 and data["stable"] is True and data["normalized"] == normalized
+        assert normalized == format_fraction(
+            density_self_closed(tuple(data["alpha"])).eval_at(data["p"]))
+
+
+def test_diagonal_highest_printable_level(capsys):
+    # level 563, the last the guard admits at p=3, runs: the chain is a loop
+    code, data = run_json(capsys, "density", "--p", "3", "--ell", "563", "--alpha", "2,0")
+    assert code == 0 and data["normalized"] == "16/3"
 
 
 def test_closed_primitive_refused(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -16,7 +17,9 @@ from quatherm.quatring import (
     HermMatrix, QuatElem, QuatMatrix, RingParams, qconj, qmul, qnrd, residue_rank,
 )
 
-from oracles import column_pair_reference, histogram_counts, value_counts
+from oracles import (
+    _row_fibres, column_pair_reference, diagonal_pair_reference, histogram_counts, value_counts,
+)
 
 PM1 = RingParams(3, 1)
 PM5 = RingParams(5, 1)
@@ -214,9 +217,7 @@ def test_matrix_pair_previous_kernel(p, ell, alpha, primitive):
 @pytest.mark.parametrize("alpha", [(0, 0), (1, 1)])
 @pytest.mark.parametrize("primitive", [False, True])
 def test_matrix_pair_cost_bounds_peak(p, ell, alpha, primitive):
-    # the modelled peak bounds what the kernel holds, its cached tables included
-    counting._z_bins.cache_clear()
-    counting._residue_tables.cache_clear()
+    # the modelled peak bounds what the kernel holds
     a = build_gram(alpha, RingParams(p, ell))
     tracemalloc.start()
     try:
@@ -240,6 +241,51 @@ def test_matrix_pair_rejects_non_block_form():
     a = HermMatrix([[one, pi], [pi.conj(), one]], PM1)
     with pytest.raises(ValueError, match="diagonal or zero-diagonal"):
         counting.count_matrix_pair(a, a)
+
+
+def _diagonal_pair_cases(params, count, seed):
+    """count random (s1, s2, B): s1, s2 in {+-1, 2, p, 2p, p^2, p^ell}, and B
+    hermitian with entries of every valuation, b12 of every Pi-valuation."""
+    rng = random.Random(seed)
+    p, ell, pl = params.p, params.ell, params.modulus
+    scalars = [1, -1, 2, p, 2 * p, p * p, pl]
+
+    def residue():
+        return rng.randrange(pl) * p ** rng.choice([0, 0, 1, 2]) % pl
+
+    for _ in range(count):
+        pi_power = QuatElem.pi(params) if rng.random() < 0.5 else QuatElem.one(params)
+        w = QuatElem(*[residue() for _ in range(4)], params) * pi_power
+        yield rng.choice(scalars) % pl, rng.choice(scalars) % pl, (residue(), residue(), w)
+
+
+def _diagonal_pair_matches(p, ell, count):
+    pm = RingParams(p, ell)
+    for s1, s2, b in _diagonal_pair_cases(pm, count, seed=p * 10 + ell):
+        for in_radical in (False, True):
+            assert counting._diagonal_pair_count(pm, s1, s2, b, in_radical) == \
+                diagonal_pair_reference(pm, s1, s2, b, in_radical), (s1, s2, b, in_radical)
+
+
+@pytest.mark.parametrize(("p", "ell"), [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_diagonal_pair_matches_array_reference(p, ell):
+    # the closed chain of pivots against first rows binned on arrays
+    _diagonal_pair_matches(p, ell, 60)
+
+
+@pytest.mark.skipif(not os.environ.get("QUATHERM_SLOW_TESTS"),
+                    reason="p^(3*ell) reference arrays; set QUATHERM_SLOW_TESTS=1")
+@pytest.mark.parametrize(("p", "ell"), [(3, 3), (5, 2)])
+def test_diagonal_pair_matches_array_reference_deep(p, ell):
+    _diagonal_pair_matches(p, ell, 60)
+
+
+@pytest.mark.parametrize(("alpha", "count"), [
+    ((0, 0), 129681764896607240544), ((2, 0), 583567942034732582448)])
+def test_matrix_pair_level4_witness(alpha, count):
+    # level 4 at p=3, which the array route took ~16 s and 0.6 GB to count
+    a = build_gram(alpha, RingParams(3, 4))
+    assert counting.count_matrix_pair(a, a) == count
 
 
 def _g2_key(d1, d2, q, params):
@@ -271,7 +317,7 @@ def _closed_row_histogram(params, s, in_radical):
         *[np.arange(pl)] * 4, *[np.arange(pl // p)] * 2, indexing="ij"))
     n12 = (a * a - e2 * b * b - p * c * c + p * e2 * d * d) % (pl * pl // p)
     h = sum(weight * found for weight, found in
-            counting._row_fibres(params, s, m11, m22, n12, in_radical))
+            _row_fibres(params, s, m11, m22, n12, in_radical))
     hist = np.zeros(pl**4 * (pl // p) ** 2, dtype=np.int64)
     hist[_g2_key(m11, m22, (a, b, c, d), params)] = h
     return hist
@@ -334,8 +380,8 @@ class _NoNumpy:
 
 
 def test_closed_routes_use_no_numpy(monkeypatch):
-    # the 1x1 counts and the p^e H size-2 counts are pure Python ints; at
-    # level 2, p Pi is not 0, so (3,3) is a p^e H block
+    # the 1x1 counts and the size-2 counts, in p^e H and diagonal targets, are
+    # pure Python ints; at level 2, p Pi is not 0, so (3,3) is a p^e H block
     monkeypatch.setattr(counting, "np", _NoNumpy())
     for p in (3, 5):
         for ell in (2, 3):
@@ -343,7 +389,7 @@ def test_closed_routes_use_no_numpy(monkeypatch):
             blocks = [1, p, build_gram((1, 1), pm), build_gram((3, 3), pm)]
             for primitive in (False, True):
                 counting.count_diagonal_convolved(1, blocks, pm, primitive)
-                for alpha in ((1, 1), (3, 3)):
+                for alpha in ((1, 1), (3, 3), (0, 0), (2, 0), (4, 2)):
                     a = build_gram(alpha, pm)
                     counting.count_matrix_pair(a, a, primitive)
 
@@ -549,14 +595,15 @@ def test_budget_error():
 
 
 def test_cost_guard_message():
-    # the shared guard names the kernel, the estimate, both limits and the
-    # deepest level that fits at p; level 5 is the first the size-2 count refuses
-    a = build_gram((0, 0), RingParams(3, 5))
+    # the shared guard names the kernel, the estimate, the limits and the
+    # deepest level that fits at p; level 564 is the first the size-2 count
+    # refuses, as its count could pass 4300 digits
+    a = build_gram((0, 0), RingParams(3, 564))
     with pytest.raises(counting.InfeasibleSizeError) as exc:
         counting.count_matrix_pair(a, a)
     msg = str(exc.value)
-    assert msg.startswith("count_matrix_pair needs ~3.174e+12 ops and ")
-    assert "at p=3, level 5 (budget 6.872e+10 ops, limit 1.611e+09 bytes)" in msg
-    assert msg.endswith("; the highest feasible level at p=3 is 4")
+    assert msg.startswith("count_matrix_pair needs ~7.831e+07 ops and ")
+    assert "at p=3, level 564 (budget 6.872e+10 ops, limit 1.611e+09 bytes, 4300 digits)" in msg
+    assert msg.endswith("; the highest feasible level at p=3 is 563")
     with pytest.raises(counting.InfeasibleSizeError, match="no level is feasible at p=3$"):
         counting.count_generic(a, a, budget=10**6)
