@@ -18,6 +18,7 @@ which is what the valuation predicate below tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,10 +45,10 @@ def is_prime(n: int) -> bool:
 
 
 def smallest_nonresidue(p: int) -> int:
-    """Smallest positive quadratic nonresidue mod an odd prime p."""
-    residues = {pow(a, 2, p) for a in range(1, p)}
+    """Smallest positive quadratic nonresidue mod an odd prime p, by Euler's
+    criterion x^((p-1)/2) = -1."""
     for x in range(2, p):
-        if x % p not in residues:
+        if pow(x, (p - 1) // 2, p) == p - 1:
             return x
     raise ValueError(f"no nonresidue found mod {p}")
 
@@ -105,6 +106,25 @@ def fmul(x, y, e2, mod):
     return (x[0] * y[0] + e2 * (x[1] * y[1])) % mod, (x[0] * y[1] + x[1] * y[0]) % mod
 
 
+# {p^k: k} per prime, shared by every level and extended on a miss up to the
+# power looked up, so its size follows the valuations met, not the levels asked
+_EXPONENTS: dict = {}
+
+
+def _exponent(p: int, g: int) -> int:
+    """k with g = p^k, for g a positive power of p."""
+    table = _EXPONENTS.setdefault(p, {1: 0})
+    k = table.get(g)
+    if k is None:
+        k = len(table) - 1
+        x = p**k
+        while x != g:
+            k += 1
+            x *= p
+            table[x] = k
+    return k
+
+
 @dataclass(frozen=True)
 class RingParams:
     """Quotient-ring data: odd prime p, level ell >= 1, and the unit eps2.
@@ -125,9 +145,7 @@ class RingParams:
             raise ValueError(f"level must be >= 1, got {self.ell}")
         if self.eps2 == 0:
             object.__setattr__(self, "eps2", smallest_nonresidue(self.p))
-        e = self.eps2 % self.p
-        residues = {pow(a, 2, self.p) for a in range(1, self.p)}
-        if e == 0 or e in residues:
+        if pow(self.eps2, (self.p - 1) // 2, self.p) != self.p - 1:   # Euler's criterion
             raise ValueError(f"eps2 = {self.eps2} is not a nonresidue mod {self.p}")
 
     @cached_property
@@ -135,15 +153,17 @@ class RingParams:
         return self.p**self.ell
 
     def val_p(self, x: int) -> int:
-        """p-adic valuation of a residue mod p^ell, capped at ell."""
-        x %= self.modulus
+        """p-adic valuation of a residue mod p^ell, capped at ell.  A unit
+        shows in x mod p; otherwise one gcd, gcd(x mod p^ell, p^ell) = p^v,
+        and v from a table of powers, in place of one division per factor
+        of p."""
+        m = self.modulus
+        x %= m
         if x == 0:
             return self.ell
-        v = 0
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
+        if x % self.p:
+            return 0
+        return _exponent(self.p, math.gcd(x, m))
 
 
 class QuatElem:

@@ -16,18 +16,16 @@ its finite oracle, and the truncated induction identity all live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 
-import numpy as np
-
 from . import counting, density
-from .counting import _CHUNK, _decode_digits
 from .density import build_gram, check_orbit_label
 from .elemsym import ElemSymExpr
 from .laurent import LaurentPoly, alternant_sum, map_distinct, orbit_sum, symmetric_sum
-from .quatring import RingParams, qadd, qconj, qmul
+from .quatring import QuatElem, RingParams
 from .ratfunc import ONE, Q, IntLaurent, RatFuncQ, ZERO, qpow, w_factor
 
 
@@ -360,21 +358,35 @@ def delta_series_weights(alpha, vmax: int):
 
 
 def cost_delta_oracle(p: int, ell: int):
-    """(ops, peak bytes) of delta_oracle: p^(4*ell-2) points, three products each.
-    Its int64 values stay below the index p^(4*ell-2) and, for a quaternion
-    product before its reduction mod p^ell, (p+1)(eps^2+1) p^(2*ell)."""
-    points = p ** (4 * ell - 2)
-    return 12 * points, min(points, _CHUNK) * 8 * 32
+    """(ops, peak bytes, decimal digits) of delta_oracle: ell value counts,
+    each a fixed cost and about eight products or reductions of ints below
+    p^(4*ell), in 30-bit limbs (a weight's Fraction among them), and two
+    fixed costs more for the Gram representative and the guard.  The ints
+    held are the ell + 1 counts and the weights; every count is below
+    p^(4*ell - 2), the number of w."""
+    limbs = 1 + 4 * ell * math.log2(p) / 30
+    return (math.ceil((ell + 2) * counting.PAIR_COUNT_OPS
+                      + ell * 8 * limbs * counting.PRODUCT_TERM_OPS),
+            math.ceil(2**13 + 12 * (ell + 1) * limbs),
+            math.floor((4 * ell - 2) * math.log10(p)) + 1)
 
 
 def delta_oracle(alpha, p: int, ell: int, eps2: int = 0):
-    """Finite-level Iwahori enumeration for size 2.
+    """Finite-level Iwahori count for size 2.
 
-    Runs the unipotent coordinate nu over the radical classes in the (1,2)
-    slot, conjugates the antidiagonally flipped Gram representative, and
-    tabulates the valuation of the upper-left scalar entry.  Valuations not
-    resolved at this level are lumped into the tail.  Returns
+    Runs the unipotent coordinate nu = [[1, w], [0, 1]] over the p^(4*ell-2)
+    radical classes w in Pi O / Pi^(2*ell), conjugates the antidiagonally
+    flipped Gram representative F, and tabulates the valuation of the
+    upper-left scalar entry of nu F nu*.  Valuations not resolved at this
+    level are lumped into the tail.  Returns
     (weights: {v: Fraction}, tail: Fraction, v2: int).
+
+    F11 is a scalar s and F01 = F10*, so that entry is
+    (F00 + w F10) + (F01 + w s) w* = s Nrd w + Trd(w* F10*) + F00.  The w with
+    p^k dividing it are thus one value count at level k (counting._value_count:
+    scale s, linear term F10*, value -F00, w in Pi O), each class mod
+    Pi^(2*k) lifting to p^(4*(ell-k)) classes mod Pi^(2*ell).  The weights are
+    the differences of consecutive k, and the tail is k = ell.
     """
     alpha = check_orbit_label(alpha)
     if len(alpha) != 2:
@@ -383,32 +395,20 @@ def delta_oracle(alpha, p: int, ell: int, eps2: int = 0):
         raise ValueError("shift to a nonnegative label first")
     params = RingParams(p, ell, eps2)
     counting.check_cost("delta_oracle", partial(cost_delta_oracle, p), p, ell)
-    e2, pl = params.eps2, params.modulus
     g = build_gram(alpha, params)
     # antidiagonal flip F = j * G * j
-    f00, f01 = g.entries[1][1].coords(), g.entries[1][0].coords()
-    f10, f11 = g.entries[0][1].coords(), g.entries[0][0].coords()
-    # nu = [[1, w], [0, 1]] with w in the radical (a, b in p; c, d free); the
-    # upper-left entry of nu F nu* is (F00 + w F10) + (F01 + w F11) w*.
-    sub = pl // p
-    total = sub * sub * pl * pl
-    counts = np.zeros(ell + 1, dtype=np.int64)   # index ell is the tail
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        c, d = _decode_digits(idx % (pl * pl), 2, pl)
-        a, b = _decode_digits(idx // (pl * pl), 2, sub)
-        w = (p * a, p * b, c, d)
-        r0 = qadd(f00, qmul(w, f10, p, e2, pl), pl)
-        r1 = qadd(f01, qmul(w, f11, p, e2, pl), pl)
-        top = qadd(r0, qmul(r1, qconj(w, pl), p, e2, pl), pl)
-        if any(np.any(x) for x in top[1:]):
-            raise ArithmeticError("upper-left entry not scalar")
-        # p-adic valuation of the scalar entry, capped at ell
-        v = sum((top[0] % p**k == 0).astype(np.int64) for k in range(1, ell + 1))
-        counts += np.bincount(v, minlength=ell + 1)
-    weights = {v: Fraction(int(c), total) for v, c in enumerate(counts[:ell]) if c}
-    v2 = sum(alpha) // 2
-    return weights, Fraction(int(counts[ell]), total), v2
+    f00, f10, f11 = g.entries[1][1], g.entries[0][1], g.entries[0][0]
+    if any(f00.coords()[1:]) or any(f11.coords()[1:]):
+        raise ArithmeticError("upper-left entry not scalar")
+    total, linear = p ** (4 * ell - 2), f10.conj().coords()
+    divisible = [total]   # divisible[k]: the w with p^k dividing the entry
+    for k in range(1, ell + 1):
+        level = RingParams(p, k, params.eps2)
+        divisible.append(counting._value_count(level, f11.a, QuatElem(*linear, level), -f00.a, True)
+                         * p ** (4 * (ell - k)))
+    weights = {v: Fraction(divisible[v] - divisible[v + 1], total)
+               for v in range(ell) if divisible[v] != divisible[v + 1]}
+    return weights, Fraction(divisible[ell], total), sum(alpha) // 2
 
 
 # -- truncated induction identity ----------------------------------------------------

@@ -262,16 +262,20 @@ def check_density_oracle(results, cases, budget):
                _frac(expect), _frac(got), note=note, t0=t0)
 
 
-def check_delta_oracle(results):
-    for alpha in [(0, 0), (2, 0), (1, 1)]:
+def check_delta_oracle(results, labels=((0, 0), (2, 0), (1, 1)), ell=2, deep=False):
+    """The counted Iwahori distribution at p = 3 against the closed ladder;
+    the deep checks run at a level whose enumeration (p^(4*ell-2) points) was
+    never feasible."""
+    scope, at = (f"deep.p3.l{ell}.", f" at p=3, level {ell}") if deep else ("", "")
+    for alpha in labels:
         t0 = time.monotonic()
-        w_or, tail_or, v2_or = spherical.delta_oracle(alpha, p=3, ell=2)
-        w_cl, tail_cl, v2_cl = spherical.delta_series_weights(alpha, vmax=2)
+        w_or, tail_or, v2_or = spherical.delta_oracle(alpha, p=3, ell=ell)
+        w_cl, tail_cl, v2_cl = spherical.delta_series_weights(alpha, vmax=ell)
         w_cl = {v: c.eval_at(3) for v, c in w_cl.items()}
         expect = (w_cl, tail_cl.eval_at(3), v2_cl)
         got = (w_or, tail_or, v2_or)
-        _check(results, f"delta.oracle.{'-'.join(map(str, alpha))}",
-               f"Iwahori valuation distribution for {alpha} matches the closed form",
+        _check(results, f"delta.oracle.{scope}{'-'.join(map(str, alpha))}",
+               f"Iwahori valuation distribution for {alpha} matches the closed form{at}",
                str(expect), str(got), t0=t0)
 
 
@@ -478,4 +482,5 @@ def run_suite(tier: str = "all", budget: int = counting.DEFAULT_BUDGET):
         check_density_oracle(results, DENSITY_CASES_ALTERNATING, budget)
         check_density_oracle(results, DENSITY_CASES_DIAGONAL, budget)
         check_unit_vector_and_zero_ht(results, budget)
+        check_delta_oracle(results, labels=((0, 0), (1, 1), (3, 3)), ell=20, deep=True)
     return results

@@ -10,18 +10,24 @@ for the one-pass p^e H profile of `counting._block_profile`; and the value
 counts of the p^e H size-2 count read from convolved coordinate histograms,
 the reference for `counting._value_count`.  The size-2 count in a diagonal
 target by first rows binned on numpy arrays (a p^(3*ell) route), the
-reference for the closed chain of `counting._diagonal_pair_count`.
+reference for the closed chain of `counting._diagonal_pair_count`.  The
+Iwahori count by enumerating its p^(4*ell-2) unipotent coordinates, the
+reference for the value counts of `spherical.delta_oracle`; and the p-adic
+valuation by repeated division, the reference for `RingParams.val_p`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, reduce
 
 import numpy as np
 
+from quatherm.counting import _CHUNK, _decode_digits
+from quatherm.density import build_gram
 from quatherm.plancherel import UncataloguedPole, _exact, _one_of
-from quatherm.quatring import HermMatrix, QuatElem, RingParams
+from quatherm.quatring import HermMatrix, QuatElem, RingParams, qadd, qconj, qmul
 
 
 # -- Laurent dictionaries in Y -------------------------------------------------
@@ -360,3 +366,53 @@ def diagonal_pair_reference(params: RingParams, s1: int, s2: int, b, in_radical:
                     for weight, counts in _row_fibres(params, s2, m11, m22, n12, in_radical))
         total += p ** (3 * ell - 1) * (p + 1) * found // p ** (4 * k)
     return total
+
+
+# -- the Iwahori count by enumeration ----------------------------------------------
+
+
+def delta_enumeration(alpha, p: int, ell: int, eps2: int = 0):
+    """spherical.delta_oracle by enumeration: the unipotent coordinate
+    nu = [[1, w], [0, 1]] runs over all p^(4*ell-2) radical classes w (a, b in
+    p; c, d free) in numpy chunks, conjugates the antidiagonally flipped Gram
+    representative F, and tabulates the p-adic valuation of the upper-left
+    entry (F00 + w F10) + (F01 + w F11) w* of nu F nu*, capped at ell (the
+    tail).  Returns (weights: {v: Fraction}, tail: Fraction, v2: int)."""
+    params = RingParams(p, ell, eps2)
+    e2, pl = params.eps2, params.modulus
+    g = build_gram(alpha, params)
+    # antidiagonal flip F = j * G * j
+    f00, f01 = g.entries[1][1].coords(), g.entries[1][0].coords()
+    f10, f11 = g.entries[0][1].coords(), g.entries[0][0].coords()
+    sub = pl // p
+    total = sub * sub * pl * pl
+    counts = np.zeros(ell + 1, dtype=np.int64)   # index ell is the tail
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        c, d = _decode_digits(idx % (pl * pl), 2, pl)
+        a, b = _decode_digits(idx // (pl * pl), 2, sub)
+        w = (p * a, p * b, c, d)
+        r0 = qadd(f00, qmul(w, f10, p, e2, pl), pl)
+        r1 = qadd(f01, qmul(w, f11, p, e2, pl), pl)
+        top = qadd(r0, qmul(r1, qconj(w, pl), p, e2, pl), pl)
+        if any(np.any(x) for x in top[1:]):
+            raise ArithmeticError("upper-left entry not scalar")
+        v = sum((top[0] % p**k == 0).astype(np.int64) for k in range(1, ell + 1))
+        counts += np.bincount(v, minlength=ell + 1)
+    weights = {v: Fraction(int(c), total) for v, c in enumerate(counts[:ell]) if c}
+    return weights, Fraction(int(counts[ell]), total), sum(alpha) // 2
+
+
+# -- the p-adic valuation by division ----------------------------------------------
+
+
+def val_p_reference(x: int, p: int, ell: int) -> int:
+    """v_p of x mod p^ell, capped at ell, one division by p per factor."""
+    x %= p**ell
+    if x == 0:
+        return ell
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v

@@ -1,14 +1,20 @@
+import ast
 import itertools
 import os
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from oracles import delta_enumeration
+from quatherm import spherical
 from quatherm.counting import InfeasibleSizeError
 from quatherm.density import is_orbit_label
 from quatherm.elemsym import ElemSymExpr, to_elementary
 from quatherm.laurent import LaurentPoly, _kostka_row
+from quatherm.quatring import smallest_nonresidue
 from quatherm.ratfunc import (ONE, Q, IntLaurent, QPoly, RatFuncQ, format_fraction, poly_gcd,
                               qpow, w_factor)
 from quatherm.spherical import (
@@ -202,16 +208,56 @@ def test_delta_oracle_geometric_tail_level3():
 
 
 def test_delta_oracle_refuses_before_allocating():
-    # 3^26 points at level 7; level 5 is the deepest within the default budget
+    # at level 2254 the count of w, 3^9014, passes Python's 4300-digit
+    # int-to-str limit; level 2253 is the deepest that prints
     tracemalloc.start()
     try:
         with pytest.raises(InfeasibleSizeError,
-                           match="delta_oracle .*highest feasible level at p=3 is 5"):
-            delta_oracle((0, 0), p=3, ell=7)
+                           match="delta_oracle .*highest feasible level at p=3 is 2253"):
+            delta_oracle((0, 0), p=3, ell=2254)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+SIZE2_LABELS = [a for a in itertools.product(range(7), repeat=2)
+                if a[0] >= a[1] and is_orbit_label(a)]
+
+
+@pytest.mark.parametrize("p,ell", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_delta_oracle_matches_enumeration(p, ell):
+    # the value counts against all p^(4*ell-2) unipotent coordinates, for two
+    # nonresidues eps^2 (at p = 3 two lifts of the one class), down to the repr
+    assert len(SIZE2_LABELS) == 13
+    first = smallest_nonresidue(p)
+    second = next(e for e in range(first + 1, first + p + 1) if pow(e, (p - 1) // 2, p) == p - 1)
+    for alpha in SIZE2_LABELS:
+        for eps2 in (first, second):
+            got = delta_oracle(alpha, p, ell, eps2)
+            assert repr(got) == repr(delta_enumeration(alpha, p, ell, eps2)), (alpha, eps2)
+
+
+def test_delta_oracle_level20_matches_closed():
+    # a level the enumeration (3^78 points) never reached: 18 rungs of the
+    # geometric ladder of (3,3), in well under 50 ms
+    start = time.perf_counter()
+    w_or, tail_or, v2_or = delta_oracle((3, 3), p=3, ell=20)
+    elapsed = time.perf_counter() - start
+    w_cl, tail_cl, v2_cl = delta_series_weights((3, 3), vmax=20)
+    assert len(w_or) == 18
+    assert w_or == {v: c.eval_at(3) for v, c in w_cl.items()}
+    assert (tail_or, v2_or) == (tail_cl.eval_at(3), v2_cl)
+    assert elapsed < 0.05
+
+
+def test_spherical_imports_no_numpy():
+    tree = ast.parse(Path(spherical.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
 def test_sz_convert():
