@@ -18,7 +18,6 @@ which is what the valuation predicate below tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -106,25 +105,6 @@ def fmul(x, y, e2, mod):
     return (x[0] * y[0] + e2 * (x[1] * y[1])) % mod, (x[0] * y[1] + x[1] * y[0]) % mod
 
 
-# {p^k: k} per prime, shared by every level and extended on a miss up to the
-# power looked up, so its size follows the valuations met, not the levels asked
-_EXPONENTS: dict = {}
-
-
-def _exponent(p: int, g: int) -> int:
-    """k with g = p^k, for g a positive power of p."""
-    table = _EXPONENTS.setdefault(p, {1: 0})
-    k = table.get(g)
-    if k is None:
-        k = len(table) - 1
-        x = p**k
-        while x != g:
-            k += 1
-            x *= p
-            table[x] = k
-    return k
-
-
 @dataclass(frozen=True)
 class RingParams:
     """Quotient-ring data: odd prime p, level ell >= 1, and the unit eps2.
@@ -153,17 +133,15 @@ class RingParams:
         return self.p**self.ell
 
     def val_p(self, x: int) -> int:
-        """p-adic valuation of a residue mod p^ell, capped at ell.  A unit
-        shows in x mod p; otherwise one gcd, gcd(x mod p^ell, p^ell) = p^v,
-        and v from a table of powers, in place of one division per factor
-        of p."""
-        m = self.modulus
-        x %= m
+        """p-adic valuation of a residue mod p^ell, capped at ell."""
+        x %= self.modulus
         if x == 0:
             return self.ell
-        if x % self.p:
-            return 0
-        return _exponent(self.p, math.gcd(x, m))
+        v = 0
+        while x % self.p == 0:
+            x //= self.p
+            v += 1
+        return v
 
 
 class QuatElem:

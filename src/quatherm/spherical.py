@@ -398,7 +398,7 @@ def delta_oracle(alpha, p: int, ell: int, eps2: int = 0):
     g = build_gram(alpha, params)
     # antidiagonal flip F = j * G * j
     f00, f10, f11 = g.entries[1][1], g.entries[0][1], g.entries[0][0]
-    if any(f00.coords()[1:]) or any(f11.coords()[1:]):
+    if any(f00.coords()[1:]) or any(f11.coords()[1:]) or g.entries[1][0] != f10.conj():
         raise ArithmeticError("upper-left entry not scalar")
     total, linear = p ** (4 * ell - 2), f10.conj().coords()
     divisible = [total]   # divisible[k]: the w with p^k dividing the entry

@@ -262,11 +262,11 @@ def check_density_oracle(results, cases, budget):
                _frac(expect), _frac(got), note=note, t0=t0)
 
 
-def check_delta_oracle(results, labels=((0, 0), (2, 0), (1, 1)), ell=2, deep=False):
+def check_delta_oracle(results, labels=((0, 0), (2, 0), (1, 1)), ell=2):
     """The counted Iwahori distribution at p = 3 against the closed ladder;
-    the deep checks run at a level whose enumeration (p^(4*ell-2) points) was
-    never feasible."""
-    scope, at = (f"deep.p3.l{ell}.", f" at p=3, level {ell}") if deep else ("", "")
+    the checks above level 2 (the deep tier) run at a level whose enumeration
+    (p^(4*ell-2) points) was never feasible, and name it."""
+    scope, at = (f"deep.p3.l{ell}.", f" at p=3, level {ell}") if ell != 2 else ("", "")
     for alpha in labels:
         t0 = time.monotonic()
         w_or, tail_or, v2_or = spherical.delta_oracle(alpha, p=3, ell=ell)
@@ -482,5 +482,5 @@ def run_suite(tier: str = "all", budget: int = counting.DEFAULT_BUDGET):
         check_density_oracle(results, DENSITY_CASES_ALTERNATING, budget)
         check_density_oracle(results, DENSITY_CASES_DIAGONAL, budget)
         check_unit_vector_and_zero_ht(results, budget)
-        check_delta_oracle(results, labels=((0, 0), (1, 1), (3, 3)), ell=20, deep=True)
+        check_delta_oracle(results, labels=((0, 0), (1, 1), (3, 3)), ell=20)
     return results

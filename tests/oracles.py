@@ -12,8 +12,7 @@ the reference for `counting._value_count`.  The size-2 count in a diagonal
 target by first rows binned on numpy arrays (a p^(3*ell) route), the
 reference for the closed chain of `counting._diagonal_pair_count`.  The
 Iwahori count by enumerating its p^(4*ell-2) unipotent coordinates, the
-reference for the value counts of `spherical.delta_oracle`; and the p-adic
-valuation by repeated division, the reference for `RingParams.val_p`.
+reference for the value counts of `spherical.delta_oracle`.
 """
 
 from __future__ import annotations
@@ -402,17 +401,3 @@ def delta_enumeration(alpha, p: int, ell: int, eps2: int = 0):
     weights = {v: Fraction(int(c), total) for v, c in enumerate(counts[:ell]) if c}
     return weights, Fraction(int(counts[ell]), total), sum(alpha) // 2
 
-
-# -- the p-adic valuation by division ----------------------------------------------
-
-
-def val_p_reference(x: int, p: int, ell: int) -> int:
-    """v_p of x mod p^ell, capped at ell, one division by p per factor."""
-    x %= p**ell
-    if x == 0:
-        return ell
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v

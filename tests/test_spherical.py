@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from oracles import delta_enumeration
 from quatherm import spherical
 from quatherm.counting import InfeasibleSizeError
-from quatherm.density import is_orbit_label
+from quatherm.density import build_gram, is_orbit_label
 from quatherm.elemsym import ElemSymExpr, to_elementary
 from quatherm.laurent import LaurentPoly, _kostka_row
-from quatherm.quatring import smallest_nonresidue
+from quatherm.quatring import QuatElem, QuatMatrix, smallest_nonresidue
 from quatherm.ratfunc import (ONE, Q, IntLaurent, QPoly, RatFuncQ, format_fraction, poly_gcd,
                               qpow, w_factor)
 from quatherm.spherical import (
@@ -236,6 +237,23 @@ def test_delta_oracle_matches_enumeration(p, ell):
         for eps2 in (first, second):
             got = delta_oracle(alpha, p, ell, eps2)
             assert repr(got) == repr(delta_enumeration(alpha, p, ell, eps2)), (alpha, eps2)
+
+
+@pytest.mark.parametrize("row,col", [(1, 0), (1, 1), (0, 0)])
+def test_delta_oracle_refuses_a_representative_off_its_form(monkeypatch, row, col):
+    # eps added to F01 (no longer F10*), to F00 or to F11 (no longer scalars):
+    # the entry is then not s Nrd w + Trd(w* F10*) + F00, and the enumeration
+    # meets a non-scalar entry; both raise
+    def skewed(alpha, params):
+        entries = [list(r) for r in build_gram(alpha, params).entries]
+        entries[row][col] = entries[row][col] + QuatElem.eps(params)
+        return QuatMatrix(entries, params)
+
+    monkeypatch.setattr(spherical, "build_gram", skewed)
+    monkeypatch.setattr(oracles, "build_gram", skewed)
+    for oracle in (delta_oracle, delta_enumeration):
+        with pytest.raises(ArithmeticError, match="not scalar"):
+            oracle((2, 0), 3, 2)
 
 
 def test_delta_oracle_level20_matches_closed():
