@@ -24,6 +24,17 @@ def _parse_ints(text: str, option: str) -> tuple:
         raise ValueError(f"{option} takes comma-separated integers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --budget: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _emit(payload, fmt: str) -> int:
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -114,6 +125,8 @@ def _terms_payload(poly) -> dict:
 def cmd_spherical(args) -> int:
     alpha = _parse_ints(args.alpha, "--alpha")
     n = len(alpha) if args.n is None else args.n
+    if n != len(alpha):
+        raise ValueError(f"--n {n} does not match the size-{len(alpha)} label {alpha}")
     what = args.what
     if what == "psi":
         payload = {"what": "psi", "alpha": list(alpha), "n": n,
@@ -253,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--method", choices=("enumerate", "convolve", "closed"),
                    default="enumerate")
     d.add_argument("--eps2", type=int, default=0)
-    d.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
+    d.add_argument("--budget", type=_positive_int, default=counting.DEFAULT_BUDGET)
     d.set_defaults(func=cmd_density)
 
     s = sub.add_parser("spherical", help="explicit spherical values")
@@ -279,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the verification suite")
     v.add_argument("--suite", choices=verify.TIERS + ("all",), default="symbolic")
-    v.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
+    v.add_argument("--budget", type=_positive_int, default=counting.DEFAULT_BUDGET)
     v.add_argument("--timings", action="store_true")
     v.set_defaults(func=cmd_verify)
     return ap

@@ -163,10 +163,15 @@ def density_levels(beta, alpha, p: int, levels, primitive: bool = False,
     The one place that turns counts into the densities N_ell(B, A) /
     q^(ell*n*(4m - 2n + 1) + n(n - 1)).  eps2 = 0 picks the smallest
     nonresidue.  Returns (results, stable) where stable is True when
-    the last two levels agree, None when only one level was computed.
+    the two highest levels agree, None when only one level was computed.
+    The levels must increase strictly: a repeated or descending list is a
+    ValueError.
     """
     beta = check_orbit_label(beta)
     alpha = check_orbit_label(alpha)
+    levels = list(levels)
+    if any(lo >= hi for lo, hi in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be strictly increasing, got {levels}")
     n, m = len(beta), len(alpha)
     results = []
     for ell in levels:
@@ -237,16 +242,6 @@ def shift_factor(e: int, n: int) -> RatFuncQ:
     return qpow(e * n * (2 * n - 1))
 
 
-def apply_shift(value, e: int, n: int):
-    """Apply the shift factor to a closed value (Q(q)) or a numeric density."""
-    f = shift_factor(e, n)
-    if isinstance(value, RatFuncQ):
-        return value * f
-    if isinstance(value, Fraction):
-        raise TypeError("numeric shift needs the prime: use value * p**(e*n*(2n-1))")
-    raise TypeError(f"cannot shift {type(value).__name__}")
-
-
 def key_beta(alpha) -> tuple:
     """Witness label one size down: drop the first entry, bumping the second
     by one when the first entry is odd."""
@@ -258,19 +253,3 @@ def key_beta(alpha) -> tuple:
     else:
         beta = (alpha[1] + 1,) + alpha[2:]
     return check_orbit_label(beta)
-
-
-def tail_dominates(gamma, alpha) -> bool:
-    """The tail order: gamma = alpha, or the two agree strictly below some
-    position where gamma exceeds alpha."""
-    gamma, alpha = tuple(gamma), tuple(alpha)
-    if len(gamma) != len(alpha):
-        raise ValueError("labels must have equal size")
-    n = len(alpha)
-    if gamma == alpha:
-        return True
-    for t in range(1, n):
-        pos = n - t - 1
-        if gamma[pos] > alpha[pos] and gamma[pos + 1:] == alpha[pos + 1:]:
-            return True
-    return False

@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 from operator import ge, le, sub
 
-from .laurent import LaurentPoly, elementary_symmetric, sub_scaled
+from .laurent import LaurentPoly, sub_scaled
 from .ratfunc import IntLaurent, RatFuncQ
 
 
@@ -57,19 +57,6 @@ class ElemSymExpr:
     def polynomial_part(self) -> "ElemSymExpr":
         """Drop the s_n^-shift unit; fine for membership in the localized ring."""
         return ElemSymExpr(self.n, self.terms, 0)
-
-    def expand_x(self) -> LaurentPoly:
-        """Substitute the elementary symmetric polynomials back in."""
-        es = [elementary_symmetric(self.n, k) for k in range(self.n + 1)]
-        out = LaurentPoly.zero(self.n)
-        for e, c in self.terms.items():
-            term = LaurentPoly.constant(self.n, c)
-            for k, ek in enumerate(e):
-                term = term * es[k + 1] ** ek
-            out = out + term
-        if self.shift:
-            out = out.translate_all(-self.shift)
-        return out
 
     def specialize(self, q0) -> dict:
         """Exponent -> Fraction dictionary at q = q0 (shift discarded)."""
@@ -283,9 +270,3 @@ def schwartz_image_generators(n: int):
     else:
         raise ValueError("generators tabulated for sizes 3 and 4 only")
     return tuple(ElemSymExpr(n, {e: RatFuncQ(x) for e, x in g.items()}) for g in gens)
-
-
-def image_ideal_basis(n: int, q0, order: str = "grevlex") -> GroebnerBasis:
-    """Groebner basis of the two-generator image ideal at the specialization q = q0."""
-    gens = [g.specialize(q0) for g in schwartz_image_generators(n)]
-    return buchberger(gens, n, order=order)

@@ -295,19 +295,6 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def elementary_symmetric(n: int, k: int) -> LaurentPoly:
-    """The k-th elementary symmetric polynomial in n variables."""
-    if k == 0:
-        return LaurentPoly.constant(n, 1)
-    out = LaurentPoly.zero(n)
-    for comb in itertools.combinations(range(n), k):
-        e = [0] * n
-        for i in comb:
-            e[i] = 1
-        out = out + LaurentPoly.monomial(n, e, 1)
-    return out
-
-
 # -- the orbit-sum engine ---------------------------------------------------------
 #
 # Every binomial of an orbit-sum template is x_i - s*q^k x_j with s = +-1, so

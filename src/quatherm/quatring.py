@@ -246,10 +246,6 @@ class QuatElem:
             return None
         return v
 
-    def residue_pair(self):
-        """Image in the residue field F_{p^2}: (a mod p, b mod p)."""
-        return qresidue(self.coords(), self.params.p)
-
     def __repr__(self) -> str:
         return f"QuatElem{self.coords()}"
 
@@ -274,29 +270,6 @@ class QuatMatrix:
         self.cols = ncols
         self.entries = rows
         self.params = params
-
-    @staticmethod
-    def identity(n: int, params: RingParams) -> "QuatMatrix":
-        one, zero = QuatElem.one(params), QuatElem.zero(params)
-        return QuatMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)], params
-        )
-
-    @staticmethod
-    def diagonal(scalars, params: RingParams) -> "QuatMatrix":
-        n = len(scalars)
-        zero = QuatElem.zero(params)
-        return QuatMatrix(
-            [
-                [QuatElem.scalar(scalars[i], params) if i == j else zero for j in range(n)]
-                for i in range(n)
-            ],
-            params,
-        )
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def __eq__(self, other) -> bool:
         return (
@@ -325,35 +298,6 @@ class QuatMatrix:
             out.append(row)
         return QuatMatrix(out, self.params)
 
-    def __add__(self, other: "QuatMatrix") -> "QuatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return QuatMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-            self.params,
-        )
-
-    def __sub__(self, other: "QuatMatrix") -> "QuatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return QuatMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-            self.params,
-        )
-
-    def star(self) -> "QuatMatrix":
-        """Conjugate transpose under the main involution."""
-        return QuatMatrix(
-            [[self.entries[j][i].conj() for j in range(self.rows)] for i in range(self.cols)],
-            self.params,
-        )
-
     def is_hermitian(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -373,174 +317,3 @@ class HermMatrix(QuatMatrix):
         super().__init__(entries, params)
         if not self.is_hermitian():
             raise ValueError("matrix is not hermitian")
-
-    @staticmethod
-    def from_matrix(m: QuatMatrix) -> "HermMatrix":
-        return HermMatrix(m.entries, m.params)
-
-
-def herm_apply(a: HermMatrix, u: QuatMatrix) -> HermMatrix:
-    """The form change A[u] = u* A u."""
-    if a.rows != u.rows:
-        raise DimensionMismatch("A[u] needs A m x m and u m x n")
-    return HermMatrix.from_matrix(u.star() @ a @ u)
-
-
-def residue_rank(u: QuatMatrix) -> int:
-    """Rank of u over the residue field F_{p^2}.
-
-    The matrix is primitive exactly when the rank equals its column count.
-    """
-    p = u.params.p
-    e2 = u.params.eps2 % p
-
-    def finv(x):
-        # (a + b*eps)^-1 = (a - b*eps)/(a^2 - e2*b^2); the norm is nonzero
-        # for nonzero x because e2 is a nonresidue.
-        n = (x[0] * x[0] - e2 * x[1] * x[1]) % p
-        ninv = pow(n, p - 2, p)
-        return ((x[0] * ninv) % p, (-x[1] * ninv) % p)
-
-    mat = [[u.entries[i][j].residue_pair() for j in range(u.cols)] for i in range(u.rows)]
-    rank = 0
-    row = 0
-    for col in range(u.cols):
-        piv = None
-        for r in range(row, u.rows):
-            if mat[r][col] != (0, 0):
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = finv(mat[row][col])
-        mat[row] = [fmul(inv, x, e2, p) for x in mat[row]]
-        for r in range(u.rows):
-            if r != row and mat[r][col] != (0, 0):
-                f = mat[r][col]
-                reduced = []
-                for x, y in zip(mat[r], mat[row]):
-                    fy = fmul(f, y, e2, p)
-                    reduced.append(((x[0] - fy[0]) % p, (x[1] - fy[1]) % p))
-                mat[r] = reduced
-        rank += 1
-        row += 1
-    return rank
-
-
-def is_primitive(u: QuatMatrix) -> bool:
-    return residue_rank(u) == u.cols
-
-
-# -- reduced norm of square matrices -----------------------------------------
-#
-# The embedding of a single quaternion into 2x2 matrices over the unramified
-# quadratic extension sends a + b*eps + c*Pi + d*Pi*eps to
-#
-#     [ a + b*eps   (c - d*eps)*p ]
-#     [ c + d*eps    a - b*eps    ],
-#
-# and a matrix over the order goes to the 2n x 2n block matrix of images.
-# The determinant is computed division-free over (Z/p^ell)[eps], a commutative
-# ring with zero divisors; its eps-component vanishes identically.
-
-
-def _phi_block(x: QuatElem):
-    p = x.params.p
-    a, b, c, d = x.coords()
-    return [
-        [(a, b), ((c * p) % x.params.modulus, (-d * p) % x.params.modulus)],
-        [(c, d), (a, -b % x.params.modulus)],
-    ]
-
-
-def _det_berkowitz(mat, e2, p_mod):
-    """Division-free determinant (Berkowitz), entries in (Z/p^ell)[eps]."""
-
-    def add(x, y):
-        return ((x[0] + y[0]) % p_mod, (x[1] + y[1]) % p_mod)
-
-    def mul(x, y):
-        return fmul(x, y, e2, p_mod)
-
-    def neg(x):
-        return ((-x[0]) % p_mod, (-x[1]) % p_mod)
-
-    n = len(mat)
-    zero, one = (0, 0), (1 % p_mod, 0)
-    # iteratively build the characteristic polynomial coefficient vector
-    poly = [one, neg(mat[0][0])]
-    for k in range(1, n):
-        a = mat[k][k]
-        row = [mat[k][j] for j in range(k)]
-        col = [mat[i][k] for i in range(k)]
-        sub = [[mat[i][j] for j in range(k)] for i in range(k)]
-        # Toeplitz column: [1, -a, -(R col), -(R M col), ...]
-        toep = [one, neg(a)]
-        vec = col
-        for _ in range(k):
-            toep.append(neg(_dotrow(row, vec, add, mul, zero)))
-            vec = [
-                _dotrow(sub[i], vec, add, mul, zero) for i in range(k)
-            ]
-        newpoly = [zero] * (k + 2)
-        for i, pc in enumerate(poly):
-            for j, tc in enumerate(toep):
-                if i + j <= k + 1:
-                    newpoly[i + j] = add(newpoly[i + j], mul(pc, tc))
-        poly = newpoly
-    det = poly[n]
-    if n % 2 == 1:
-        det = neg(det)
-    return det
-
-
-def _dotrow(row, vec, add, mul, zero):
-    acc = zero
-    for x, y in zip(row, vec):
-        acc = add(acc, mul(x, y))
-    return acc
-
-
-def matrix_nrd(a: QuatMatrix) -> int:
-    """Reduced norm: determinant of the 2n x 2n split image, mod p^ell.
-
-    Division-free Berkowitz (the base ring has zero divisors).  The
-    eps-component of the determinant vanishes identically; a nonzero one
-    indicates corruption.
-    """
-    if a.rows != a.cols:
-        raise DimensionMismatch("reduced norm needs a square matrix")
-    pm = a.params
-    n2 = 2 * a.rows
-    big = [[None] * n2 for _ in range(n2)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            blk = _phi_block(a.entries[i][j])
-            big[2 * i][2 * j] = blk[0][0]
-            big[2 * i][2 * j + 1] = blk[0][1]
-            big[2 * i + 1][2 * j] = blk[1][0]
-            big[2 * i + 1][2 * j + 1] = blk[1][1]
-    det = _det_berkowitz(big, pm.eps2, pm.modulus)
-    if det[1] % pm.modulus != 0:
-        raise ArithmeticError("eps-component of reduced norm did not vanish")
-    return det[0] % pm.modulus
-
-
-def in_congruence(c: HermMatrix, ell: int | None = None) -> bool:
-    """Whether the hermitian matrix lies in the congruence set at level ell:
-    diagonal entries in p^ell, off-diagonal entries in Pi^(2*ell - 1)."""
-    pm = c.params
-    if ell is None:
-        ell = pm.ell
-    if ell > pm.ell:
-        raise ValueError("congruence level exceeds ring level")
-    pl = pm.p**ell
-    for i in range(c.rows):
-        if c.entries[i][i].a % pl != 0:
-            return False
-        for j in range(i + 1, c.cols):
-            v = c.entries[i][j].pi_valuation()
-            if v is not None and v < 2 * ell - 1:
-                return False
-    return True

@@ -297,7 +297,7 @@ def check_shift_by_counting(results):
     p = 3
     (shifted,), _ = density.density_levels((2,), (2,), p, [2])
     (base,), _ = density.density_levels((0,), (0,), p, [2])
-    lhs, rhs = shifted.normalized, p * base.normalized
+    lhs, rhs = shifted.normalized, density.shift_factor(1, 1).eval_at(p) * base.normalized
     _check(results, "density.shift",
            "scaling both forms by p multiplies the density by q^(n(2n-1))",
            _frac(rhs), _frac(lhs), t0=t0)

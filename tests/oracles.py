@@ -12,11 +12,18 @@ the reference for `counting._value_count`.  The size-2 count in a diagonal
 target by first rows binned on numpy arrays (a p^(3*ell) route), the
 reference for the closed chain of `counting._diagonal_pair_count`.  The
 Iwahori count by enumerating its p^(4*ell-2) unipotent coordinates, the
-reference for the value counts of `spherical.delta_oracle`.
+reference for the value counts of `spherical.delta_oracle`.  The matrix
+arithmetic the library never runs (identity and diagonal matrices, the
+conjugate transpose, the form change A[u]) and the residue rank by
+elimination, the reference for `counting._rank_mask`.  The tail order on
+orbit labels, which builds the rival set of the key-lemma test.  The
+elementary symmetric polynomials and the x-form of an `ElemSymExpr`, the
+reference of the Schur-term and elementary-rewrite tests.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -25,8 +32,13 @@ import numpy as np
 
 from quatherm.counting import _CHUNK, _decode_digits
 from quatherm.density import build_gram
+from quatherm.elemsym import ElemSymExpr
+from quatherm.laurent import LaurentPoly
 from quatherm.plancherel import UncataloguedPole, _exact, _one_of
-from quatherm.quatring import HermMatrix, QuatElem, RingParams, qadd, qconj, qmul
+from quatherm.quatring import (
+    DimensionMismatch, HermMatrix, QuatElem, QuatMatrix, RingParams, fmul, qadd, qconj, qmul,
+    qresidue,
+)
 
 
 # -- Laurent dictionaries in Y -------------------------------------------------
@@ -401,3 +413,103 @@ def delta_enumeration(alpha, p: int, ell: int, eps2: int = 0):
     weights = {v: Fraction(int(c), total) for v, c in enumerate(counts[:ell]) if c}
     return weights, Fraction(int(counts[ell]), total), sum(alpha) // 2
 
+
+# -- matrices over the quotient ring ------------------------------------------------
+
+
+def identity_matrix(n: int, params: RingParams) -> QuatMatrix:
+    one, zero = QuatElem.one(params), QuatElem.zero(params)
+    return QuatMatrix([[one if i == j else zero for j in range(n)] for i in range(n)], params)
+
+
+def diagonal_matrix(scalars, params: RingParams) -> QuatMatrix:
+    zero = QuatElem.zero(params)
+    return QuatMatrix([[QuatElem.scalar(s, params) if i == j else zero
+                        for j in range(len(scalars))] for i, s in enumerate(scalars)], params)
+
+
+def as_hermitian(m: QuatMatrix) -> HermMatrix:
+    return HermMatrix(m.entries, m.params)
+
+
+def star(m: QuatMatrix) -> QuatMatrix:
+    """Conjugate transpose under the main involution."""
+    return QuatMatrix([[m.entries[j][i].conj() for j in range(m.rows)] for i in range(m.cols)],
+                      m.params)
+
+
+def herm_apply(a: HermMatrix, u: QuatMatrix) -> HermMatrix:
+    """The form change A[u] = u* A u."""
+    if a.rows != u.rows:
+        raise DimensionMismatch("A[u] needs A m x m and u m x n")
+    return as_hermitian(star(u) @ a @ u)
+
+
+def residue_rank(u: QuatMatrix) -> int:
+    """Rank of u over the residue field F_{p^2} by Gauss-Jordan elimination,
+    the reference for `counting._rank_mask`.  The matrix is primitive exactly
+    when the rank equals its column count."""
+    p = u.params.p
+    e2 = u.params.eps2 % p
+
+    def finv(x):
+        # (a + b*eps)^-1 = (a - b*eps)/(a^2 - e2*b^2); the norm is nonzero
+        # for nonzero x because e2 is a nonresidue.
+        ninv = pow((x[0] * x[0] - e2 * x[1] * x[1]) % p, p - 2, p)
+        return (x[0] * ninv) % p, (-x[1] * ninv) % p
+
+    mat = [[qresidue(x.coords(), p) for x in row] for row in u.entries]
+    rank = 0
+    for col in range(u.cols):
+        piv = next((r for r in range(rank, u.rows) if mat[r][col] != (0, 0)), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = finv(mat[rank][col])
+        mat[rank] = [fmul(inv, x, e2, p) for x in mat[rank]]
+        for r in range(u.rows):
+            f = mat[r][col]
+            if r != rank and f != (0, 0):
+                reduced = []
+                for x, y in zip(mat[r], mat[rank]):
+                    fy = fmul(f, y, e2, p)
+                    reduced.append(((x[0] - fy[0]) % p, (x[1] - fy[1]) % p))
+                mat[r] = reduced
+        rank += 1
+    return rank
+
+
+# -- orbit labels and symmetric polynomials -----------------------------------------
+
+
+def tail_dominates(gamma, alpha) -> bool:
+    """The tail order: gamma = alpha, or the two agree strictly below some
+    position where gamma exceeds alpha."""
+    gamma, alpha = tuple(gamma), tuple(alpha)
+    if len(gamma) != len(alpha):
+        raise ValueError("labels must have equal size")
+    n = len(alpha)
+    return gamma == alpha or any(gamma[pos] > alpha[pos] and gamma[pos + 1:] == alpha[pos + 1:]
+                                 for pos in range(n - 1))
+
+
+def elementary_symmetric(n: int, k: int) -> LaurentPoly:
+    """The k-th elementary symmetric polynomial in n variables."""
+    out = LaurentPoly.zero(n)
+    for comb in itertools.combinations(range(n), k):
+        out = out + LaurentPoly.monomial(n, [int(i in comb) for i in range(n)], 1)
+    return out
+
+
+def expand_x(expr: ElemSymExpr) -> LaurentPoly:
+    """The x-form of an elementary-coordinate expression: the elementary
+    symmetric polynomials substituted back in, times x_1...x_n^(-shift)."""
+    n = expr.n
+    es = [elementary_symmetric(n, k) for k in range(n + 1)]
+    out = LaurentPoly.zero(n)
+    for e, c in expr.terms.items():
+        term = LaurentPoly.constant(n, c)
+        for k, ek in enumerate(e):
+            term = term * es[k + 1] ** ek
+        out = out + term
+    return out.translate_all(-expr.shift) if expr.shift else out

@@ -241,7 +241,35 @@ def test_empty_label_names_the_option(capsys):
 def test_spherical_n_zero_is_an_arity_error(capsys):
     # --n 0 used to be read as "no --n", that is n = len(alpha)
     err = run_error(capsys, "spherical", "--n", "0", "--alpha", "0,0")
-    assert "arity mismatch" in err
+    assert err == "quatherm: error: --n 0 does not match the size-2 label (0, 0)\n"
+
+
+@pytest.mark.parametrize("what", ["psi", "main-term", "omega", "delta", "hl:GL"])
+@pytest.mark.parametrize("n", ["0", "-1", "3"])
+def test_spherical_n_must_match_the_label(capsys, n, what):
+    # every --what needs n = len(alpha); the error names both
+    err = run_error(capsys, "spherical", "--n", n, "--alpha", "2,0", "--what", what)
+    assert err == f"quatherm: error: --n {n} does not match the size-2 label (2, 0)\n"
+
+
+@pytest.mark.parametrize("ell", ["1,1", "3,1", "1,2,2"])
+def test_density_levels_must_increase(capsys, ell):
+    # "stable" compares the last two levels; a repeated level made it true
+    # for (1,1), whose level-1 count 81 is not the density 80
+    err = run_error(capsys, "density", "--alpha", "1,1", "--ell", ell)
+    assert err.startswith("quatherm: error: levels must be strictly increasing, got [")
+
+
+@pytest.mark.parametrize("command", [["density", "--alpha", "0"], ["verify"]])
+@pytest.mark.parametrize("budget", ["0", "-1", "1.5"])
+def test_budget_must_be_a_positive_integer(capsys, command, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--budget", budget])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quatherm ")
+    assert err.splitlines()[-1].endswith(
+        f"error: argument --budget: must be a positive integer, got '{budget}'")
 
 
 def test_convolve_nondiagonal_error(capsys):

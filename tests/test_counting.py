@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from quatherm import counting
 from quatherm.density import build_gram, density_self_closed, density_zero_ht, gram_blocks
 from quatherm.quatring import (
-    HermMatrix, QuatElem, QuatMatrix, RingParams, qconj, qmul, qnrd, residue_rank,
+    HermMatrix, QuatElem, QuatMatrix, RingParams, qconj, qmul, qnrd,
 )
 
 from oracles import (
-    _row_fibres, column_pair_reference, diagonal_pair_reference, histogram_counts, value_counts,
+    _row_fibres, as_hermitian, column_pair_reference, diagonal_matrix, diagonal_pair_reference,
+    histogram_counts, residue_rank, value_counts,
 )
 
 PM1 = RingParams(3, 1)
@@ -71,7 +72,7 @@ def test_matrix_pair_vs_generic(alpha, primitive):
 def _form(spec, params):
     """A 2x2 target: an orbit label, ("diag", s1, s2) or ("alt", beta coordinates)."""
     if spec[0] == "diag":
-        return HermMatrix.from_matrix(QuatMatrix.diagonal(spec[1:], params))
+        return as_hermitian(diagonal_matrix(spec[1:], params))
     if spec[0] == "alt":
         z, q = QuatElem.zero(params), QuatElem(*spec[1], params)
         return HermMatrix([[z, q], [q.conj(), z]], params)

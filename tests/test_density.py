@@ -10,7 +10,6 @@ from quatherm.cli import main
 from quatherm.density import (
     DensityResult,
     InvalidPartition,
-    apply_shift,
     build_gram,
     count_reps,
     density_ht_closed,
@@ -23,10 +22,11 @@ from quatherm.density import (
     is_orbit_label,
     key_beta,
     shift_factor,
-    tail_dominates,
 )
-from quatherm.quatring import HermMatrix, QuatElem, QuatMatrix, RingParams
+from quatherm.quatring import HermMatrix, QuatElem, RingParams
 from quatherm.ratfunc import ONE, Q, qpow, w_factor
+
+from oracles import as_hermitian, identity_matrix, tail_dominates
 
 PM1 = RingParams(3, 1)
 PM2 = RingParams(3, 2)
@@ -43,7 +43,7 @@ def test_orbit_labels():
 
 
 def test_build_gram():
-    assert build_gram((0, 0), PM2) == HermMatrix.from_matrix(QuatMatrix.identity(2, PM2))
+    assert build_gram((0, 0), PM2) == as_hermitian(identity_matrix(2, PM2))
     h1 = build_gram((1, 1), PM2)
     assert h1.entries[0][1].coords() == (0, 0, 1, 0)
     assert h1.entries[1][0].coords() == (0, 0, 9 - 1, 0)
@@ -231,8 +231,8 @@ def test_closed_formula_matches_counts_n1():
 
 def test_shift():
     assert shift_factor(0, 2) == ONE
-    assert apply_shift(density_self_closed((0, 0)), 1, 2) == density_self_closed((2, 2))
-    assert apply_shift(density_self_closed((2, 0)), 1, 2) == density_self_closed((4, 2))
+    assert density_self_closed((0, 0)) * shift_factor(1, 2) == density_self_closed((2, 2))
+    assert density_self_closed((2, 0)) * shift_factor(1, 2) == density_self_closed((4, 2))
     # by counting: mu(<p>, <p>) = q * mu(<1>, <1>)
     (shifted,), _ = density_levels((2,), (2,), 3, [2])
     (base,), _ = density_levels((0,), (0,), 3, [2])

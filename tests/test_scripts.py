@@ -1,5 +1,6 @@
 """Smoke tests: the scripts in scripts/ run in-process on small inputs."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -170,12 +171,52 @@ def test_tracer_binds_every_target():
     assert bindings() == before
 
 
-def _perfbench_jobs():
-    path = SCRIPTS.parent / "perfbench" / "jobs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
-    jobs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(jobs)
-    return jobs
+def _perfbench_module(name):
+    path = SCRIPTS.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _identifiers(node):
+    """Every name, attribute and imported name a syntax tree uses."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+
+
+def test_no_unreferenced_public_names():
+    # A public module-level function or class of src/quatherm must be named in
+    # src/quatherm outside its own definition, be in quatherm.__all__, be bound
+    # by perfbench/tracing.py, or be imported by a script; code that only its
+    # own test calls belongs in tests/
+    import quatherm
+
+    referenced = set(quatherm.__all__)
+    referenced |= {attr.partition(".")[0] for _, attr, *_ in _perfbench_module("tracing")._TARGETS}
+    for path in SCRIPTS.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imports = [alias for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[0] == "quatherm" for alias in node.names]
+        bound = {alias.asname or alias.name for alias in imports}
+        referenced |= {alias.name for alias in imports}
+        referenced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                       and isinstance(node.value, ast.Name) and node.value.id in bound}
+    defined, uses = [], []
+    for path in sorted(Path(quatherm.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((path.stem, node))
+            uses.append((node, set(_identifiers(node))))
+    unreferenced = [f"{module}.{node.name}" for module, node in defined
+                    if node.name not in referenced
+                    and not any(node.name in names for other, names in uses if other is not node)]
+    assert unreferenced == []
 
 
 def _mismatched_jobs(jobs, argvs):
@@ -194,7 +235,7 @@ def _mismatched_jobs(jobs, argvs):
 def test_plancherel_jobs_match_expected_outputs():
     # every guarded `light-mix` plancherel and plancherel-u job, and
     # `verify --suite symbolic`
-    jobs = _perfbench_jobs()
+    jobs = _perfbench_module("jobs")
     pools = {c["name"]: c["pool"] for c in jobs.load_workloads()["light-mix"]["classes"]}
     argvs = [argv for name in ("plancherel", "plancherel-u") for argv in pools[name]
              if jobs.guard_ok(argv)]
@@ -205,7 +246,7 @@ def test_plancherel_jobs_match_expected_outputs():
 def test_ideal_jobs_match_expected_outputs():
     # every guarded `symbolic` job of the ideal classes: Psi through the
     # alternant sum, the Schur terms and Buchberger
-    jobs = _perfbench_jobs()
+    jobs = _perfbench_module("jobs")
     argvs = [argv for c in jobs.load_workloads()["symbolic"]["classes"]
              if c["name"].startswith("ideal") for argv in c["pool"] if jobs.guard_ok(argv)]
     assert len(argvs) == 96 and _mismatched_jobs(jobs, argvs) == []
@@ -214,7 +255,7 @@ def test_ideal_jobs_match_expected_outputs():
 def test_counting_jobs_match_expected_outputs():
     # every guarded `counting` job, every `light-mix` convolve-shallow job and
     # `verify --suite counting`: the 1x1, size-2 and direct counts
-    jobs = _perfbench_jobs()
+    jobs = _perfbench_module("jobs")
     workloads = jobs.load_workloads()
     pools = {c["name"]: c["pool"] for c in workloads["light-mix"]["classes"]}
     argvs = [argv for c in workloads["counting"]["classes"] for argv in c["pool"]
