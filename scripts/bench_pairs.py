@@ -15,7 +15,11 @@ reads the result files already there.
 The output file keeps every run (earlier runs of other workloads or seeds in
 the same file are kept, and a rerun replaces its record) and, per workload and
 end-to-end metric of `BENCHMARK.json`: each side's median and quartiles, and
-the number of pairs (same seed) in which the change is strictly better.  After
+the number of pairs (same seed) in which the change is strictly better.  Each
+run also records its job coverage, the share of the timed phase that its jobs
+cover: the sum of its `latencies_s` over the phase's wall time, which is
+(attempted - failed) / jobs_per_s.  The summary gives each side's minimum per
+workload, the margin to run.py's 0.98 floor (`MIN_COVERAGE`).  After
 the pairs it runs, per side and one process at a time:
   - three `quatherm verify --suite all --timings`, keeping each check's median
     seconds under `verify_seconds`;
@@ -108,12 +112,22 @@ def tier1(tree: Path) -> dict:
     return {"seconds": seconds, **counts, "durations": durations}
 
 
+def job_coverage(res: dict) -> float | None:
+    """Sum of a run's job latencies over its timed phase, whose wall time
+    run.py reports only as jobs_per_s = (attempted - failed) / wall; None
+    when no job passed."""
+    jobs_per_s = res["metrics"]["jobs_per_s"]["value"]
+    if not jobs_per_s:
+        return None
+    return sum(res["latencies_s"]) * jobs_per_s / (res["attempted"] - res["failed"])
+
+
 def read_run(tree: Path, workload: str, seed: int, side: str, position: int) -> dict:
     with open(result_path(tree, workload, seed)) as fh:
         res = json.load(fh)
     return {"workload": workload, "seed": seed, "side": side, "position": position,
             "correct": res["correct"], "attempted": res["attempted"], "failed": res["failed"],
-            "env": res["env"],
+            "coverage": job_coverage(res), "env": res["env"],
             "metrics": {k: m["value"] for k, m in res["metrics"].items()}}
 
 
@@ -126,8 +140,8 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload: the pairs, and per metric each side's quartiles and the
-    pairs the change wins."""
+    """Per workload: the pairs, each side's least job coverage, and per metric
+    each side's quartiles and the pairs the change wins."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         by_seed = {}
@@ -143,9 +157,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             table[name] = {"unit": spec["unit"], "better": spec["better"],
                            **{side: quartiles(vals[side]) for side in SIDES if pairs},
                            "change_won": won}
+        coverage = {side: [p[side]["coverage"] for p in pairs
+                           if p[side].get("coverage") is not None] for side in SIDES}
         out[workload] = {"pairs": len(pairs),
                          "all_correct": all(p[s]["correct"] and not p[s]["failed"]
                                             for p in pairs for s in SIDES),
+                         "min_coverage": {side: min(c, default=None)
+                                          for side, c in coverage.items()},
                          "metrics": table}
     return out
 
@@ -176,7 +194,7 @@ def main(argv=None) -> int:
                     != (args.workload, seed, side)] + [rec]
             m = rec["metrics"]
             print(f"{args.workload} seed {seed} {side}: jobs_per_s {m['jobs_per_s']:.4g}, "
-                  f"correct {rec['correct']}", flush=True)
+                  f"coverage {rec['coverage']}, correct {rec['correct']}", flush=True)
 
     if args.reuse:
         verify, suite = report.get("verify_seconds", {}), report.get("tier1", {})
@@ -198,7 +216,8 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for workload, s in report["summary"].items():
-        print(f"{workload}: {s['pairs']} pairs, all correct {s['all_correct']}")
+        print(f"{workload}: {s['pairs']} pairs, all correct {s['all_correct']}, least job "
+              f"coverage {s['min_coverage']['parent']} -> {s['min_coverage']['change']}")
         for name, m in s["metrics"].items():
             if s["pairs"]:
                 print(f"  {name:14s} {m['parent']['median']:.4g} -> {m['change']['median']:.4g}"

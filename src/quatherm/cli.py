@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import counting, density, elemsym, plancherel, spherical, verify
+from . import counting, density, plancherel, spherical, verify
 from .laurent import map_distinct
 from .quatring import RingParams
 from .ratfunc import format_fraction
@@ -172,7 +172,7 @@ def cmd_ideal(args) -> int:
     payload = {
         "n": n,
         "note": "membership verified at rational specializations of q",
-        "generators": [str(g) for g in elemsym.schwartz_image_generators(n)],
+        "generators": [str(g) for g in verify.generator_forms(n)[1]],
         "verdicts": verdicts,
     }
     return _emit(payload, args.format)

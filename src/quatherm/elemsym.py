@@ -154,8 +154,10 @@ _ORDER_KEYS = {"grevlex": _grevlex_key, "lex": _lex_key}
 class GroebnerBasis:
     """Reduced Groebner basis of an ideal in Q[s_1..s_n] at fixed q.
 
-    polys: list of dicts exponent -> Fraction, monic, inter-reduced, sorted by
-    leading monomial; leads: their leading monomials.
+    polys: tuple of dicts exponent -> Fraction, monic, inter-reduced, sorted
+    by leading monomial; leads: the tuple of their leading monomials.  A basis
+    may be shared between requests (`verify.generator_basis`): reduction
+    against it reads its members and never changes them.
     """
 
     __slots__ = ("n", "order", "leads", "polys")
@@ -163,8 +165,8 @@ class GroebnerBasis:
     def __init__(self, n: int, order: str, leads, polys):
         self.n = n
         self.order = order
-        self.leads = leads
-        self.polys = polys
+        self.leads = tuple(leads)
+        self.polys = tuple(polys)
 
     def key(self):
         return _ORDER_KEYS[self.order]

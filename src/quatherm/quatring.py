@@ -225,10 +225,6 @@ class QuatElem:
         pm = self.params
         return qnrd(self.coords(), pm.p, pm.eps2, pm.modulus)
 
-    def trd(self) -> int:
-        """Reduced trace 2a mod p^ell."""
-        return (2 * self.a) % self.params.modulus
-
     def is_scalar(self) -> bool:
         return self.b == 0 and self.c == 0 and self.d == 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import counting, density, elemsym, plancherel, spherical
 from .bivar import BivarRat
@@ -398,36 +399,55 @@ IDEAL_LABELS = {
 GENERATOR_LABELS = {3: [(0, 0, 0), (0, -1, -1)], 4: [(0, 0, 0, 0), (-1, -1, -1, -1)]}
 
 
+@lru_cache(maxsize=4)
+def generator_forms(n):
+    """(computed, tabulated): the main-term elementary forms of
+    GENERATOR_LABELS[n] and `elemsym.schwartz_image_generators(n)`, built
+    once per process for each n.  Every request shares these objects, so no
+    caller may change them."""
+    computed = tuple(spherical.main_term_elementary(a, n) for a in GENERATOR_LABELS[n])
+    return computed, elemsym.schwartz_image_generators(n)
+
+
+@lru_cache(maxsize=32)
+def generator_basis(n, q0):
+    """(generator_ok, basis) at q = q0: per generator label, whether its
+    image matches the tabulated generator up to scaling, and the reduced
+    Groebner basis of the images, built once per process for each (n, q0)."""
+    computed, tabulated = generator_forms(n)
+    monic = [c.leading_normalized(q0) for c in computed]
+    generator_ok = tuple(m == g.leading_normalized(q0) for m, g in zip(monic, tabulated))
+    return generator_ok, elemsym.buchberger(monic, n)
+
+
 def ideal_verdicts(n, labels, q_specs):
     """Generator agreement and ideal membership at each q in q_specs.
 
     Every label's elementary form is built once, outside the q-loop, without
     Psi's prefactor (q - 1)^k q^e / prod [i]_{q^2}: at every q0 >= 2 it is a
     nonzero constant, which cancels in `leading_normalized` and cannot change
-    membership.  Returns a list of (q0, generator_ok, members): generator_ok
-    says, per generator label, whether its image matches the tabulated
-    generator up to scaling; members lists (alpha, verdict) in label order.
-    Each q0 must be at least 2: q = 0 is a pole of the prefactor, and at q = 1
-    its factor (q - 1)^k makes every odd-label image zero, a vacuous member.
+    membership.  A generator label reuses its form from `generator_forms`,
+    and the basis at each q0 comes from `generator_basis`.  Returns a list of
+    (q0, generator_ok, members): generator_ok says, per generator label,
+    whether its image matches the tabulated generator up to scaling; members
+    lists (alpha, verdict) in label order.  Each q0 must be at least 2: q = 0
+    is a pole of the prefactor, and at q = 1 its factor (q - 1)^k makes every
+    odd-label image zero, a vacuous member.
     """
     bad_q = [q0 for q0 in q_specs if q0 < 2]
     if bad_q:
         raise ValueError(f"q specializations must be integers >= 2, got {bad_q}")
-    forms = {}
-    for alpha in [*GENERATOR_LABELS[n], *labels]:
+    forms = dict(zip(GENERATOR_LABELS[n], generator_forms(n)[0]))
+    for alpha in labels:
         if alpha not in forms:
             forms[alpha] = spherical.main_term_elementary(alpha, n)
-    computed = [forms[a] for a in GENERATOR_LABELS[n]]
-    tabulated = elemsym.schwartz_image_generators(n)
     out = []
     for q0 in q_specs:
-        generator_ok = [c.leading_normalized(q0) == g.leading_normalized(q0)
-                        for c, g in zip(computed, tabulated)]
-        basis = elemsym.buchberger([c.leading_normalized(q0) for c in computed], n)
+        generator_ok, basis = generator_basis(n, q0)
         members = [(alpha, elemsym.ideal_member(
                         forms[alpha].polynomial_part().specialize(q0), basis))
                    for alpha in labels]
-        out.append((q0, generator_ok, members))
+        out.append((q0, list(generator_ok), members))
     return out
 
 

@@ -12,11 +12,11 @@ the reference for `counting._value_count`.  The size-2 count in a diagonal
 target by first rows binned on numpy arrays (a p^(3*ell) route), the
 reference for the closed chain of `counting._diagonal_pair_count`.  The
 Iwahori count by enumerating its p^(4*ell-2) unipotent coordinates, the
-reference for the value counts of `spherical.delta_oracle`.  The matrix
-arithmetic the library never runs (identity and diagonal matrices, the
-conjugate transpose, the form change A[u]) and the residue rank by
-elimination, the reference for `counting._rank_mask`.  The tail order on
-orbit labels, which builds the rival set of the key-lemma test.  The
+reference for the value counts of `spherical.delta_oracle`.  The
+arithmetic the library never runs: identity and diagonal matrices, the
+conjugate transpose, the form change A[u] and the reduced trace.  The
+residue rank by elimination, the reference for `counting._rank_mask`.  The
+tail order on orbit labels, which builds the rival set of the key-lemma test.  The
 elementary symmetric polynomials and the x-form of an `ElemSymExpr`, the
 reference of the Schur-term and elementary-rewrite tests.
 """
@@ -443,6 +443,11 @@ def herm_apply(a: HermMatrix, u: QuatMatrix) -> HermMatrix:
     if a.rows != u.rows:
         raise DimensionMismatch("A[u] needs A m x m and u m x n")
     return as_hermitian(star(u) @ a @ u)
+
+
+def trd(x: QuatElem) -> int:
+    """Reduced trace 2a mod p^ell."""
+    return (2 * x.a) % x.params.modulus
 
 
 def residue_rank(u: QuatMatrix) -> int:

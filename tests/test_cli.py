@@ -1,10 +1,16 @@
+import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from quatherm import elemsym, verify
 from quatherm.cli import main
 from quatherm.density import density_self_closed
 from quatherm.ratfunc import format_fraction
@@ -109,6 +115,33 @@ def test_ideal_quick(capsys):
     assert code == 0
     assert all(v["member"] for v in data["verdicts"])
     assert len(data["verdicts"]) == 2
+
+
+def test_ideal_requests_share_no_state(capsys, clear_generator_caches):
+    # the generator forms and the basis per (n, q) are built once per process
+    # and shared: requests that fill and reuse them print what a fresh
+    # process prints
+    src = Path(__file__).resolve().parent.parent / "src"
+    argvs = [("ideal", "--n", "3", "--q-spec", "2"),
+             ("ideal", "--n", "3", "--q-spec", "2,5", "--alpha", "2,0,0;0,-1,-1;1,1,0"),
+             ("ideal", "--n", "4", "--q-spec", "3"),
+             ("ideal", "--n", "3", "--q-spec", "2")]
+    fresh = {}
+    for argv in argvs:
+        if argv not in fresh:
+            fresh[argv] = subprocess.run([sys.executable, "-m", "quatherm.cli", *argv],
+                                         capture_output=True, text=True,
+                                         env={**os.environ, "PYTHONPATH": str(src)})
+        assert run_cli(capsys, *argv) == (fresh[argv].returncode, fresh[argv].stdout)
+    # a cached basis is left as it was by a membership query that fails
+    _, basis = verify.generator_basis(3, 5)
+    before = copy.deepcopy((basis.leads, basis.polys))
+    assert not elemsym.ideal_member({(1, 0, 0): 1}, basis)
+    assert (basis.leads, basis.polys) == before
+    # the basis cache stays bounded
+    maxsize = verify.generator_basis.cache_info().maxsize
+    verify.ideal_verdicts(3, [], range(2, maxsize + 4))
+    assert verify.generator_basis.cache_info().currsize <= maxsize
 
 
 def test_plancherel_subcommand(capsys):

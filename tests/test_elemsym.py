@@ -106,7 +106,7 @@ def test_buchberger_already_basis():
 
 def test_buchberger_unit_ideal():
     gb = buchberger([_p({(0, 0): 2})], 2)
-    assert gb.polys == [{(0, 0): Fraction(1)}]
+    assert gb.polys == ({(0, 0): Fraction(1)},)
     assert ideal_member(_p({(3, 1): 7}), gb)
 
 
@@ -186,7 +186,7 @@ def test_unpaired_extra_polynomials_membership():
     assert all(outcomes.values())
 
 
-def test_ideal_verdicts_build_each_form_once(monkeypatch):
+def test_ideal_verdicts_build_each_form_once(monkeypatch, clear_generator_caches):
     from quatherm import spherical, verify
 
     built = []
@@ -200,9 +200,14 @@ def test_ideal_verdicts_build_each_form_once(monkeypatch):
     for _, generator_ok, members in out:
         assert generator_ok == [True, True]
         assert members == [(a, True) for a in labels]
+    # a second request in the same process builds only its own labels that
+    # are not generator labels, and answers the same
+    built.clear()
+    assert verify.ideal_verdicts(3, labels, (2, 3, 5)) == out
+    assert built == [(2, 0, 0)]
 
 
-def test_ideal_verdicts_ignore_the_prefactor(monkeypatch):
+def test_ideal_verdicts_ignore_the_prefactor(monkeypatch, clear_generator_caches):
     # the prefactor is a nonzero constant at every q >= 2, so the verdicts of
     # the main-term forms are those of Psi's own elementary forms
     from quatherm import spherical, verify
@@ -213,6 +218,8 @@ def test_ideal_verdicts_ignore_the_prefactor(monkeypatch):
     psi = {(a, n): spherical.psi_elementary(a, n)
            for table in (GENERATOR_LABELS, IDEAL_LABELS) for n in table for a in table[n]}
     monkeypatch.setattr(spherical, "main_term_elementary", lambda a, n: psi[a, n])
+    # the generator forms and bases are rebuilt from Psi's forms too
+    clear_generator_caches()
     for n, labels in IDEAL_LABELS.items():
         assert verify.ideal_verdicts(n, labels, qs) == plain[n]
 
@@ -242,4 +249,4 @@ def test_image_ideal_basis_against_sympy(n, q0, order):
     for gb in (buchberger(gens, n, order), buchberger(gens[::-1], n, order)):
         assert len(gb.polys) == len(expected)
         assert as_set(gb.polys) == as_set(expected)
-        assert gb.leads == [max(g, key=gb.key()) for g in gb.polys]
+        assert gb.leads == tuple(max(g, key=gb.key()) for g in gb.polys)

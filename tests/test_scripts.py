@@ -44,13 +44,15 @@ def test_spherical_table(monkeypatch, capsys):
                    for alpha in [(0, 0), (2, 0), (1, 1), (2, 1, 1)]]
 
 
-def _canned_result(tree, seed, jobs_per_s, commit):
+def _canned_result(tree, seed, jobs_per_s, commit, coverage=0.99):
+    # 100 jobs of equal latency that cover `coverage` of the timed phase
     metrics = {"setup_s": 0.25, "jobs_per_s": jobs_per_s, "job_p50_s": 1 / jobs_per_s,
                "job_tail_s": 2 / jobs_per_s, "peak_rss_mib": 38.0}
     out = tree / "perfbench" / "out"
     out.mkdir(parents=True, exist_ok=True)
     (out / f"result-symbolic-seed{seed}-trace0.json").write_text(json.dumps({
         "correct": True, "attempted": 100, "failed": 0,
+        "latencies_s": [coverage / jobs_per_s] * 100,
         "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()},
         "env": {"cpu": "test cpu", "nproc": 2, "python": "3", "numpy": "2",
                 "git_commit": commit, "src_sha256": "0" * 64, "seed": seed}}))
@@ -59,9 +61,10 @@ def _canned_result(tree, seed, jobs_per_s, commit):
 def test_bench_pairs_reads_canned_results(monkeypatch, capsys, tmp_path):
     # --reuse reads the result files in place: no benchmark process starts
     parent, change = tmp_path / "parent", tmp_path / "change"
+    coverages = [(0.99, 0.985), (0.995, 0.975), (0.98, 0.99)]
     for seed, (before, after) in enumerate([(10, 20), (11, 19), (12, 9)], start=1):
-        _canned_result(parent, seed, before, "aaa")
-        _canned_result(change, seed, after, "bbb")
+        _canned_result(parent, seed, before, "aaa", coverages[seed - 1][0])
+        _canned_result(change, seed, after, "bbb", coverages[seed - 1][1])
     out_file = tmp_path / "BENCH.json"
     with pytest.raises(SystemExit) as exit_info:
         run_script(monkeypatch, capsys, "bench_pairs.py", "--parent", str(parent),
@@ -74,6 +77,13 @@ def test_bench_pairs_reads_canned_results(monkeypatch, capsys, tmp_path):
     assert [r["position"] for r in report["runs"] if r["side"] == "parent"] == [0, 1, 0]
     summary = report["summary"]["symbolic"]
     assert summary["pairs"] == 3 and summary["all_correct"]
+    # each run's job coverage, read back from its latencies and jobs_per_s,
+    # and each side's least
+    got = {(r["side"], r["seed"]): r["coverage"] for r in report["runs"]}
+    want = {(side, seed): c[i] for seed, c in enumerate(coverages, start=1)
+            for i, side in enumerate(("parent", "change"))}
+    assert got == pytest.approx(want)
+    assert summary["min_coverage"] == pytest.approx({"parent": 0.98, "change": 0.975})
     jps = summary["metrics"]["jobs_per_s"]
     assert jps["parent"] == {"median": 11, "q1": 10.5, "q3": 11.5}
     assert jps["change"]["median"] == 19 and jps["change_won"] == 2
